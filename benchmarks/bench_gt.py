@@ -1,70 +1,66 @@
 #!/usr/bin/env python3
-"""Benchmark the Gelfand-Tsetlin aggregation kernel: compiled vs pure Python.
+"""Checksum-gated timing of the Gelfand-Tsetlin aggregation kernel.
 
 The workloads mirror the hot paths: the full d in {4,5,6} moment sweep (every
 signature with entries in [-2,2], every admissible even r) and a deep-tower
-confluent character evaluation.  Usage: python3 benchmarks/bench_gt.py
+confluent character evaluation.  Exits 1 unless both checksums match.
+Usage: python3 benchmarks/bench_gt.py
 """
 
+import sys
 import time
 
-from weylchar import _gtpure
 from weylchar.combinatorics import signatures_with_entries
+from weylchar.gtkernel import group_counts
 from weylchar.moments import TraceZeroSigned
 
-try:
-    from weylchar import _gtcore
-except ImportError:
-    _gtcore = None
 
-
-def sweep_workload(kernel):
+def sweep_workload():
     total = 0
     for d in (4, 5, 6):
         for sig in signatures_with_entries(d, -2, 2):
             for r in range(2, d + 1, 2):
-                counts = kernel.group_counts(sig.entries, TraceZeroSigned(r, d).groups(), 3)
+                counts = group_counts(sig.entries, TraceZeroSigned(r, d).groups(), 3)
                 total += sum(counts.values())
     return total
 
 
-def tower_workload(kernel):
+def tower_workload():
     total = 0
     for d in (16, 32, 64, 128):
         entries = (2, 1) + (0,) * (d - 4) + (-1, -2)
         groups = tuple(0 if i < d // 2 else 1 for i in range(d))
-        counts = kernel.group_counts(entries, groups, 2)
+        counts = group_counts(entries, groups, 2)
         total += sum(counts.values())
     return total
 
 
-def run(label, workload, kernel, repeats=3):
+WORKLOADS = (
+    ("moment sweep", sweep_workload, 982377),
+    ("deep tower", tower_workload, 496078591740),
+)
+
+
+def run(label, workload, repeats=3):
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = workload(kernel)
+        result = workload()
         best = min(best, time.perf_counter() - start)
-    print(f"  {label:>18}: {best * 1000:8.1f} ms  (checksum {result})")
-    return best, result
+    print(f"{label:>14}: {best * 1000:8.1f} ms  (checksum {result})")
+    return result
 
 
 def main():
-    impls = [("pure", _gtpure)]
-    if _gtcore is not None:
-        impls.append(("cython", _gtcore))
-    else:
-        print("compiled kernel not built; benchmarking pure implementation only")
-    for name, workload in (("moment sweep", sweep_workload), ("deep tower", tower_workload)):
-        print(f"{name}:")
-        times = {}
-        checks = {}
-        for impl_name, impl in impls:
-            times[impl_name], checks[impl_name] = run(impl_name, workload, impl)
-        if len(checks) == 2:
-            assert checks["pure"] == checks["cython"], "kernel mismatch"
-            print(f"  {'speedup':>18}: {times['pure'] / times['cython']:8.2f}x")
+    ok = True
+    for label, workload, expected in WORKLOADS:
+        result = run(label, workload)
+        if result != expected:
+            print(f"{label}: checksum {result} != expected {expected}", file=sys.stderr)
+            ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

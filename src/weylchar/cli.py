@@ -23,29 +23,22 @@ from weylchar.errors import BudgetExceeded
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed, budgets and output destination shared by the subcommands."""
+    """Seed shared by the subcommands; WEYLCHAR_SEED overrides --seed."""
 
     seed: int = 0
-    gt_dim_max: int = ucharacters.DIM_BUDGET
-    series_truncation: int = 60
-    mc_samples: int = 100_000
-    output: str | None = None
-
-    def __post_init__(self):
-        if min(self.gt_dim_max, self.series_truncation, self.mc_samples) <= 0:
-            raise ValueError("budgets must be positive")
 
     @staticmethod
     def from_args(args) -> "RunConfig":
         seed_env = os.environ.get("WEYLCHAR_SEED")
         seed = int(seed_env) if seed_env is not None else getattr(args, "seed", 0)
-        return RunConfig(
-            seed=seed,
-            gt_dim_max=getattr(args, "dim_budget", ucharacters.DIM_BUDGET),
-            series_truncation=getattr(args, "truncation", 60),
-            mc_samples=getattr(args, "samples", 100_000),
-            output=getattr(args, "output", None),
-        )
+        return RunConfig(seed=seed)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("budgets must be positive")
+    return value
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
@@ -346,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig2")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
-    p.add_argument("--dim-budget", type=int, default=ucharacters.DIM_BUDGET)
+    p.add_argument("--dim-budget", type=positive_int, default=ucharacters.DIM_BUDGET)
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("moments", help="weight-distribution moments, closed vs brute force", parents=[common])
@@ -360,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hciz", help="Monte Carlo unitary integral vs exact value", parents=[common])
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("power", "exp"), default="power")
     p.add_argument("--a", help="spectrum of A as comma rationals")
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-n", type=int, help="level for the series check")
     p.add_argument("--tau", help="trace values 're,im' separated by ';'")
     p.add_argument("--tau-prime", help="conjugate-side trace values")
-    p.add_argument("--truncation", type=int, default=60)
+    p.add_argument("--truncation", type=positive_int, default=60)
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("validate-diagram", help="check a Bratteli diagram", parents=[common])

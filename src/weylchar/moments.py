@@ -103,9 +103,6 @@ class TraceZeroSigned:
         """Coordinate groups: 0 for +1 slots, 1 for -1 slots, 2 for zeros."""
         return tuple({1: 0, -1: 1, 0: 2}[v] for v in self.diagonal())
 
-    def power_sum(self, j: int) -> int:
-        return self.r if j % 2 == 0 else 0
-
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -200,21 +197,7 @@ def J_series(b: HermitianSpectrum, f: TraceZeroSigned, n: int) -> Fraction:
     """Partition sum for B against the signed projector spectrum of F."""
     if b.d != f.d:
         raise ValueError("B and F must share d")
-    d = b.d
-    pf = {j: Fraction(f.power_sum(j)) for j in range(1, n + 1)}
-    pb = {j: b.trace(j) for j in range(1, n + 1)}
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        if lam.length > d:
-            continue
-        exp = schur_to_power_sums(lam)
-        total += (
-            Fraction(sym_group_dim(lam))
-            * exp.evaluate_power_sums(pf)
-            * exp.evaluate_power_sums(pb)
-            / schur_dim(lam, d)
-        )
-    return total
+    return hciz_power_sum(HermitianSpectrum(f.diagonal()), b, n)
 
 
 def J_closed(b: HermitianSpectrum, r: int, n: int) -> Fraction:

@@ -3,8 +3,8 @@
 Schur evaluation goes through the bialternant when the points are distinct and
 through Gelfand-Tsetlin aggregation when they are not; the two agree wherever
 both apply.  Power-sum expansions come from symmetric-group characters
-(Murnaghan-Nakayama divided by centralizer orders).  Floating point never
-enters this module.
+(Murnaghan-Nakayama divided by centralizer orders).  Floating point enters
+only as complex values that `ucharacters` passes to `eval_by_gt`.
 """
 
 from __future__ import annotations
@@ -221,7 +221,12 @@ def bialternant(sig_entries: tuple[int, ...], values) -> object:
 
 
 def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
-    """Character value at a (possibly confluent) exact spectrum via GT aggregation."""
+    """Character value at a (possibly confluent) spectrum via GT aggregation.
+
+    Equal values share a coordinate group; the result is the sum over grouped
+    weights of mult * prod(v**e).  Works for Fraction, QQi and complex values;
+    returns a Fraction when every term is an integer.
+    """
     distinct: list = []
     groups: list[int] = []
     for v in values:
@@ -233,14 +238,16 @@ def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
             groups.append(len(distinct))
             distinct.append(v)
     counts = group_counts(tuple(sig_entries), tuple(groups), len(distinct))
-    total = None
+    # Integer multiplicities keep complex terms in native float arithmetic;
+    # the Fraction start makes an all-integer sum come back as a Fraction.
+    total = Fraction(0)
     for exps, mult in counts.items():
-        term = Fraction(mult)
+        term = mult
         for v, e in zip(distinct, exps):
             if e:
                 term = term * v**e
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+        total = total + term
+    return total
 
 
 def schur_eval_exact(lam: Partition, values):

@@ -2,8 +2,9 @@
 
 Evaluation happens at diagonal unitaries (characters are class functions).
 Distinct spectra go through the Weyl quotient of alternants; near-confluent or
-exact spectra go through Gelfand-Tsetlin weight aggregation instead, since the
-alternant denominator degenerates there.
+exact spectra go through `symfunc.eval_by_gt`, the Gelfand-Tsetlin weight
+aggregation at grouped values, since the alternant denominator degenerates
+there.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from weylchar.combinatorics import (
 )
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi, exact_unit, unit_complex
-from weylchar.gtkernel import group_counts
-from weylchar.symfunc import lr_product, skew_expand, weyl_dim
+from weylchar.symfunc import eval_by_gt, lr_product, skew_expand, weyl_dim
 
 CONFLUENCE_GAP = 1e-8
 CLUSTER_TOL = 1e-9
@@ -77,41 +77,18 @@ class DiagonalUnitary:
         return DiagonalUnitary((Fraction(0),) * d)
 
 
-def _cluster(values: tuple[complex, ...], tol: float = CLUSTER_TOL):
+def _cluster(values: tuple[complex, ...]):
     reps: list[complex] = []
     groups: list[int] = []
     for v in values:
         for g, w in enumerate(reps):
-            if abs(v - w) <= tol:
+            if abs(v - w) <= CLUSTER_TOL:
                 groups.append(g)
                 break
         else:
             groups.append(len(reps))
             reps.append(v)
     return reps, tuple(groups)
-
-
-def _char_by_gt(entries: tuple[int, ...], values):
-    """Sum over GT patterns of the grouped weight monomials, for any value type."""
-    reps: list = []
-    groups: list[int] = []
-    for v in values:
-        for g, w in enumerate(reps):
-            if w == v:
-                groups.append(g)
-                break
-        else:
-            groups.append(len(reps))
-            reps.append(v)
-    counts = group_counts(entries, tuple(groups), len(reps))
-    total = None
-    for exps, mult in counts.items():
-        term = mult
-        for v, e in zip(reps, exps):
-            if e:
-                term = term * v**e
-        total = term if total is None else total + term
-    return total
 
 
 def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
@@ -127,8 +104,7 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
         ev = u.exact_values()
         if ev is None:
             raise ValueError("exact mode needs quarter-turn rational angles")
-        val = _char_by_gt(sig.entries, ev)
-        return QQi.of(val if val is not None else 0)
+        return QQi.of(eval_by_gt(sig.entries, ev))
     values = u.complex_values()
     gap = min(
         (abs(values[i] - values[j]) for i in range(u.d) for j in range(i + 1, u.d)),
@@ -136,15 +112,7 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
     )
     if gap < CONFLUENCE_GAP:
         reps, groups = _cluster(values)
-        counts = group_counts(sig.entries, groups, len(reps))
-        total = 0j
-        for exps, mult in counts.items():
-            term = complex(mult)
-            for v, e in zip(reps, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        return complex(eval_by_gt(sig.entries, tuple(reps[g] for g in groups)))
     d = u.d
     exps = [sig.entries[j] + d - 1 - j for j in range(d)]
     num = np.linalg.det(np.array([[v**e for e in exps] for v in values], dtype=complex))
@@ -322,9 +290,7 @@ def rational_approx_defect(lam: Partition, mu: Partition, u: DiagonalUnitary) ->
     if ev is not None:
         chi = complex(normalized_char(sig, u, exact=True))
     else:
-        values = u.complex_values()
-        dim = weyl_dim(sig)
-        chi = complex(_char_by_gt(sig.entries, values)) / dim
+        chi = complex(eval_by_gt(sig.entries, u.complex_values())) / weyl_dim(sig)
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
     return abs(chi - target)

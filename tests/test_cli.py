@@ -211,14 +211,16 @@ def test_output_file_option(tmp_path, capsys):
     assert json.loads(out.read_text())["defect"] == "1/16"
 
 
-def test_run_config_budget_validation():
-    import pytest
-    from weylchar.cli import RunConfig
-
-    with pytest.raises(ValueError):
-        RunConfig(mc_samples=0)
-    cfg = RunConfig(seed=3)
-    assert cfg.gt_dim_max > 0 and cfg.series_truncation > 0
+def test_budget_flags_reject_zero(capsys):
+    cases = (
+        ["branch", "--op", "restrict", "--sig", "1,0,-1", "--d1", "1", "--d2", "2", "--dim-budget", "0"],
+        ["poisson", "--stirling", "4", "--truncation", "0"],
+        ["hciz", "--d", "3", "--samples", "0"],
+    )
+    for argv in cases:
+        code, payload, err = run_cli(capsys, argv)
+        assert code == 2 and payload is None, argv
+        assert "budgets must be positive" in err
 
 
 def test_validate_diagram_invalid_file_exit_code(tmp_path, capsys):

@@ -75,9 +75,9 @@ def test_char_routes_agree():
         distinct = len(set(angles)) == d
         if distinct:
             # force the GT route through clustering with equal tolerance
-            from weylchar.ucharacters import _char_by_gt
+            from weylchar.symfunc import eval_by_gt
 
-            gt = _char_by_gt(sig.entries, u.complex_values())
+            gt = eval_by_gt(sig.entries, u.complex_values())
             assert abs(numeric - gt) < 1e-9 * max(1.0, abs(gt))
         if exact is not None:
             assert abs(numeric - complex(exact)) < 1e-9 * max(1.0, abs(complex(exact)))
