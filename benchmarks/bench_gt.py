@@ -2,8 +2,11 @@
 """Checksum-gated timing of the Gelfand-Tsetlin aggregation kernel.
 
 The workloads mirror the hot paths: the full d in {4,5,6} moment sweep (every
-signature with entries in [-2,2], every admissible even r) and a deep-tower
-confluent character evaluation.  Exits 1 unless both checksums match.
+signature with entries in [-2,2], every admissible even r), a deep-tower
+confluent character evaluation with the two eigenvalues on contiguous
+halves, and the CAR tower at d in {256, 512} with the eigenvalues interleaved
+the way the tower embedding lays them out.  Exits 1 unless every checksum
+matches; each checksum is a sum of Weyl dimensions.
 Usage: python3 benchmarks/bench_gt.py
 """
 
@@ -35,9 +38,20 @@ def tower_workload():
     return total
 
 
+def car_interleaved_workload():
+    total = 0
+    for d in (256, 512):
+        entries = (2, 1) + (0,) * (d - 4) + (-1, -2)
+        groups = tuple(i % 2 for i in range(d))
+        counts = group_counts(entries, groups, 2)
+        total += sum(counts.values())
+    return total
+
+
 WORKLOADS = (
     ("moment sweep", sweep_workload, 982377),
     ("deep tower", tower_workload, 496078591740),
+    ("car interleaved", car_interleaved_workload, 2032785592614910),
 )
 
 
@@ -48,7 +62,7 @@ def run(label, workload, repeats=3):
         start = time.perf_counter()
         result = workload()
         best = min(best, time.perf_counter() - start)
-    print(f"{label:>14}: {best * 1000:8.1f} ms  (checksum {result})")
+    print(f"{label:>15}: {best * 1000:8.1f} ms  (checksum {result})")
     return result
 
 

@@ -2,7 +2,8 @@
 
 JSON goes to stdout (stable key order, byte-identical for identical seeded
 invocations); one human-readable summary line goes to stderr.  Exit codes:
-0 pass, 1 check failure, 2 usage or parse error, 3 budget exceeded.
+0 pass, 1 check failure, 2 usage or parse error, 3 budget exceeded,
+4 broken internal invariant (a bug, not bad input).
 Angles are given in turns (fractions of a full circle), so exact roots of
 unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from weylchar import afalgebra, moments, poisson, ucharacters
 from weylchar.combinatorics import Partition, Signature, signatures_with_entries
-from weylchar.errors import BudgetExceeded
+from weylchar.errors import BudgetExceeded, InvariantError
 
 
 @dataclass(frozen=True)
@@ -412,6 +413,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,31 @@
 """Gelfand-Tsetlin aggregation kernel.
 
 `group_counts` is the hot primitive behind weight distributions, confluent
-character evaluation and characters at quarter-turn spectra: it walks the GT
-branching lattice level by level, memoizing on the signature seen at each
-level, and aggregates pattern counts by the total weight landing in each
-coordinate group.
+character evaluation and characters at quarter-turn spectra.  It aggregates
+GT pattern counts by the total weight landing in each coordinate group, i.e.
+the coefficients of s_lam evaluated with every coordinate of group g set to
+y_g.
+
+s_lam is symmetric, so the coordinates are first sorted by group; the sorted
+order cuts into runs of m same-group coordinates.  The kernel then jumps
+over each run in one step instead of walking it one GT row at a time: from
+the row lam of length k to every row nu of length k - m with
+lam_i >= nu_i >= lam_{i+m}, each jump carrying the multiplicity
+s_{lam/nu}(1^m) (the number of GT strips between the two rows), computed by
+the dual Jacobi-Trudi determinant det[C(m, lam'_i - nu'_j - i + j)]
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5) with integer
+Bareiss elimination.  The bottom run jumps to the empty row, so the
+multiplicity there is the dimension s_lam(1^m).  The memo table lives for one
+call only.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+
+from weylchar.errors import InvariantError
 
 
 def group_counts(
@@ -29,29 +45,117 @@ def group_counts(
     if any(not 0 <= g < ngroups for g in groups):
         raise ValueError("group index out of range")
 
+    # Bottom run first: runs[r] covers GT rows sum(lengths[:r]) + 1 .. sum(lengths[:r+1]).
+    runs = [(g, sum(1 for _ in run)) for g, run in itertools.groupby(sorted(groups))]
     memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    zero = tuple(0 for _ in range(ngroups))
 
-    def rec(sig: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        k = len(sig)
-        if k == 1:
-            e = list(zero)
-            e[groups[0]] = sig[0]
-            return {tuple(e): 1}
-        hit = memo.get(sig)
+    def rec(lam: tuple[int, ...], r: int) -> dict[tuple[int, ...], int]:
+        if r < 0:
+            return {(0,) * ngroups: 1}
+        hit = memo.get(lam)
         if hit is not None:
             return hit
-        g = groups[k - 1]
-        total = sum(sig)
+        g, m = runs[r]
+        total = sum(lam)
+        lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 1 else ()
         out: dict[tuple[int, ...], int] = {}
-        ranges = [range(sig[i + 1], sig[i] + 1) for i in range(k - 1)]
-        for lower in itertools.product(*ranges):
-            w = total - sum(lower)
-            for e, m in rec(lower).items():
+        for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
+            mult = 1 if m == 1 else _skew_dim(lam, lam_conj, nu, m)
+            w = total - sum(nu)
+            for e, n in rec(nu, r - 1).items():
                 if w:
                     e = e[:g] + (e[g] + w,) + e[g + 1 :]
-                out[e] = out.get(e, 0) + m
-        memo[sig] = out
+                out[e] = out.get(e, 0) + n * mult
+        memo[lam] = out
         return out
 
-    return rec(tuple(entries))
+    return rec(tuple(entries), len(runs) - 1)
+
+
+def _rows_between(hi: tuple[int, ...], lo: tuple[int, ...]):
+    """Every non-increasing row nu with lo <= nu <= hi entrywise.
+
+    hi = lam[:k-m] and lo = lam[m:] for a non-increasing lam, so the all-lo row
+    is valid, resetting a suffix to lo keeps a row valid, and only adjacent
+    free entries (lo_i < hi_i) can violate the order; an odometer over the
+    free entries therefore visits each row exactly once.
+    """
+    free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+    row = list(lo)
+    while True:
+        yield tuple(row)
+        for i in reversed(free):
+            if row[i] < hi[i] and (i == 0 or row[i] < row[i - 1]):
+                row[i] += 1
+                break
+            row[i] = lo[i]
+        else:
+            return
+
+
+def _conjugate(row: tuple[int, ...], base: int, top: int) -> tuple[int, ...]:
+    """Column lengths 1..top-base of a non-increasing row shifted down by base."""
+    ascending = row[::-1]
+    n = len(row)
+    return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
+
+
+def _skew_dim(lam, lam_conj, nu, m) -> int:
+    """s_{lam/nu}(1^m) for lam shifted to end at 0 and nu padded with zeros.
+
+    s of a skew shape is the product over its pieces that share no row or
+    column; a piece spanning columns a..b is the dual Jacobi-Trudi determinant
+    det[C(m, lam'_i - nu'_j - i + j)] over i, j in a..b, and a one-column piece
+    of height h is C(m, h).
+    """
+    nu_conj = _conjugate(nu, lam[-1], lam[0])
+    width = len(lam_conj)
+    mult = 1
+    j = 0
+    while j < width:
+        if lam_conj[j] == nu_conj[j]:
+            j += 1
+            continue
+        # Columns j and j + 1 share a row exactly when lam'_{j+1} > nu'_j.
+        a = j
+        j += 1
+        while j < width and lam_conj[j] > nu_conj[j - 1]:
+            j += 1
+        if j - a == 1:
+            mult *= math.comb(m, lam_conj[a] - nu_conj[a])
+            continue
+        mult *= _bareiss_det(
+            [
+                [_comb(m, lam_conj[r] - nu_conj[c] - r + c) for c in range(a, j)]
+                for r in range(a, j)
+            ]
+        )
+    if mult <= 0:
+        raise InvariantError(f"GT jump with {mult} strips: lam={lam}, nu={nu}, m={m}")
+    return mult
+
+
+def _comb(n: int, r: int) -> int:
+    return math.comb(n, r) if r >= 0 else 0
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination (in place).
+
+    No row exchanges: the Jacobi-Trudi matrix of a connected skew shape at
+    1^m is totally nonnegative with positive determinant, so every pivot, a
+    leading principal minor, is positive; a pivot that is not is a bug.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise InvariantError(f"Jacobi-Trudi pivot {pivot} at step {k} of {a}")
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return a[-1][-1]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
-from weylchar.errors import BudgetExceeded
+from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQi
 from weylchar.gtkernel import group_counts
 
@@ -23,19 +23,42 @@ POWER_SUM_MAX_N = 12
 
 
 def weyl_dim(sig: Signature) -> int:
-    """dim of the U(d) irrep with highest weight sig: prod (e_i - e_j + j - i)/(j - i)."""
+    """dim of the U(d) irrep with highest weight sig: prod (e_i - e_j + j - i)/(j - i).
+
+    Pairs inside a run of equal entries contribute 1 and are skipped.  For two
+    runs with value gap c, fix one element of the shorter run; the factors
+    along the longer run (length n) then form the ratio of falling factorials
+    perm(hi + c, n) / perm(hi, n), hi the largest index distance, which
+    telescopes to min(c, n) factors on each side.  The cost grows with the
+    number of run pairs times the shorter run, not with d^2.
+    """
     e = sig.entries
     d = len(e)
-    num = 1
-    den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= e[i] - e[j] + j - i
-            den *= j - i
-    dim, rem = divmod(num, den)
+    starts = [i for i in range(d) if i == 0 or e[i] != e[i - 1]]
+    runs = [(e[s], s, t - s) for s, t in zip(starts, starts[1:] + [d])]
+    num: list[int] = []
+    den: list[int] = []
+    for a, (va, sa, na) in enumerate(runs):
+        for vb, sb, nb in runs[a + 1 :]:
+            c = va - vb
+            n = max(na, nb)
+            k, big = (c, n) if c < n else (n, c)
+            lo = sb - sa + max(nb - na, 0)
+            for hi in range(lo, lo + min(na, nb)):
+                num.append(math.perm(hi + c, k))
+                den.append(math.perm(hi + c - big, k))
+    dim, rem = divmod(_product(num), _product(den))
     if rem:
-        raise ArithmeticError("Weyl product did not divide evenly")
+        raise InvariantError("Weyl product did not divide evenly")
     return dim
+
+
+def _product(factors: list[int]) -> int:
+    """Product by halving, so the big operands of a long list meet last."""
+    if len(factors) <= 32:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def schur_dim(lam: Partition, d: int) -> int:

@@ -22,7 +22,7 @@ from weylchar.combinatorics import (
     signature_from_pair,
     signature_to_pair,
 )
-from weylchar.errors import BudgetExceeded
+from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQi, exact_unit, unit_complex
 from weylchar.symfunc import eval_by_gt, lr_product, skew_expand, weyl_dim
 
@@ -106,10 +106,15 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
             raise ValueError("exact mode needs quarter-turn rational angles")
         return QQi.of(eval_by_gt(sig.entries, ev))
     values = u.complex_values()
-    gap = min(
-        (abs(values[i] - values[j]) for i in range(u.d) for j in range(i + 1, u.d)),
-        default=float("inf"),
-    )
+    # Tower-embedded unitaries repeat eigenvalues exactly; spot that in O(d)
+    # before the O(d^2) pair scan.
+    if len(set(values)) < u.d:
+        gap = 0.0
+    else:
+        gap = min(
+            (abs(values[i] - values[j]) for i in range(u.d) for j in range(i + 1, u.d)),
+            default=float("inf"),
+        )
     if gap < CONFLUENCE_GAP:
         reps, groups = _cluster(values)
         return complex(eval_by_gt(sig.entries, tuple(reps[g] for g in groups)))
@@ -201,7 +206,7 @@ def restrict_to_blocks(
     comps.sort(key=lambda c: (c[0].entries, c[1].entries))
     out = BlockDecomposition(sig, d1, d2, tuple(comps))
     if out.total_dim() != dim:
-        raise ArithmeticError("restriction lost dimensions; branching bug")
+        raise InvariantError("restriction lost dimensions; branching bug")
     return out
 
 
@@ -224,7 +229,7 @@ def tensor_decompose(
     comps.sort(key=lambda c: c[0].entries)
     total = sum(m * weyl_dim(s) for s, m in comps)
     if total != dim1 * dim2:
-        raise ArithmeticError("tensor product lost dimensions; LR bug")
+        raise InvariantError("tensor product lost dimensions; LR bug")
     return tuple(comps)
 
 

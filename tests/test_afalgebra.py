@@ -300,3 +300,18 @@ def test_ergodic_error_rate_small_pairs():
         scaled = [e * d for e, d in zip(rep.errors, rep.dims)]
         assert max(scaled) == scaled[0], (lam, mu, scaled)
         assert rep.rate is not None and rep.rate > 0.9, (lam, mu, rep.rate)
+
+
+def test_ergodic_deep_car_tower():
+    # CAR to level 10 (d = 1024): the error at every level stays within
+    # 2 (p+q)^2 / d, exactly at quarter turns and in floating point.
+    car = preset_diagram("car", depth=10)
+    lam, mu = P((2,)), P((1,))
+    bound = 2 * (lam.size + mu.size) ** 2
+    for angles in ((F(1, 4), F(1, 2)), (0.1234, 0.5678)):
+        u = BlockUnitary(1, (DiagonalUnitary(angles),))
+        report = ergodic_sequence(car, lam, mu, u, 10)
+        assert report.dims[-1] == 1024
+        for d, v in zip(report.dims, report.values):
+            assert isinstance(v, QQi) == isinstance(angles[0], F)
+            assert abs(complex(v) - complex(report.limit)) <= bound / d, (angles, d)

@@ -65,6 +65,20 @@ def test_branch_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_broken_invariant_exit_code(capsys, monkeypatch):
+    from weylchar import ucharacters
+
+    # A skew expansion that drops every term breaks the restriction's
+    # dimension check: an internal bug, told apart from a usage error.
+    monkeypatch.setattr(ucharacters, "skew_expand", lambda nu, alpha: {})
+    code, payload, err = run_cli(
+        capsys, ["branch", "--op", "restrict", "--sig", "1,0,-1", "--d1", "1", "--d2", "2"]
+    )
+    assert code == 4
+    assert payload is None
+    assert "branching bug" in err
+
+
 def test_moments_example(capsys):
     code, payload, _ = run_cli(capsys, ["moments", "--sig", "1,0,0,0", "--r", "4"])
     assert code == 0

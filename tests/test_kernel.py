@@ -1,7 +1,44 @@
+import itertools
 import random
 
 from weylchar import gtkernel
 from weylchar.combinatorics import Signature, enumerate_gt_patterns, gt_weight, signatures_with_entries
+
+
+def _level_by_level_counts(entries, groups, ngroups):
+    """The kernel before block jumps: one GT row at a time, in coordinate order."""
+    d = len(entries)
+    if len(groups) != d:
+        raise ValueError("groups must assign every coordinate")
+    if any(not 0 <= g < ngroups for g in groups):
+        raise ValueError("group index out of range")
+
+    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    zero = tuple(0 for _ in range(ngroups))
+
+    def rec(sig: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        k = len(sig)
+        if k == 1:
+            e = list(zero)
+            e[groups[0]] = sig[0]
+            return {tuple(e): 1}
+        hit = memo.get(sig)
+        if hit is not None:
+            return hit
+        g = groups[k - 1]
+        total = sum(sig)
+        out: dict[tuple[int, ...], int] = {}
+        ranges = [range(sig[i + 1], sig[i] + 1) for i in range(k - 1)]
+        for lower in itertools.product(*ranges):
+            w = total - sum(lower)
+            for e, m in rec(lower).items():
+                if w:
+                    e = e[:g] + (e[g] + w,) + e[g + 1 :]
+                out[e] = out.get(e, 0) + m
+        memo[sig] = out
+        return out
+
+    return rec(tuple(entries))
 
 
 def _brute_force_counts(entries, groups, ngroups):
@@ -29,6 +66,42 @@ def test_kernel_matches_brute_force_enumeration():
     for entries, groups, ngroups in cases:
         expected = _brute_force_counts(entries, groups, ngroups)
         assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups)
+
+
+def test_kernel_matches_level_by_level_recursion():
+    rng = random.Random(2024)
+    for _ in range(200):
+        d = rng.randint(1, 9)
+        entries = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+        ngroups = rng.randint(1, 4)
+        groups = tuple(rng.randrange(ngroups) for _ in range(d))
+        expected = _level_by_level_counts(entries, groups, ngroups)
+        assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups)
+
+
+def test_kernel_matches_level_by_level_on_tower_shapes():
+    for d in (16, 32, 64, 128):
+        entries = (2, 1) + (0,) * (d - 4) + (-1, -2)
+        contiguous = tuple(0 if i < d // 2 else 1 for i in range(d))
+        interleaved = tuple(i % 2 for i in range(d))
+        for groups in (contiguous, interleaved):
+            expected = _level_by_level_counts(entries, groups, 2)
+            assert gtkernel.group_counts(entries, groups, 2) == expected, (d, groups[:4])
+
+
+def test_kernel_ignores_coordinate_order():
+    # s_lam is symmetric, so permuting which coordinate carries which group
+    # leaves the grouped counts unchanged.
+    rng = random.Random(7)
+    for _ in range(30):
+        d = rng.randint(2, 8)
+        entries = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+        ngroups = rng.randint(2, 4)
+        groups = [rng.randrange(ngroups) for _ in range(d)]
+        expected = gtkernel.group_counts(entries, tuple(groups), ngroups)
+        for _ in range(3):
+            rng.shuffle(groups)
+            assert gtkernel.group_counts(entries, tuple(groups), ngroups) == expected
 
 
 def test_group_counts_totals_are_dimensions():

@@ -106,6 +106,40 @@ def test_weyl_dim_shift_invariant():
         assert weyl_dim(sig) == weyl_dim(sig.shifted(rng.randint(-4, 4)))
 
 
+def _weyl_pair_product(entries):
+    """The Weyl product over every pair, as the formula reads."""
+    num = den = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            num *= entries[i] - entries[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dim_matches_pair_product():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(300):
+        d = rng.randint(1, 12)
+        cases.append(tuple(sorted((rng.randint(-4, 4) for _ in range(d)), reverse=True)))
+    cases.append(tuple(sorted(rng.sample(range(-100, 100), 64), reverse=True)))
+    cases.append((2, 1) + (0,) * 60 + (-1, -2))
+    for entries in cases:
+        assert weyl_dim(Signature(entries)) == _weyl_pair_product(entries), entries
+
+
+def test_weyl_dim_hook_content_at_d_4096():
+    d = 4096
+    lam, conj = (2, 1), (2, 1)
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= d + j - i
+            den *= row - j + conj[j] - i - 1
+    assert weyl_dim(Signature(lam + (0,) * (d - 2))) == num // den == d * (d * d - 1) // 3
+
+
 def test_schur_eval_examples():
     x = (Fraction(2), Fraction(5))
     assert schur_eval_exact(P((1,)), x) == 7
