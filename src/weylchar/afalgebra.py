@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from weylchar.combinatorics import Partition, partitions_of, signature_from_pair
-from weylchar.errors import BudgetExceeded
+from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi
 from weylchar.symfunc import schur_dim, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, normalized_char
@@ -108,6 +106,15 @@ class DiagramReport:
         }
 
 
+def _or_rows(masks: list[int], row: tuple[int, ...]) -> int:
+    """Zero pattern of one row of M @ P: the OR of the rows of P that M's row hits."""
+    out = 0
+    for k, v in enumerate(row):
+        if v:
+            out |= masks[k]
+    return out
+
+
 def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
     """Dimension compatibility, zero rows, and a positivity probe of products."""
     errors = []
@@ -127,17 +134,21 @@ def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
     if not errors and diagram.mults:
         # Smallest window of matrix products that becomes strictly positive,
         # per start level; a level near the top is excused only when no full
-        # window fits below the stored depth.
+        # window fits below the stored depth.  Every entry is nonnegative
+        # here, so a product entry is positive exactly when some path of
+        # positive entries reaches it: the products are tracked as zero
+        # patterns, each row a bitmask over the level-n blocks.
         depth = diagram.depth
         first_window: dict[int, int] = {}
         for n in range(depth):
-            prod = np.array(diagram.mults[n], dtype=object)
+            full = (1 << len(diagram.levels[n])) - 1
+            prod = [sum(1 << j for j, v in enumerate(row) if v) for row in diagram.mults[n]]
             for m in range(n + 1, depth + 1):
-                if (prod > 0).all():
+                if all(row == full for row in prod):
                     first_window[n] = m - n
                     break
                 if m < depth:
-                    prod = np.array(diagram.mults[m], dtype=object) @ prod
+                    prod = [_or_rows(prod, row) for row in diagram.mults[m]]
         if not first_window:
             primitive = False
         else:
@@ -605,7 +616,7 @@ def ergodic_sequence(
     n_max: int,
     weights: TraceWeights | None = None,
     block: int = 0,
-    dim_budget: int = 10**9,
+    dim_budget: int = ERGODIC_DIM_BUDGET,
 ) -> ErgodicReport:
     """Values of the level-n extreme characters {mu; lam} along the tower.
 
@@ -626,9 +637,9 @@ def ergodic_sequence(
         d = diagram.levels[n][block]
         if lam.length + mu.length > d:
             raise ValueError(f"pair does not fit at level {n}: d = {d}")
-        if weyl_dim(signature_from_pair(lam, mu, d)) > dim_budget:
-            raise BudgetExceeded("character dimension exceeds budget")
         sig = signature_from_pair(lam, mu, d)
+        if weyl_dim(sig) > dim_budget:
+            raise BudgetExceeded("character dimension exceeds budget")
         ub = v.blocks[block]
         if ub.exact_values() is not None:
             val = normalized_char(sig, ub, exact=True)
@@ -650,6 +661,8 @@ def ergodic_sequence(
     rate = None
     pts = [(math.log(d), math.log(e)) for d, e in zip(dims, errors) if e > 0]
     if len(pts) >= 2:
+        import numpy as np
+
         xs, ys = zip(*pts)
         slope = np.polyfit(xs, ys, 1)[0]
         rate = -slope

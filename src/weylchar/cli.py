@@ -6,6 +6,12 @@ invocations); one human-readable summary line goes to stderr.  Exit codes:
 4 broken internal invariant (a bug, not bad input).
 Angles are given in turns (fractions of a full circle), so exact roots of
 unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
+
+Each subcommand imports only the modules it calls, so a process pays for no
+other.  Three load numpy: hciz (Haar sampling and the determinant formula),
+ergodic (the fitted decay rate) and char when no two eigenvalues lie within
+1e-8 of each other (the float alternant).  char at repeated eigenvalues, such
+as a tower-embedded unitary, and every other subcommand run without it.
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from weylchar import afalgebra, moments, poisson, ucharacters
-from weylchar.combinatorics import Partition, Signature, signatures_with_entries
-from weylchar.errors import BudgetExceeded, InvariantError
+from weylchar.errors import DIM_BUDGET, ERGODIC_DIM_BUDGET, BudgetExceeded, InvariantError
+
+if TYPE_CHECKING:
+    from weylchar.combinatorics import Partition, Signature
+    from weylchar.moments import HermitianSpectrum
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,14 @@ def parse_ints(text: str) -> tuple[int, ...]:
 
 
 def parse_partition(text: str) -> Partition:
+    from weylchar.combinatorics import Partition
+
     return Partition(parse_ints(text))
 
 
 def parse_signature(text: str) -> Signature:
+    from weylchar.combinatorics import Signature
+
     return Signature(parse_ints(text))
 
 
@@ -84,10 +97,11 @@ def emit(payload: dict, summary: str, output: str | None = None) -> None:
 
 
 def cmd_char(args) -> int:
-    sig = parse_signature(args.sig)
-    u = ucharacters.DiagonalUnitary(parse_angles(args.u))
+    from weylchar import ucharacters
     from weylchar.symfunc import weyl_dim
 
+    sig = parse_signature(args.sig)
+    u = ucharacters.DiagonalUnitary(parse_angles(args.u))
     dim = weyl_dim(sig)
     trace = ucharacters.char_eval(sig, u)
     payload = {
@@ -104,6 +118,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_branch(args) -> int:
+    from weylchar import ucharacters
+
     if args.op == "tensor":
         sig1, sig2 = parse_signature(args.sig1), parse_signature(args.sig2)
         comps = ucharacters.tensor_decompose(sig1, sig2, dim_budget=args.dim_budget)
@@ -135,7 +151,11 @@ def _frac_str(x: Fraction) -> str:
 
 
 def cmd_moments(args) -> int:
+    from weylchar import moments
+
     if args.sweep:
+        from weylchar.combinatorics import signatures_with_entries
+
         failures = 0
         checked = 0
         estimates = 0
@@ -191,7 +211,9 @@ def cmd_moments(args) -> int:
     return 0 if payload["equal"] else 1
 
 
-def _random_centered_spectrum(rng, d: int) -> moments.HermitianSpectrum:
+def _random_centered_spectrum(rng, d: int) -> HermitianSpectrum:
+    from weylchar import moments
+
     while True:
         raw = [Fraction(int(rng.integers(-3, 4))) for _ in range(d)]
         if any(raw):
@@ -201,7 +223,11 @@ def _random_centered_spectrum(rng, d: int) -> moments.HermitianSpectrum:
 
 
 def cmd_hciz(args) -> int:
+    # numpy before weylchar.moments: in the other order this process
+    # measured a higher peak RSS.
     import numpy as np
+
+    from weylchar import moments
 
     rng = np.random.default_rng(args.seed)
     d = args.d
@@ -242,6 +268,8 @@ def cmd_hciz(args) -> int:
 
 
 def cmd_ergodic(args) -> int:
+    from weylchar import afalgebra, ucharacters
+
     diagram = afalgebra.preset_diagram(args.diagram, depth=max(args.nmax, 8))
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     angles = parse_angles(args.u)
@@ -254,7 +282,9 @@ def cmd_ergodic(args) -> int:
         else:
             blocks.append(ucharacters.DiagonalUnitary.identity(d))
     u = afalgebra.BlockUnitary(args.level, tuple(blocks))
-    report = afalgebra.ergodic_sequence(diagram, lam, mu, u, args.nmax, block=args.block)
+    report = afalgebra.ergodic_sequence(
+        diagram, lam, mu, u, args.nmax, block=args.block, dim_budget=args.dim_budget
+    )
     payload = report.to_json()
     payload["diagram"] = args.diagram
     emit(payload, f"ergodic: limit {complex(report.limit):.6g}, rate {report.rate}", args.output)
@@ -262,6 +292,8 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_schur_weyl(args) -> int:
+    from weylchar import afalgebra
+
     defect = afalgebra.schur_weyl_defect(args.n, args.p, args.q)
     payload = {
         "n": args.n,
@@ -275,6 +307,8 @@ def cmd_schur_weyl(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    from weylchar import poisson
+
     if args.stirling is not None:
         report = poisson.stirling_identity(Fraction(args.stirling))
         payload = {"stirling": report.to_json()}
@@ -310,6 +344,8 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_validate_diagram(args) -> int:
+    from weylchar import afalgebra
+
     if args.file:
         with open(args.file) as fh:
             diagram = afalgebra.BratteliDiagram.from_json(json.load(fh))
@@ -340,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig2")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
-    p.add_argument("--dim-budget", type=positive_int, default=ucharacters.DIM_BUDGET)
+    p.add_argument("--dim-budget", type=positive_int, default=DIM_BUDGET)
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("moments", help="weight-distribution moments, closed vs brute force", parents=[common])
@@ -369,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--dim-budget", type=positive_int, default=ERGODIC_DIM_BUDGET,
+                   help="largest character dimension evaluated along the tower")
     p.set_defaults(func=cmd_ergodic)
 
     p = sub.add_parser("schur-weyl", help="isotypic defect of the tensor-power tower", parents=[common])

@@ -1,3 +1,15 @@
+"""Exceptions and the default budgets whose excess they report.
+
+The budgets live here, not in the modules that enforce them, so the CLI can
+build its parser without importing the compute modules.
+"""
+
+# Largest irrep (or tensor-product) dimension a branching decomposition may enumerate.
+DIM_BUDGET = 10**6
+# Largest character dimension `afalgebra.ergodic_sequence` evaluates along a tower.
+ERGODIC_DIM_BUDGET = 10**9
+
+
 class BudgetExceeded(RuntimeError):
     """An enumeration or truncation budget was exceeded.
 

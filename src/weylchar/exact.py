@@ -69,8 +69,14 @@ class QQi:
             raise TypeError("integer exponents only")
         base = self if k >= 0 else QQi(Fraction(1), Fraction(0)) / self
         out = QQi(Fraction(1), Fraction(0))
-        for _ in range(abs(k)):
-            out = out * base
+        k = abs(k)
+        # Square-and-multiply: O(log k) products.
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

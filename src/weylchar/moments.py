@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from weylchar.combinatorics import Partition, Signature, partitions_of
 from weylchar.gtkernel import group_counts
@@ -23,6 +22,9 @@ from weylchar.symfunc import (
     sym_group_dim,
     weyl_dim,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MC_CHUNK = 8192
 
@@ -292,6 +294,8 @@ def product_moment_identity(dists) -> WeightDistribution:
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of Haar-distributed unitaries via QR with R-diagonal phase fix."""
+    import numpy as np
+
     z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
     q, r = np.linalg.qr(z / math.sqrt(2))
     diag = np.einsum("sii->si", r)
@@ -336,6 +340,8 @@ def hciz_monte_carlo(
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1000:
         raise ValueError("at least 1000 samples required for a usable stderr")
+    import numpy as np
+
     d = a.d
     av = np.array([float(v) for v in a.eigenvalues])
     bv = np.array([float(v) for v in b.eigenvalues])
@@ -374,6 +380,8 @@ def hciz_exponential_exact(a: HermitianSpectrum, b: HermitianSpectrum) -> comple
     delta_b = math.prod(bv[i] - bv[j] for i in range(d) for j in range(i + 1, d))
     if delta_a == 0 or delta_b == 0:
         raise ValueError("determinant formula needs simple spectra")
+    import numpy as np
+
     m = np.array([[np.exp(1j * ai * bj) for bj in bv] for ai in av])
     pref = math.prod(math.factorial(k) for k in range(1, d))
     return pref * np.linalg.det(m) / (1j ** (d * (d - 1) // 2) * delta_a * delta_b)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from weylchar.combinatorics import (
     Partition,
     Signature,
@@ -22,13 +20,12 @@ from weylchar.combinatorics import (
     signature_from_pair,
     signature_to_pair,
 )
-from weylchar.errors import BudgetExceeded, InvariantError
+from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
 from weylchar.exact import QQi, exact_unit, unit_complex
 from weylchar.symfunc import eval_by_gt, lr_product, skew_expand, weyl_dim
 
 CONFLUENCE_GAP = 1e-8
 CLUSTER_TOL = 1e-9
-DIM_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,8 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
     if gap < CONFLUENCE_GAP:
         reps, groups = _cluster(values)
         return complex(eval_by_gt(sig.entries, tuple(reps[g] for g in groups)))
+    import numpy as np
+
     d = u.d
     exps = [sig.entries[j] + d - 1 - j for j in range(d)]
     num = np.linalg.det(np.array([[v**e for e in exps] for v in values], dtype=complex))

@@ -315,3 +315,93 @@ def test_ergodic_deep_car_tower():
         for d, v in zip(report.dims, report.values):
             assert isinstance(v, QQi) == isinstance(angles[0], F)
             assert abs(complex(v) - complex(report.limit)) <= bound / d, (angles, d)
+
+
+def _primitive_by_integer_products(diagram):
+    """Reference for primitive_within_depth: the exact integer matrix products."""
+    depth = diagram.depth
+    first_window = {}
+    for n in range(depth):
+        prod = [list(row) for row in diagram.mults[n]]
+        for m in range(n + 1, depth + 1):
+            if all(v > 0 for row in prod for v in row):
+                first_window[n] = m - n
+                break
+            if m < depth:
+                mat = diagram.mults[m]
+                prod = [
+                    [sum(mat[i][k] * prod[k][j] for k in range(len(prod)))
+                     for j in range(len(prod[0]))]
+                    for i in range(len(mat))
+                ]
+    if not first_window:
+        return False
+    window = max(first_window.values())
+    return all(n in first_window for n in range(depth) if n + window <= depth)
+
+
+def _diagram_from_steps(nb0, steps):
+    levels = [(1,) * nb0]
+    for m in steps:
+        levels.append(tuple(sum(v * d for v, d in zip(row, levels[-1])) for row in m))
+    return BratteliDiagram(tuple(levels), tuple(steps))
+
+
+def _random_step(rng, nin):
+    kind = rng.choice(("dense", "sparse", "identity", "cycle", "blocks"))
+    if kind == "identity":
+        return tuple(tuple(int(i == j) for j in range(nin)) for i in range(nin))
+    if kind == "cycle":
+        # I + cyclic shift: a product of k such steps is positive once k >= nin - 1.
+        return tuple(
+            tuple(int(j in (i, (i + 1) % nin)) for j in range(nin)) for i in range(nin)
+        )
+    if kind == "blocks":
+        # Block-diagonal: the first half of the blocks never feeds the second.
+        half = max(1, nin // 2)
+        return tuple(
+            tuple(rng.randint(1, 2) if (i < half) == (j < half) else 0 for j in range(nin))
+            for i in range(nin)
+        )
+    nout = rng.randint(1, 4)
+    zero_share = 0.3 if kind == "dense" else 0.7
+    rows = []
+    for _ in range(nout):
+        row = [0 if rng.random() < zero_share else rng.randint(1, 3) for _ in range(nin)]
+        if not any(row):
+            row[rng.randrange(nin)] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_primitivity_matches_integer_products():
+    import random
+
+    diagrams = [
+        preset_diagram(name, depth=depth)
+        for name in ("car", "uhf:2,3", "effros-shen", "effros-shen:2,3,2", "gicar-excluded")
+        for depth in (None, 3, 12)
+    ]
+    diagrams.append(uhf_product_diagram((2, 3), 5))
+    rng = random.Random(11)
+    for _ in range(300):
+        nb0 = nb = rng.randint(1, 4)
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            steps.append(_random_step(rng, nb))
+            nb = len(steps[-1])
+        diagrams.append(_diagram_from_steps(nb0, steps))
+    # Positive only near the top: identities first, then I + shift on 4 blocks.
+    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    cycle = tuple(tuple(int(j in (i, (i + 1) % 4)) for j in range(4)) for i in range(4))
+    for k in range(5):
+        diagrams.append(_diagram_from_steps(4, [eye] * k + [cycle] * 3))
+        diagrams.append(_diagram_from_steps(4, [cycle] * 3 + [eye] * k))
+    outcomes = set()
+    for diagram in diagrams:
+        report = validate_diagram(diagram)
+        assert report.valid, report.errors
+        expected = _primitive_by_integer_products(diagram)
+        assert report.primitive_within_depth is expected, diagram.mults
+        outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import weylchar
 from weylchar.cli import main
 
 
@@ -250,3 +255,58 @@ def test_moments_reports_moment_ratio(capsys):
     code, payload, _ = run_cli(capsys, ["moments", "--sig", "1,0,0,-1", "--r", "4"])
     assert code == 0
     assert payload["m4_over_m2_sq"] == "15/8"
+
+
+def test_ergodic_dim_budget_flag(capsys):
+    argv = ["ergodic", "--diagram", "car", "--lam", "2", "--mu", "1", "--u", "0.25,0",
+            "--nmax", "11"]
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 3 and payload is None
+    assert "budget" in err
+    code, payload, _ = run_cli(capsys, argv + ["--dim-budget", "100000000000"])
+    assert code == 0
+    assert payload["dims"][-1] == 2048
+
+
+# README commands that need no numpy: all but the two hciz runs and ergodic.
+NUMPY_FREE_COMMANDS = (
+    "char --sig 1,0,0,-1 --u 0.25,0,0,0",
+    "branch --op restrict --sig 1,0,-1 --d1 1 --d2 2",
+    "branch --op tensor --sig1 1,0,-1 --sig2 1,0,-1",
+    "moments --sig 1,0,0,0 --r 4",
+    "moments --sweep --dmax 5",
+    "schur-weyl --n 3 --p 1 --q 1",
+    "poisson --stirling 4",
+    "poisson --tv-a 1 --tv-k 100",
+    "poisson --kstep-k 2 --kernel-a 1",
+    "validate-diagram --diagram effros-shen",
+)
+
+
+def _modules_after(commands) -> list[str]:
+    """Modules loaded by a fresh interpreter after running the commands through cli.main."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from weylchar.cli import main\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for argv in {[c.split() for c in commands]!r}:\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    src = str(Path(weylchar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0] * len(commands)
+    return out["modules"]
+
+
+def test_numpy_free_commands_do_not_import_numpy():
+    modules = _modules_after(NUMPY_FREE_COMMANDS)
+    assert "numpy" not in modules
+    modules = _modules_after(["poisson --stirling 4"])
+    for name in ("symfunc", "afalgebra", "moments", "ucharacters"):
+        assert f"weylchar.{name}" not in modules
