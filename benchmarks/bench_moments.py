@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Checksum-gated timing of the exact moment layer.
+
+Two curves: the moment closed forms (`moment2_closed`, `moment4_closed` and,
+where r >= 2d/3, `estimate_check`) against d in {4, 8, 16, 32, 64} on seeded
+signatures with entries in [-9, 9] and every even r; and `hciz_power_sum`
+against n in {2, ..., 12} at d = 6 on seeded spectra with denominators 1-4.
+Each point prints the best of three runs.  Each checksum is the leading hex
+of a sha256 over the repr of every result of its curve; the pinned values
+were computed with the Fraction-spectrum implementation that the integer
+layer replaced.  Exits 1 unless both checksums match.
+Usage: python3 benchmarks/bench_moments.py
+"""
+
+import hashlib
+import random
+import sys
+import time
+from fractions import Fraction
+
+from weylchar.combinatorics import Signature
+from weylchar.moments import (
+    HermitianSpectrum,
+    TraceZeroSigned,
+    estimate_check,
+    hciz_power_sum,
+    moment2_closed,
+    moment4_closed,
+)
+
+CLOSED_DS = (4, 8, 16, 32, 64)
+SIGNATURES_PER_D = 12
+HCIZ_D = 6
+HCIZ_NS = tuple(range(2, 13))
+SPECTRA_PER_N = 2
+
+
+def closed_cases(d):
+    rng = random.Random(1000 + d)
+    cases = []
+    for _ in range(SIGNATURES_PER_D):
+        sig = Signature(tuple(sorted((rng.randint(-9, 9) for _ in range(d)), reverse=True)))
+        for r in range(2, d + 1, 2):
+            cases.append((sig, TraceZeroSigned(r, d, offset=rng.randint(0, d - r))))
+    return cases
+
+
+def closed_run(cases):
+    out = []
+    for sig, f in cases:
+        out.append(moment2_closed(sig, f))
+        out.append(moment4_closed(sig, f))
+        if 3 * f.r >= 2 * f.d:
+            out.append(estimate_check(sig, f))
+    return out
+
+
+def hciz_cases(n):
+    rng = random.Random(2000 + n)
+
+    def spectrum():
+        return HermitianSpectrum(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                                       for _ in range(HCIZ_D)))
+
+    return [(spectrum(), spectrum(), n) for _ in range(SPECTRA_PER_N)]
+
+
+def hciz_run(cases):
+    return [hciz_power_sum(a, b, n) for a, b, n in cases]
+
+
+CURVES = (
+    ("closed forms", "d", CLOSED_DS, closed_cases, closed_run, "d1c18e47f0a1cd68"),
+    ("hciz_power_sum", "n", HCIZ_NS, hciz_cases, hciz_run, "e8ba4a1c76bfe2ba"),
+)
+
+
+def timed(run, cases, repeats=3):
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run(cases)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main():
+    ok = True
+    for label, knob, sizes, make_cases, run, expected in CURVES:
+        digest = hashlib.sha256()
+        for size in sizes:
+            cases = make_cases(size)
+            best, results = timed(run, cases)
+            for value in results:
+                digest.update(repr(value).encode() + b"\n")
+            print(f"{label:>15} {knob}={size:<3}: {best * 1000:9.2f} ms  "
+                  f"({len(cases)} cases, {best / len(cases) * 1e6:8.1f} us each)")
+        checksum = digest.hexdigest()[:16]
+        print(f"{label:>15}: checksum {checksum}")
+        if checksum != expected:
+            print(f"{label}: checksum {checksum} != expected {expected}", file=sys.stderr)
+            ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,16 @@ is a Fourier series whose coefficients form an exact probability distribution
 M(k) on the integers.  Brute-force moments come from Gelfand-Tsetlin
 aggregation; closed forms come from partition sums of the unitary group
 integral of Tr(U F U^{-1} B)^n.  The two routes must agree exactly.
+
+The exact layer works on integers and builds one `Fraction` per result.  The
+closed forms scale the centred signature L and rho by 2d, so that
+2d (rho + L)_i = d (d-1-2i) + 2 (d lam_i - |lam|) is an integer, and take
+every moment from the integer power sums 2 and 4 of that vector and of 2d rho
+(whose sums have closed forms) over one common denominator.  The partition
+sum scales each spectrum by the lcm D of its denominators, so its power sums
+are integers, and weights each cycle type by the integer class-size times
+character value n! chi^lam / z; the lam terms add over the lcm of the
+s_lam(1_d), and the total is divided once by (n!)^2 D_A^n D_B^n.
 """
 
 from __future__ import annotations
@@ -170,6 +180,12 @@ def moment(dist: WeightDistribution, p: int) -> Fraction:
     return dist.moment(p)
 
 
+def _integer_scaling(spec: HermitianSpectrum) -> tuple[int, tuple[int, ...]]:
+    """(D, D * spectrum) with D the lcm of the eigenvalue denominators."""
+    scale = math.lcm(*(v.denominator for v in spec.eigenvalues))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in spec.eigenvalues)
+
+
 def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fraction:
     """Partition-sum value of the Haar average of Tr(U A U^{-1} B)^n.
 
@@ -178,21 +194,32 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
     """
     if a.d != b.d:
         raise ValueError("spectra must have equal size")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     d = a.d
-    pa = {j: a.trace(j) for j in range(1, n + 1)}
-    pb = {j: b.trace(j) for j in range(1, n + 1)}
-    total = Fraction(0)
-    for lam in partitions_of(n):
+    scale_a, xa = _integer_scaling(a)
+    scale_b, xb = _integer_scaling(b)
+    pa = [sum(x**j for x in xa) for j in range(n + 1)]
+    pb = [sum(x**j for x in xb) for j in range(n + 1)]
+    partitions = partitions_of(n)
+    pa_ct = {ct: math.prod(pa[j] for j in ct.parts) for ct in partitions}
+    pb_ct = {ct: math.prod(pb[j] for j in ct.parts) for ct in partitions}
+    # n! s_lam(D A) = sum over cycle types ct of (n! chi^lam(ct) / z_ct) p_ct(D A),
+    # an integer; the lam terms add over the lcm of the s_lam(1_d).
+    fact = math.factorial(n)
+    terms = []
+    for lam in partitions:
         if lam.length > d:
             continue
-        exp = schur_to_power_sums(lam)
-        total += (
-            Fraction(sym_group_dim(lam))
-            * exp.evaluate_power_sums(pa)
-            * exp.evaluate_power_sums(pb)
-            / schur_dim(lam, d)
-        )
-    return total
+        na = nb = 0
+        for ct, c in schur_to_power_sums(lam).coeffs.items():
+            weight = c.numerator * (fact // c.denominator)
+            na += weight * pa_ct[ct]
+            nb += weight * pb_ct[ct]
+        terms.append((sym_group_dim(lam) * na * nb, schur_dim(lam, d)))
+    common = math.lcm(*(dim for _, dim in terms))
+    numerator = sum(num * (common // dim) for num, dim in terms)
+    return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)
 
 
 def J_series(b: HermitianSpectrum, f: TraceZeroSigned, n: int) -> Fraction:
@@ -202,55 +229,83 @@ def J_series(b: HermitianSpectrum, f: TraceZeroSigned, n: int) -> Fraction:
     return hciz_power_sum(HermitianSpectrum(f.diagonal()), b, n)
 
 
+def _j4(sum2: int, sum4: int, scale: int, d: int, r: int) -> tuple[int, int]:
+    """The n = 4 closed form of a centred spectrum X / scale, X integer.
+
+    Returns (numerator, denominator) of
+    [3r((d^4-6d^2+18)r - 2d(2d^2-3)) sum2^2 - 6dr((2d^2-3)r - d(d^2+1)) sum4]
+      / (d^2 (d^2-1)(d^2-4)(d^2-9) scale^4),
+    with sum2 = sum X_i^2 and sum4 = sum X_i^4.  The denominator depends on
+    (scale, d) only, so values at one scale add as numerators.
+    """
+    d2 = d * d
+    lead = 3 * r * ((d2 * d2 - 6 * d2 + 18) * r - 2 * d * (2 * d2 - 3))
+    sub = 6 * d * r * ((2 * d2 - 3) * r - d * (d2 + 1))
+    return (
+        lead * sum2 * sum2 - sub * sum4,
+        d2 * (d2 - 1) * (d2 - 4) * (d2 - 9) * scale**4,
+    )
+
+
 def J_closed(b: HermitianSpectrum, r: int, n: int) -> Fraction:
     """Closed form of the partition sum for n in {2, 4}; requires Tr B = 0."""
-    if b.trace() != 0:
+    scale, x = _integer_scaling(b)
+    if sum(x) != 0:
         raise ValueError("closed forms assume a centered spectrum; call center() first")
     d = b.d
     if n == 2:
         if d < 2:
             raise ValueError("n = 2 needs d >= 2")
-        return Fraction(r) * b.trace(2) / (d * d - 1)
+        return Fraction(r * sum(v * v for v in x), (d * d - 1) * scale * scale)
     if n == 4:
         if d < 4:
             raise ValueError("n = 4 needs d >= 4")
-        d2 = d * d
-        t2, t4 = b.trace(2), b.trace(4)
-        lead = Fraction(3 * r) * ((d2 * d2 - 6 * d2 + 18) * r - 2 * d * (2 * d2 - 3))
-        lead /= d2 * (d2 - 1) * (d2 - 4) * (d2 - 9)
-        sub = Fraction(6 * r) * ((2 * d2 - 3) * r - d * (d2 + 1))
-        sub /= d * (d2 - 1) * (d2 - 4) * (d2 - 9)
-        return lead * t2 * t2 - sub * t4
+        return Fraction(*_j4(sum(v**2 for v in x), sum(v**4 for v in x), scale, d, r))
     raise ValueError(f"no closed form for n = {n}")
+
+
+def _closed_moments(sig: Signature, r: int) -> tuple[int, int, int, int]:
+    """Numerator and denominator of the second and of the fourth moment closed form.
+
+    With L the centred signature, X = 2d (rho + L) has the integer entries
+    X_i = d (d - 1 - 2i) + 2 (d lam_i - |lam|), and 2d rho has the power sums
+    d^3 (d^2-1)/3 and d^5 (d^2-1)(3d^2-7)/15.  Then
+    m2 = r (Tr (rho + L)^2 - Tr rho^2) / (d^2-1) and
+    m4 = J4(rho + L) - 6 m2 J2(rho) - J4(rho) with J2(rho) = rd/12.
+    The fourth-moment denominator is 0 below d = 4, where m4 is undefined.
+    """
+    d = sig.d
+    size = sum(sig.entries)
+    sum2 = sum4 = 0
+    for i, e in enumerate(sig.entries):
+        x = d * (d - 1 - 2 * i) + 2 * (d * e - size)
+        x2 = x * x
+        sum2 += x2
+        sum4 += x2 * x2
+    d2 = d * d
+    rho2 = d2 * d * (d2 - 1) // 3
+    rho4 = d2 * d2 * d * (d2 - 1) * (3 * d2 - 7) // 15
+    top, den = _j4(sum2, sum4, 2 * d, d, r)
+    base, _ = _j4(rho2, rho4, 2 * d, d, r)
+    # 6 m2 J2(rho) = r^2 (sum2 - rho2) / (8 d (d^2-1)), and den = 16 d^6 (d^2-1)(d^2-4)(d^2-9).
+    cross = 2 * r * r * d2 * d2 * d * (d2 - 4) * (d2 - 9) * (sum2 - rho2)
+    return r * (sum2 - rho2), 4 * d2 * (d2 - 1), top - base - cross, den
 
 
 def moment2_closed(sig: Signature, f: TraceZeroSigned) -> Fraction:
     """Second moment r Tr(2 L rho + L^2)/(d^2-1) with L the centered signature."""
-    d = sig.d
-    if d < 2:
+    if sig.d < 2:
         raise ValueError("d >= 2 required")
-    lhat = center(HermitianSpectrum.from_signature(sig))
-    rd = rho(d)
-    mixed = sum(
-        (2 * a * b + a * a for a, b in zip(lhat.eigenvalues, rd.eigenvalues)),
-        Fraction(0),
-    )
-    return Fraction(f.r) * mixed / (d * d - 1)
+    m2n, m2d, _, _ = _closed_moments(sig, f.r)
+    return Fraction(m2n, m2d)
 
 
 def moment4_closed(sig: Signature, f: TraceZeroSigned) -> Fraction:
     """Fourth moment via the three-term partition-sum difference."""
-    d = sig.d
-    if d < 4:
+    if sig.d < 4:
         raise ValueError("d >= 4 required")
-    lhat = center(HermitianSpectrum.from_signature(sig))
-    rd = rho(d)
-    m2 = moment2_closed(sig, f)
-    return (
-        J_closed(rd + lhat, f.r, 4)
-        - 6 * m2 * J_closed(rd, f.r, 2)
-        - J_closed(rd, f.r, 4)
-    )
+    _, _, m4n, m4d = _closed_moments(sig, f.r)
+    return Fraction(m4n, m4d)
 
 
 @dataclass(frozen=True)
@@ -276,12 +331,20 @@ def estimate_check(sig: Signature, f: TraceZeroSigned) -> EstimateReport:
     if 3 * f.r < 2 * d:
         raise ValueError(f"r = {f.r} violates r >= 2d/3 for d = {d}")
     d2 = d * d
-    c1 = Fraction(3 * (d2 - 1) * (d2 * d2 - 6 * d2 + 18), d2 * (d2 - 4) * (d2 - 9))
-    c2 = Fraction(2 * (d2 * d2 - 2 * d2 - 3), (d2 - 4) * (d2 - 9))
-    m2 = moment2_closed(sig, f)
-    m4 = moment4_closed(sig, f)
-    bound = c1 * m2 * m2 + c2 * m2
-    return EstimateReport(m2, m4, c1, c2, bound, m4 <= bound)
+    c1n = 3 * (d2 - 1) * (d2 * d2 - 6 * d2 + 18)
+    c2n = 2 * (d2 * d2 - 2 * d2 - 3)
+    p, q, m4n, m4d = _closed_moments(sig, f.r)
+    # c1 m2^2 + c2 m2 over the common denominator d^2 (d^2-4)(d^2-9) q^2.
+    bound = Fraction(c1n * p * p + c2n * d2 * p * q, d2 * (d2 - 4) * (d2 - 9) * q * q)
+    m4 = Fraction(m4n, m4d)
+    return EstimateReport(
+        Fraction(p, q),
+        m4,
+        Fraction(c1n, d2 * (d2 - 4) * (d2 - 9)),
+        Fraction(c2n, (d2 - 4) * (d2 - 9)),
+        bound,
+        m4 <= bound,
+    )
 
 
 def product_moment_identity(dists) -> WeightDistribution:

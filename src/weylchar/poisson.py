@@ -54,9 +54,6 @@ class PoissonKernelParams:
     def floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.a)
 
-    def scaled(self, k: int) -> tuple[float, ...]:
-        return tuple(float(x) * k for x in self.a)
-
 
 def kernel(params: PoissonKernelParams, x, y) -> float:
     """Transition mass p_a(x, y): product of Poisson masses at the increments.
@@ -136,7 +133,9 @@ def kstep_semigroup_check(
 
     Compares the truncated k-step transition from the origin with the single
     jump of rate k*a on the grid [0, truncation]^m; the deviation must stay
-    below the convolution's truncation tail.
+    below the convolution's truncation tail.  The kernel and the box are both
+    products over coordinates, so the k steps run on one 1-D vector per
+    coordinate and the joint masses are their products on the grid.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -145,22 +144,24 @@ def kstep_semigroup_check(
     grid = _grid(m, truncation)
     # Each of the k steps can escape the box; a union bound certifies the tail.
     step_tail = sum(poisson_tail(ai, truncation) for ai in rates)
-    probs = {(0,) * m: 1.0}
-    for _ in range(k):
-        new: dict[tuple[int, ...], float] = {}
-        for x, px in probs.items():
-            for z in grid:
-                y = tuple(a + b for a, b in zip(x, z))
-                if any(c > truncation for c in y):
-                    continue
-                mass = px
-                for ai, zi in zip(rates, z):
-                    mass *= poisson_mass(ai, zi)
-                    if mass == 0.0:
-                        break
-                if mass:
-                    new[y] = new.get(y, 0.0) + mass
-        probs = new
+    marginals = []
+    for ai in rates:
+        pm = [poisson_mass(ai, z) for z in range(truncation + 1)]
+        vec = [1.0] + [0.0] * truncation
+        for _ in range(k):
+            new = [0.0] * (truncation + 1)
+            for x, px in enumerate(vec):
+                if px:
+                    for z in range(truncation + 1 - x):
+                        new[x + z] += px * pm[z]
+            vec = new
+        marginals.append(vec)
+    probs = {}
+    for y in grid:
+        mass = 1.0
+        for vec, yi in zip(marginals, y):
+            mass *= vec[yi]
+        probs[y] = mass
     iterated = LatticeDistribution(probs, k * step_tail)
     direct = kernel_row(params, k, truncation)
     worst = 0.0

@@ -327,3 +327,151 @@ def test_moments_invariant_under_determinant_shift():
         assert moment2_closed(sig, f) == moment2_closed(shifted, f)
         assert moment4_closed(sig, f) == moment4_closed(shifted, f)
         assert weight_distribution(sig, f).probs == weight_distribution(shifted, f).probs
+
+
+# The Fraction-spectrum implementations that the integer layer replaced, kept
+# verbatim (up to the names) as the reference for exact equality.
+
+
+def _moment2_closed_ref(sig, f):
+    d = sig.d
+    if d < 2:
+        raise ValueError("d >= 2 required")
+    lhat = center(HermitianSpectrum.from_signature(sig))
+    rd = rho(d)
+    mixed = sum(
+        (2 * a * b + a * a for a, b in zip(lhat.eigenvalues, rd.eigenvalues)),
+        Fraction(0),
+    )
+    return Fraction(f.r) * mixed / (d * d - 1)
+
+
+def _J_closed_ref(b, r, n):
+    if b.trace() != 0:
+        raise ValueError("closed forms assume a centered spectrum; call center() first")
+    d = b.d
+    if n == 2:
+        if d < 2:
+            raise ValueError("n = 2 needs d >= 2")
+        return Fraction(r) * b.trace(2) / (d * d - 1)
+    if n == 4:
+        if d < 4:
+            raise ValueError("n = 4 needs d >= 4")
+        d2 = d * d
+        t2, t4 = b.trace(2), b.trace(4)
+        lead = Fraction(3 * r) * ((d2 * d2 - 6 * d2 + 18) * r - 2 * d * (2 * d2 - 3))
+        lead /= d2 * (d2 - 1) * (d2 - 4) * (d2 - 9)
+        sub = Fraction(6 * r) * ((2 * d2 - 3) * r - d * (d2 + 1))
+        sub /= d * (d2 - 1) * (d2 - 4) * (d2 - 9)
+        return lead * t2 * t2 - sub * t4
+    raise ValueError(f"no closed form for n = {n}")
+
+
+def _moment4_closed_ref(sig, f):
+    d = sig.d
+    if d < 4:
+        raise ValueError("d >= 4 required")
+    lhat = center(HermitianSpectrum.from_signature(sig))
+    rd = rho(d)
+    m2 = _moment2_closed_ref(sig, f)
+    return (
+        _J_closed_ref(rd + lhat, f.r, 4)
+        - 6 * m2 * _J_closed_ref(rd, f.r, 2)
+        - _J_closed_ref(rd, f.r, 4)
+    )
+
+
+def _estimate_fields_ref(sig, f):
+    d = sig.d
+    d2 = d * d
+    c1 = Fraction(3 * (d2 - 1) * (d2 * d2 - 6 * d2 + 18), d2 * (d2 - 4) * (d2 - 9))
+    c2 = Fraction(2 * (d2 * d2 - 2 * d2 - 3), (d2 - 4) * (d2 - 9))
+    m2 = _moment2_closed_ref(sig, f)
+    m4 = _moment4_closed_ref(sig, f)
+    bound = c1 * m2 * m2 + c2 * m2
+    return m2, m4, c1, c2, bound, m4 <= bound
+
+
+def _hciz_power_sum_ref(a, b, n):
+    from weylchar.combinatorics import partitions_of
+    from weylchar.symfunc import schur_dim, schur_to_power_sums, sym_group_dim
+
+    if a.d != b.d:
+        raise ValueError("spectra must have equal size")
+    d = a.d
+    pa = {j: a.trace(j) for j in range(1, n + 1)}
+    pb = {j: b.trace(j) for j in range(1, n + 1)}
+    total = Fraction(0)
+    for lam in partitions_of(n):
+        if lam.length > d:
+            continue
+        exp = schur_to_power_sums(lam)
+        total += (
+            Fraction(sym_group_dim(lam))
+            * exp.evaluate_power_sums(pa)
+            * exp.evaluate_power_sums(pb)
+            / schur_dim(lam, d)
+        )
+    return total
+
+
+def test_closed_forms_match_fraction_reference():
+    rng = random.Random(2024)
+    sigs = [S((1, 0, 0, 0)), S((0,) * 5), S((9,) * 6), S((9, -9, -9, -9))]
+    sigs += [S(tuple(sorted((rng.randint(-9, 9) for _ in range(d)), reverse=True)))
+             for d in [rng.randint(4, 16) for _ in range(60)]]
+    estimates = 0
+    for sig in sigs:
+        d = sig.d
+        for r in range(2, d + 1, 2):
+            f = TraceZeroSigned(r, d, offset=rng.randint(0, d - r))
+            for new, ref in ((moment2_closed(sig, f), _moment2_closed_ref(sig, f)),
+                             (moment4_closed(sig, f), _moment4_closed_ref(sig, f))):
+                assert new == ref and repr(new) == repr(ref), (sig, r)
+            if 3 * r >= 2 * d:
+                report = estimate_check(sig, f)
+                fields = (report.m2, report.m4, report.c1, report.c2, report.bound, report.holds)
+                ref = _estimate_fields_ref(sig, f)
+                assert fields == ref and repr(fields) == repr(ref), (sig, r)
+                estimates += 1
+    assert estimates > 100
+    # d = 2, 3 have a second moment but no fourth.
+    for sig in (S((2, -1)), S((3, 1, -4))):
+        f = TraceZeroSigned(2, sig.d, offset=sig.d - 2)
+        assert repr(moment2_closed(sig, f)) == repr(_moment2_closed_ref(sig, f))
+        with pytest.raises(ValueError):
+            moment4_closed(sig, f)
+
+
+def test_J_closed_matches_fraction_reference():
+    rng = random.Random(31)
+    for _ in range(80):
+        d = rng.randint(2, 12)
+        raw = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+        spec = center(HermitianSpectrum(raw))
+        for r in range(2, d + 1, 2):
+            for n in (2, 4) if d >= 4 else (2,):
+                new, ref = J_closed(spec, r, n), _J_closed_ref(spec, r, n)
+                assert new == ref and repr(new) == repr(ref), (raw, r, n)
+    with pytest.raises(ValueError):
+        J_closed(HermitianSpectrum((F(1, 3), 0, 0, 0)), 2, 2)
+    with pytest.raises(ValueError):
+        J_closed(HermitianSpectrum((F(1, 3), F(-1, 3), 0, 0)), 2, 3)
+
+
+def test_hciz_power_sum_matches_fraction_reference():
+    rng = random.Random(9)
+    cases = 0
+    for _ in range(45):
+        d = rng.randint(1, 7)
+        n = rng.randint(1, 10) if cases % 3 else rng.randint(d + 1, 10)
+        a, b = (HermitianSpectrum(tuple(F(rng.randint(-4, 4), rng.randint(1, 4))
+                                        for _ in range(d))) for _ in range(2))
+        new, ref = hciz_power_sum(a, b, n), _hciz_power_sum_ref(a, b, n)
+        assert new == ref and repr(new) == repr(ref), (a, b, n)
+        cases += 1
+    zero = HermitianSpectrum((0, 0, 0))
+    assert repr(hciz_power_sum(zero, zero, 0)) == repr(_hciz_power_sum_ref(zero, zero, 0))
+    assert hciz_power_sum(zero, HermitianSpectrum((1, 2, 3)), 3) == 0
+    with pytest.raises(ValueError):
+        hciz_power_sum(zero, zero, -1)

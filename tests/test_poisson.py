@@ -1,18 +1,23 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from weylchar.poisson import (
+    LatticeDistribution,
     PoissonKernelParams,
+    SemigroupReport,
     binomial_reexpansion_check,
     chi_tau_tauprime,
     embedded_trace_values,
     kernel,
+    kernel_row,
     kstep_semigroup_check,
     poisson_mass,
     poisson_series_check,
+    poisson_tail,
     stirling_identity,
     tv_bound,
 )
@@ -57,6 +62,68 @@ def test_kstep_semigroup():
     assert rep3.max_deviation < 1e-10 and rep3.passed
     with pytest.raises(ValueError):
         kstep_semigroup_check(PoissonKernelParams((1,)), 0)
+
+
+def _kstep_semigroup_check_ref(params, k, truncation=40):
+    """The joint-grid convolution that the per-coordinate iteration replaced."""
+    if k < 1:
+        raise ValueError("k >= 1 required")
+    m = params.m
+    rates = params.floats()
+    grid = list(itertools.product(range(truncation + 1), repeat=m))
+    step_tail = sum(poisson_tail(ai, truncation) for ai in rates)
+    probs = {(0,) * m: 1.0}
+    for _ in range(k):
+        new: dict[tuple[int, ...], float] = {}
+        for x, px in probs.items():
+            for z in grid:
+                y = tuple(a + b for a, b in zip(x, z))
+                if any(c > truncation for c in y):
+                    continue
+                mass = px
+                for ai, zi in zip(rates, z):
+                    mass *= poisson_mass(ai, zi)
+                    if mass == 0.0:
+                        break
+                if mass:
+                    new[y] = new.get(y, 0.0) + mass
+        probs = new
+    iterated = LatticeDistribution(probs, k * step_tail)
+    direct = kernel_row(params, k, truncation)
+    worst = 0.0
+    for y in grid:
+        worst = max(worst, abs(iterated.mass(y) - direct.mass(y)))
+    tail = max(iterated.tail_bound, direct.tail_bound)
+    return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))
+
+
+def test_kstep_matches_joint_convolution():
+    # One coordinate: the same accumulation order, hence the same report.
+    for a in (1, F(1, 2), F(3, 2), F(5, 4)):
+        for truncation in (35, 40, 60):
+            for k in (1, 2, 3, 4):
+                params = PoissonKernelParams((a,))
+                assert kstep_semigroup_check(params, k, truncation) == (
+                    _kstep_semigroup_check_ref(params, k, truncation)
+                ), (a, truncation, k)
+    # Several coordinates: the products are formed in another order.
+    for rates, truncation, k in (
+        ((1, 1), 15, 2),
+        ((F(1, 2), 1), 14, 2),
+        ((F(1, 2), F(3, 4)), 13, 3),
+        ((F(1, 8), F(1, 8), F(1, 8)), 6, 2),
+        ((F(1, 8), F(1, 6), F(1, 8)), 6, 2),
+    ):
+        params = PoissonKernelParams(rates)
+        new = kstep_semigroup_check(params, k, truncation)
+        ref = _kstep_semigroup_check_ref(params, k, truncation)
+        assert abs(new.max_deviation - ref.max_deviation) <= 1e-15, (rates, truncation, k)
+        assert (new.k, new.tail_bound, new.passed) == (ref.k, ref.tail_bound, ref.passed)
+
+
+def test_kstep_two_coordinates_wide_box():
+    rep = kstep_semigroup_check(PoissonKernelParams((1, 1)), 4, truncation=60)
+    assert rep.passed and rep.max_deviation < 1e-14
 
 
 def test_tv_bound_examples():
