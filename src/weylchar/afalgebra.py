@@ -8,7 +8,6 @@ integer vectors; both must intertwine the transposed multiplicity matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +15,7 @@ from fractions import Fraction
 from weylchar.combinatorics import Partition, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi
-from weylchar.symfunc import schur_dim, sym_group_dim, weyl_dim
+from weylchar.symfunc import exact_det, schur_dim, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, normalized_char
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -65,9 +64,6 @@ class BratteliDiagram:
     def depth(self) -> int:
         """Index of the deepest stored level."""
         return len(self.levels) - 1
-
-    def nblocks(self, n: int) -> int:
-        return len(self.levels[n])
 
     def dims(self, n: int) -> tuple[int, ...]:
         return self.levels[n]
@@ -352,12 +348,8 @@ def trace_weights_sensitivity(diagram: BratteliDiagram, method: str = "auto") ->
     """
     if diagram.depth < 1:
         return Fraction(0)
-    shallow = BratteliDiagram(
-        diagram.levels[:-1], diagram.mults[:-1], diagram.name, diagram.continuation,
-        diagram.simple_known,
-    )
     deep_w = trace_weights(diagram, method=method)
-    shallow_w = trace_weights(shallow, method=method)
+    shallow_w = trace_weights(diagram, method=method, depth=diagram.depth - 1)
     worst = Fraction(0)
     for lv_deep, lv_shallow in zip(deep_w.weights, shallow_w.weights):
         worst = max(worst, sum(abs(a - b) for a, b in zip(lv_deep, lv_shallow)))
@@ -390,11 +382,7 @@ class K0Hom:
 
     @staticmethod
     def from_deepest(diagram: BratteliDiagram, vector) -> "K0Hom":
-        vecs = [tuple(int(x) for x in vector)]
-        for m in reversed(diagram.mults):
-            vecs.append(_mat_t_vec(m, vecs[-1]))
-        vecs.reverse()
-        return K0Hom(diagram, tuple(vecs))
+        return K0Hom(diagram, _backward_weights(diagram, tuple(int(x) for x in vector)))
 
     def level(self, n: int) -> tuple[int, ...]:
         return self.vectors[n]
@@ -403,43 +391,39 @@ class K0Hom:
         return all(all(x == 0 for x in lv) for lv in self.vectors)
 
 
-def _integer_preimage(m: Matrix, target: tuple[int, ...], bound: int = 64):
-    """Integer x with M^T x = target, or None; exact solve when M is square."""
-    nrows, ncols = len(m), len(m[0])
-    if nrows == ncols:
-        # Solve M^T x = target over the rationals, then check integrality.
-        a = [[Fraction(m[i][j]) for i in range(nrows)] for j in range(ncols)]
-        b = [Fraction(t) for t in target]
-        n = ncols
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col] / a[col][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] -= f * b[col]
-        xs = [b[i] / a[i][i] for i in range(n)]
-        if all(x.denominator == 1 for x in xs):
-            return tuple(int(x) for x in xs)
-        return None
-    # Bounded exhaustion for non-square steps.
-    for cand in itertools.product(range(-bound, bound + 1), repeat=nrows):
-        if _mat_t_vec(m, cand) == target:
-            return cand
-    return None
+def _integer_preimage(m: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The integer x with M^T x = target, or None when the rational one is not integral.
+
+    Cramer's rule over `exact_det`.  M must be square and nonsingular: then
+    the rational solution is unique, so a non-integral one proves that no
+    integer lift exists.  Any other step raises ValueError.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"continuation step {m} is not square")
+    a = [[Fraction(m[i][j]) for i in range(n)] for j in range(n)]
+    det = exact_det(a)
+    if det == 0:
+        raise ValueError(f"continuation step {m} is singular")
+    lifted = []
+    for k in range(n):
+        a_k = [row[:k] + [Fraction(t)] + row[k + 1 :] for row, t in zip(a, target)]
+        x = exact_det(a_k) / det
+        if x.denominator != 1:
+            return None
+        lifted.append(int(x))
+    return tuple(lifted)
 
 
 def k0_extension_obstruction(hom: K0Hom, extra_levels: int = 12) -> int | None:
     """First continuation step where the deepest vector fails to lift, or None.
 
-    Uses the diagram's periodic continuation; a bounded proof-by-exhaustion
-    surrogate for membership in Hom(K0, Z) of the infinite limit.  The CAR
-    tower obstructs every nonzero vector (repeated halving), while unimodular
-    steps (effros-shen) obstruct nothing.
+    Lifts the deepest vector through `extra_levels` steps of the diagram's
+    periodic continuation, each an exact solve of M^T x = v over Z (square,
+    nonsingular steps only), so a reported step is a proof that the
+    functional does not extend that far.  The CAR tower obstructs every
+    nonzero vector (repeated halving), while unimodular steps (effros-shen)
+    obstruct nothing.
     """
     tail = hom.diagram.continuation
     if tail is None:
@@ -649,14 +633,7 @@ def ergodic_sequence(
         dims.append(d)
         values.append(val)
     tau = trace_value(u, weights)
-    if isinstance(tau, QQi):
-        limit = QQi.of(1)
-        for _ in range(lam.size):
-            limit = limit * tau
-        for _ in range(mu.size):
-            limit = limit * tau.conjugate()
-    else:
-        limit = tau**lam.size * tau.conjugate() ** mu.size
+    limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)
     rate = None
     pts = [(math.log(d), math.log(e)) for d, e in zip(dims, errors) if e > 0]

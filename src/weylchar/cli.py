@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -29,19 +28,6 @@ from weylchar.errors import DIM_BUDGET, ERGODIC_DIM_BUDGET, BudgetExceeded, Inva
 if TYPE_CHECKING:
     from weylchar.combinatorics import Partition, Signature
     from weylchar.moments import HermitianSpectrum
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Seed shared by the subcommands; WEYLCHAR_SEED overrides --seed."""
-
-    seed: int = 0
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        seed_env = os.environ.get("WEYLCHAR_SEED")
-        seed = int(seed_env) if seed_env is not None else getattr(args, "seed", 0)
-        return RunConfig(seed=seed)
 
 
 def positive_int(text: str) -> int:
@@ -68,10 +54,6 @@ def parse_signature(text: str) -> Signature:
     from weylchar.combinatorics import Signature
 
     return Signature(parse_ints(text))
-
-
-def parse_angles(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in text.split(","))
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -101,7 +83,7 @@ def cmd_char(args) -> int:
     from weylchar.symfunc import weyl_dim
 
     sig = parse_signature(args.sig)
-    u = ucharacters.DiagonalUnitary(parse_angles(args.u))
+    u = ucharacters.DiagonalUnitary(parse_rationals(args.u))
     dim = weyl_dim(sig)
     trace = ucharacters.char_eval(sig, u)
     payload = {
@@ -272,7 +254,7 @@ def cmd_ergodic(args) -> int:
 
     diagram = afalgebra.preset_diagram(args.diagram, depth=max(args.nmax, 8))
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    angles = parse_angles(args.u)
+    angles = parse_rationals(args.u)
     blocks = []
     for i, d in enumerate(diagram.levels[args.level]):
         if i == args.block:
@@ -444,9 +426,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        config = RunConfig.from_args(args)
+        seed_env = os.environ.get("WEYLCHAR_SEED")
+        seed = int(seed_env) if seed_env is not None else getattr(args, "seed", 0)
         if hasattr(args, "seed"):
-            args.seed = config.seed
+            args.seed = seed
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

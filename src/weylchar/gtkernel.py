@@ -145,6 +145,10 @@ def _bareiss_det(a: list[list[int]]) -> int:
     No row exchanges: the Jacobi-Trudi matrix of a connected skew shape at
     1^m is totally nonnegative with positive determinant, so every pivot, a
     leading principal minor, is positive; a pivot that is not is a bug.
+    This integer-only routine stays apart from `symfunc.exact_det` (elimination
+    over a field, with row exchanges): it is the kernel's hot path, and a
+    shared routine would have to branch on which caller it serves to keep this
+    invariant check.
     """
     n = len(a)
     prev = 1

@@ -186,19 +186,9 @@ def schur_to_power_sums(lam: Partition, max_n: int = POWER_SUM_MAX_N) -> PowerSu
 
 
 def leading_coeff(lam: Partition) -> Fraction:
-    """Coefficient of p_1^n in s_lam, in closed form.
-
-    Equals sym_group_dim(lam)/n!; the product form mirrors the Weyl dimension
-    numerator over the first l(lam) rows.
-    """
+    """Coefficient of p_1^n in s_lam: sym_group_dim(lam) / n!."""
     lam = Partition(tuple(lam))
-    l = lam.length
-    c = Fraction(1)
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            c *= Fraction(lam.parts[i - 1] - lam.parts[j - 1] + j - i, j - i)
-        c *= Fraction(math.factorial(l - i), math.factorial(l + lam.parts[i - 1] - i))
-    return c
+    return Fraction(sym_group_dim(lam), math.factorial(lam.size))
 
 
 def exact_det(rows):
@@ -288,12 +278,64 @@ def schur_eval_exact(lam: Partition, values):
     return eval_by_gt(padded, values)
 
 
+def _ballot_fillings(
+    nu: Partition, alpha: Partition, caps: tuple[int, ...]
+) -> dict[Partition, int]:
+    """Littlewood-Richardson tableaux of shape nu/alpha, counted by content.
+
+    Fills the cells row by row, each row right to left (the reverse reading
+    word), with values 1..len(caps): rows weakly increase, columns strictly
+    increase, the word stays a ballot sequence and value v is used at most
+    caps[v-1] times (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.9).  A ballot content is a partition, so the result is the skew Schur
+    expansion {beta: c^nu_{alpha,beta}} over the contents within the caps.
+    Leaves are tallied by content tuple, and one Partition is built per
+    distinct content at the end, not one per leaf.
+    """
+    nrows = nu.length
+    cells = []
+    for r in range(nrows):
+        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
+            cells.append((r, c))
+    nvals = len(caps)
+    grid = [[0] * nu.parts[r] for r in range(nrows)]
+    counts = [0] * (nvals + 1)
+    found: dict[tuple[int, ...], int] = {}
+
+    def in_skew(r: int, c: int) -> bool:
+        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
+
+    def rec(idx: int):
+        if idx == len(cells):
+            content = tuple(c for c in counts[1:] if c)
+            found[content] = found.get(content, 0) + 1
+            return
+        r, c = cells[idx]
+        hi = nvals
+        if in_skew(r, c + 1):
+            hi = min(hi, grid[r][c + 1])
+        for v in range(1, hi + 1):
+            if counts[v] >= caps[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
+                continue
+            grid[r][c] = v
+            counts[v] += 1
+            rec(idx + 1)
+            counts[v] -= 1
+            grid[r][c] = 0
+
+    rec(0)
+    return {Partition(content): n for content, n in found.items()}
+
+
 def lr_coefficient(nu: Partition, alpha: Partition, beta: Partition) -> int:
     """Littlewood-Richardson coefficient c^nu_{alpha,beta} by tableau enumeration.
 
-    Counts semistandard fillings of nu/alpha with content beta whose reverse
-    reading word is a ballot sequence.  Returns 0 on any size or containment
-    mismatch.
+    Counts the ballot fillings of nu/alpha with content beta.  Returns 0 on
+    any size or containment mismatch.
     """
     nu, alpha, beta = (Partition(tuple(p)) for p in (nu, alpha, beta))
     if alpha.size + beta.size != nu.size:
@@ -304,51 +346,14 @@ def lr_coefficient(nu: Partition, alpha: Partition, beta: Partition) -> int:
         return 1
     if beta.length > nu.length:
         return 0
-
-    nrows = nu.length
-    cells = []
-    for r in range(nrows):
-        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
-            cells.append((r, c))
-    nvals = beta.length
-    grid = [[0] * nu.parts[r] for r in range(nrows)]
-    counts = [0] * (nvals + 1)
-    found = 0
-
-    def in_skew(r: int, c: int) -> bool:
-        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
-
-    def rec(idx: int):
-        nonlocal found
-        if idx == len(cells):
-            found += 1
-            return
-        r, c = cells[idx]
-        hi = nvals
-        if in_skew(r, c + 1):
-            hi = min(hi, grid[r][c + 1])
-        for v in range(1, hi + 1):
-            if counts[v] >= beta.parts[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
-                continue
-            grid[r][c] = v
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
-
-    rec(0)
-    return found
+    # With caps beta and |nu/alpha| = |beta|, every filling has content beta.
+    return _ballot_fillings(nu, alpha, beta.parts).get(beta, 0)
 
 
 def skew_expand(nu: Partition, alpha: Partition) -> dict[Partition, int]:
     """Expansion of the skew Schur function s_{nu/alpha} into {beta: c^nu_{alpha,beta}}.
 
-    Single tableau walk over all ballot contents at once; ballot words force
-    the content to be a partition.
+    One tableau walk over all ballot contents at once.
     """
     nu, alpha = Partition(tuple(nu)), Partition(tuple(alpha))
     if not nu.contains(alpha):
@@ -356,42 +361,7 @@ def skew_expand(nu: Partition, alpha: Partition) -> dict[Partition, int]:
     size = nu.size - alpha.size
     if size == 0:
         return {EMPTY: 1}
-
-    nrows = nu.length
-    cells = []
-    for r in range(nrows):
-        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
-            cells.append((r, c))
-    grid = [[0] * nu.parts[r] for r in range(nrows)]
-    counts = [0] * (size + 1)
-    out: dict[Partition, int] = {}
-
-    def in_skew(r: int, c: int) -> bool:
-        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
-
-    def rec(idx: int):
-        if idx == len(cells):
-            content = tuple(c for c in counts[1:] if c > 0)
-            key = Partition(content)
-            out[key] = out.get(key, 0) + 1
-            return
-        r, c = cells[idx]
-        hi = size
-        if in_skew(r, c + 1):
-            hi = min(hi, grid[r][c + 1])
-        for v in range(1, hi + 1):
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
-                continue
-            grid[r][c] = v
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
-
-    rec(0)
-    return out
+    return _ballot_fillings(nu, alpha, (size,) * size)
 
 
 def lr_product(alpha: Partition, beta: Partition, max_length: int) -> dict[Partition, int]:

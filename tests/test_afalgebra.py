@@ -22,9 +22,11 @@ from weylchar.afalgebra import (
     trace_weights_sensitivity,
     uhf_product_diagram,
     validate_diagram,
+    _integer_preimage,
 )
 from weylchar.combinatorics import Partition
 from weylchar.exact import QQi
+from weylchar.symfunc import exact_det
 from weylchar.ucharacters import DiagonalUnitary
 
 F = Fraction
@@ -120,7 +122,7 @@ def test_trace_weights_validation():
 def test_k0_car_rejects_nonzero():
     car = preset_diagram("car")
     assert k0_extension_obstruction(K0Hom.from_deepest(car, (0,))) is None
-    # Bounded proof by exhaustion at the deepest level.
+    # An exact lift at each continuation step: halving runs out.
     for v in range(-16, 17):
         if v == 0:
             continue
@@ -134,6 +136,62 @@ def test_k0_effros_shen_lattice():
         for v2 in range(-3, 4):
             hom = K0Hom.from_deepest(es, (v1, v2))
             assert k0_extension_obstruction(hom, extra_levels=20) is None
+
+
+def _square_preimage_ref(m, target):
+    """The square Gauss-Jordan solve of M^T x = target that Cramer's rule replaced."""
+    nrows, ncols = len(m), len(m[0])
+    a = [[Fraction(m[i][j]) for i in range(nrows)] for j in range(ncols)]
+    b = [Fraction(t) for t in target]
+    n = ncols
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] -= f * b[col]
+    xs = [b[i] / a[i][i] for i in range(n)]
+    if all(x.denominator == 1 for x in xs):
+        return tuple(int(x) for x in xs)
+    return None
+
+
+def test_integer_preimage_matches_gauss_jordan():
+    import random
+
+    rng = random.Random(5)
+    outcomes = set()
+    cases = 0
+    while cases < 200:
+        n = rng.randint(1, 4)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if exact_det([[F(v) for v in row] for row in m]) == 0:
+            continue
+        cases += 1
+        if rng.random() < 0.5:
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            target = tuple(sum(m[i][j] * x[i] for i in range(n)) for j in range(n))
+        else:
+            target = tuple(rng.randint(-9, 9) for _ in range(n))
+        lifted = _integer_preimage(m, target)
+        assert lifted == _square_preimage_ref(m, target), (m, target)
+        outcomes.add(lifted is None)
+    assert outcomes == {True, False}
+
+
+def test_k0_rejects_non_square_and_singular_steps():
+    levels = ((1,), (1, 1))
+    mults = (((1,), (1,)),)
+    for step in (((1, 1), (1, 1), (1, 0)), ((1, 1), (2, 2))):
+        diagram = BratteliDiagram(levels, mults, "test", (step,))
+        hom = K0Hom.from_deepest(diagram, (1, 1))
+        with pytest.raises(ValueError):
+            k0_extension_obstruction(hom)
 
 
 def test_k0_compatibility_enforced():

@@ -71,7 +71,6 @@ def _kstep_semigroup_check_ref(params, k, truncation=40):
     m = params.m
     rates = params.floats()
     grid = list(itertools.product(range(truncation + 1), repeat=m))
-    step_tail = sum(poisson_tail(ai, truncation) for ai in rates)
     probs = {(0,) * m: 1.0}
     for _ in range(k):
         new: dict[tuple[int, ...], float] = {}
@@ -88,7 +87,7 @@ def _kstep_semigroup_check_ref(params, k, truncation=40):
                 if mass:
                     new[y] = new.get(y, 0.0) + mass
         probs = new
-    iterated = LatticeDistribution(probs, k * step_tail)
+    iterated = LatticeDistribution(probs, sum(poisson_tail(k * ai, truncation) for ai in rates))
     direct = kernel_row(params, k, truncation)
     worst = 0.0
     for y in grid:
@@ -119,6 +118,18 @@ def test_kstep_matches_joint_convolution():
         ref = _kstep_semigroup_check_ref(params, k, truncation)
         assert abs(new.max_deviation - ref.max_deviation) <= 1e-15, (rates, truncation, k)
         assert (new.k, new.tail_bound, new.passed) == (ref.k, ref.tail_bound, ref.passed)
+
+
+def test_kstep_tail_covers_the_missing_mass():
+    # A union bound over single steps, k * sum_i P(Poisson(a_i) > T), fell
+    # short of the mass the iterated row misses on these inputs.
+    for rates, truncation, k in (
+        ((F(1, 2), F(3, 2)), 12, 2),
+        ((F(1, 4), F(1, 2), F(1, 3)), 8, 3),
+    ):
+        rep = kstep_semigroup_check(PoissonKernelParams(rates), k, truncation)
+        assert rep.tail_bound == sum(poisson_tail(k * float(a), truncation) for a in rates)
+        assert rep.passed, (rates, truncation, k)
 
 
 def test_kstep_two_coordinates_wide_box():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylchar.combinatorics import Partition, Signature, partitions_of
+from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQI_I, QQi
 from weylchar.symfunc import (
@@ -279,6 +279,122 @@ def test_skew_expand_matches_coefficient():
         assert lr_coefficient(nu, alpha, beta) == c
     total = sum(c * sym_group_dim(b) for b, c in skew_expand(nu, alpha).items())
     assert total > 0
+
+
+def _lr_coefficient_ref(nu: Partition, alpha: Partition, beta: Partition) -> int:
+    """The content-capped tableau walk that `_ballot_fillings` replaced."""
+    nu, alpha, beta = (Partition(tuple(p)) for p in (nu, alpha, beta))
+    if alpha.size + beta.size != nu.size:
+        return 0
+    if not nu.contains(alpha):
+        return 0
+    if beta.size == 0:
+        return 1
+    if beta.length > nu.length:
+        return 0
+
+    nrows = nu.length
+    cells = []
+    for r in range(nrows):
+        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
+            cells.append((r, c))
+    nvals = beta.length
+    grid = [[0] * nu.parts[r] for r in range(nrows)]
+    counts = [0] * (nvals + 1)
+    found = 0
+
+    def in_skew(r: int, c: int) -> bool:
+        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
+
+    def rec(idx: int):
+        nonlocal found
+        if idx == len(cells):
+            found += 1
+            return
+        r, c = cells[idx]
+        hi = nvals
+        if in_skew(r, c + 1):
+            hi = min(hi, grid[r][c + 1])
+        for v in range(1, hi + 1):
+            if counts[v] >= beta.parts[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
+                continue
+            grid[r][c] = v
+            counts[v] += 1
+            rec(idx + 1)
+            counts[v] -= 1
+            grid[r][c] = 0
+
+    rec(0)
+    return found
+
+
+def _skew_expand_ref(nu: Partition, alpha: Partition) -> dict[Partition, int]:
+    """The uncapped tableau walk that `_ballot_fillings` replaced."""
+    nu, alpha = Partition(tuple(nu)), Partition(tuple(alpha))
+    if not nu.contains(alpha):
+        return {}
+    size = nu.size - alpha.size
+    if size == 0:
+        return {EMPTY: 1}
+
+    nrows = nu.length
+    cells = []
+    for r in range(nrows):
+        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
+            cells.append((r, c))
+    grid = [[0] * nu.parts[r] for r in range(nrows)]
+    counts = [0] * (size + 1)
+    out: dict[Partition, int] = {}
+
+    def in_skew(r: int, c: int) -> bool:
+        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
+
+    def rec(idx: int):
+        if idx == len(cells):
+            content = tuple(c for c in counts[1:] if c > 0)
+            key = Partition(content)
+            out[key] = out.get(key, 0) + 1
+            return
+        r, c = cells[idx]
+        hi = size
+        if in_skew(r, c + 1):
+            hi = min(hi, grid[r][c + 1])
+        for v in range(1, hi + 1):
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
+                continue
+            grid[r][c] = v
+            counts[v] += 1
+            rec(idx + 1)
+            counts[v] -= 1
+            grid[r][c] = 0
+
+    rec(0)
+    return out
+
+
+def test_ballot_walk_matches_separate_walks():
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        nu = rng.choice(partitions_of(n))
+        a = rng.randint(0, n)
+        alpha = rng.choice(partitions_of(a))
+        # Mostly the matching size; now and then a size mismatch.
+        b = n - a if rng.random() < 0.9 else rng.randint(0, 4)
+        beta = rng.choice(partitions_of(b))
+        c = lr_coefficient(nu, alpha, beta)
+        assert c == _lr_coefficient_ref(nu, alpha, beta), (nu, alpha, beta)
+        nonzero += c > 0
+        # Same terms in the same order.
+        assert list(skew_expand(nu, alpha).items()) == list(_skew_expand_ref(nu, alpha).items())
+    assert nonzero > 50
 
 
 def test_power_sum_json():
