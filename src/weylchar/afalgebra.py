@@ -9,12 +9,12 @@ integer vectors; both must intertwine the transposed multiplicity matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from weylchar.combinatorics import Partition, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
-from weylchar.exact import QQi
+from weylchar.exact import QQi, exact_unit, unit_complex
 from weylchar.symfunc import exact_det, schur_dim, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, normalized_char
 
@@ -64,9 +64,6 @@ class BratteliDiagram:
     def depth(self) -> int:
         """Index of the deepest stored level."""
         return len(self.levels) - 1
-
-    def dims(self, n: int) -> tuple[int, ...]:
-        return self.levels[n]
 
     def to_json(self) -> dict:
         return {
@@ -166,7 +163,9 @@ def _uhf_diagram(factors: tuple[int, ...], depth: int, name: str) -> BratteliDia
         k = factors[n % len(factors)]
         mults.append(((k,),))
         levels.append((levels[-1][0] * k,))
-    tail = tuple(((k,),) for k in factors)
+    # The tail continues from step `depth`, so it stays in phase with the
+    # stored steps whatever the depth.
+    tail = tuple(((factors[(depth + i) % len(factors)],),) for i in range(len(factors)))
     return BratteliDiagram(tuple(levels), tuple(mults), name, tail, simple_known=True)
 
 
@@ -254,7 +253,6 @@ class TraceWeights:
 
     diagram: BratteliDiagram
     weights: tuple[tuple[Fraction, ...], ...]
-    method: str = field(default="", compare=False)
 
     def __post_init__(self):
         w = tuple(tuple(Fraction(x) for x in lv) for lv in self.weights)
@@ -297,7 +295,6 @@ def _backward_weights(diagram: BratteliDiagram, boundary: tuple[Fraction, ...]):
 
 def trace_weights(
     diagram: BratteliDiagram,
-    method: str = "auto",
     boundary=None,
     depth: int | None = None,
 ) -> TraceWeights:
@@ -306,10 +303,11 @@ def trace_weights(
     The boundary is the weight vector at level `depth` (default: the deepest
     stored level): "uniform" spreads mass evenly, an integer selects the
     extreme trace concentrated on that block, and a tuple is used as given.
-    method="auto" picks the known exact boundary for presets (convergent ratio
-    for effros-shen diagrams, uniform elsewhere); deeper boundaries give
-    better approximations of the true trace of the infinite limit, and
-    compatibility below the boundary is exact regardless.
+    Without a boundary, effros-shen diagrams take their convergent ratio
+    (1/q_n on the first block, 0 on the second) and every other diagram the
+    uniform one.  Deeper boundaries give better approximations of the true
+    trace of the infinite limit; compatibility below the boundary is exact
+    regardless.
     """
     if depth is not None:
         if not 0 <= depth <= diagram.depth:
@@ -323,12 +321,12 @@ def trace_weights(
         )
     dims = diagram.levels[-1]
     nb = len(dims)
-    if method == "auto" and boundary is None:
+    if boundary is None:
         if diagram.name.startswith("effros-shen"):
             boundary = (Fraction(1, dims[0]), Fraction(0))
         else:
             boundary = "uniform"
-    if boundary is None or boundary == "uniform":
+    if boundary == "uniform":
         total = sum(dims)
         vec = tuple(Fraction(1, total) for _ in range(nb))
     elif isinstance(boundary, int):
@@ -337,10 +335,10 @@ def trace_weights(
         )
     else:
         vec = tuple(Fraction(x) for x in boundary)
-    return TraceWeights(diagram, _backward_weights(diagram, vec), method=method)
+    return TraceWeights(diagram, _backward_weights(diagram, vec))
 
 
-def trace_weights_sensitivity(diagram: BratteliDiagram, method: str = "auto") -> Fraction:
+def trace_weights_sensitivity(diagram: BratteliDiagram) -> Fraction:
     """L1 movement of the level-0..depth-1 weights when the boundary deepens by one.
 
     An honest convergence indicator for non-preset diagrams: the infinite
@@ -348,8 +346,8 @@ def trace_weights_sensitivity(diagram: BratteliDiagram, method: str = "auto") ->
     """
     if diagram.depth < 1:
         return Fraction(0)
-    deep_w = trace_weights(diagram, method=method)
-    shallow_w = trace_weights(diagram, method=method, depth=diagram.depth - 1)
+    deep_w = trace_weights(diagram)
+    shallow_w = trace_weights(diagram, depth=diagram.depth - 1)
     worst = Fraction(0)
     for lv_deep, lv_shallow in zip(deep_w.weights, shallow_w.weights):
         worst = max(worst, sum(abs(a - b) for a, b in zip(lv_deep, lv_shallow)))
@@ -483,33 +481,24 @@ def embed(u: BlockUnitary, diagram: BratteliDiagram, m: int) -> BlockUnitary:
 
 
 def det_phi_turn(u: BlockUnitary, hom: K0Hom):
-    """Total determinant angle in turns: sum of phi-weighted eigenvalue angles."""
+    """Total determinant angle in turns: sum of phi-weighted eigenvalue angles.
+
+    Exact (a Fraction) when every angle is rational, a float otherwise.
+    """
     _check_on_diagram(u, hom.diagram)
-    phi = hom.vectors[u.level]
-    total = Fraction(0)
-    exact = True
-    acc = 0.0
-    for w, block in zip(phi, u.blocks):
-        for a in block.angles:
-            if isinstance(a, Fraction) and exact:
-                total += w * a
-            else:
-                exact = False
-            acc += w * float(a)
-    return total % 1 if exact else acc % 1.0
+    pairs = [
+        (w, a) for w, block in zip(hom.vectors[u.level], u.blocks) for a in block.angles
+    ]
+    if all(isinstance(a, Fraction) for _, a in pairs):
+        return sum((w * a for w, a in pairs), Fraction(0)) % 1
+    return sum((w * float(a) for w, a in pairs), 0.0) % 1.0
 
 
 def det_phi(u: BlockUnitary, hom: K0Hom):
     """Product over blocks and eigenvalues z of z^phi; multiplicative in u."""
-    from weylchar.exact import exact_unit, unit_complex
-
     turn = det_phi_turn(u, hom)
-    if isinstance(turn, Fraction):
-        ev = exact_unit(turn)
-        if ev is not None:
-            return ev
-        return unit_complex(turn)
-    return unit_complex(turn)
+    exact = exact_unit(turn) if isinstance(turn, Fraction) else None
+    return unit_complex(turn) if exact is None else exact
 
 
 @dataclass(frozen=True)
@@ -531,20 +520,10 @@ def trace_value(u: BlockUnitary, tw: TraceWeights):
     Exact Gaussian rational at quarter-turn angles, complex otherwise.
     """
     _check_on_diagram(u, tw.diagram)
-    weights = tw.weights[u.level]
-    exact_blocks = [b.exact_values() for b in u.blocks]
-    if all(ev is not None for ev in exact_blocks):
-        total = QQi.of(0)
-        for w, ev in zip(weights, exact_blocks):
-            s = QQi.of(0)
-            for z in ev:
-                s = s + z
-            total = total + QQi.of(w) * s
-        return total
-    total_c = 0j
-    for w, block in zip(weights, u.blocks):
-        total_c += float(w) * sum(block.complex_values())
-    return total_c
+    values = [b.exact_values() for b in u.blocks]
+    if any(v is None for v in values):
+        values = [b.complex_values() for b in u.blocks]
+    return sum(w * sum(v) for w, v in zip(tw.weights[u.level], values))
 
 
 def eval_limit_character(spec: LimitCharacterSpec, u: BlockUnitary):
@@ -553,21 +532,12 @@ def eval_limit_character(spec: LimitCharacterSpec, u: BlockUnitary):
     if spec.phi is not None and not spec.phi.is_zero():
         factors.append(det_phi(u, spec.phi))
     for tw, p in spec.pos_traces:
-        t = trace_value(u, tw)
-        factors.extend([t] * p)
+        factors.extend([trace_value(u, tw)] * p)
     for tw, q in spec.neg_traces:
-        t = trace_value(u, tw)
-        conj = t.conjugate() if isinstance(t, QQi) else complex(t).conjugate()
-        factors.extend([conj] * q)
+        factors.extend([trace_value(u, tw).conjugate()] * q)
     if all(isinstance(x, QQi) for x in factors):
-        out = QQi.of(1)
-        for x in factors:
-            out = out * x
-        return out
-    out = 1 + 0j
-    for x in factors:
-        out *= complex(x)
-    return out
+        return math.prod(factors, start=QQi.of(1))
+    return math.prod(map(complex, factors), start=1 + 0j)
 
 
 @dataclass(frozen=True)
@@ -625,13 +595,9 @@ def ergodic_sequence(
         if weyl_dim(sig) > dim_budget:
             raise BudgetExceeded("character dimension exceeds budget")
         ub = v.blocks[block]
-        if ub.exact_values() is not None:
-            val = normalized_char(sig, ub, exact=True)
-        else:
-            val = normalized_char(sig, ub)
         levels.append(n)
         dims.append(d)
-        values.append(val)
+        values.append(normalized_char(sig, ub, exact=ub.exact_values() is not None))
     tau = trace_value(u, weights)
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)

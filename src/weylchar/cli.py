@@ -68,6 +68,13 @@ def _c(z) -> list[float]:
     return [z.real, z.imag]
 
 
+def _require(args, *names: str) -> None:
+    """Raise ValueError naming every flag the chosen mode needs but did not get."""
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"{args.command} needs {', '.join(missing)}")
+
+
 def emit(payload: dict, summary: str, output: str | None = None) -> None:
     text = json.dumps(payload, sort_keys=True)
     if output:
@@ -103,6 +110,7 @@ def cmd_branch(args) -> int:
     from weylchar import ucharacters
 
     if args.op == "tensor":
+        _require(args, "sig1", "sig2")
         sig1, sig2 = parse_signature(args.sig1), parse_signature(args.sig2)
         comps = ucharacters.tensor_decompose(sig1, sig2, dim_budget=args.dim_budget)
         report = ucharacters.check_branching_inequalities(comps, (sig1, sig2))
@@ -115,6 +123,7 @@ def cmd_branch(args) -> int:
         }
         emit(payload, f"tensor: {len(comps)} components, inequalities {report.holds}", args.output)
     else:
+        _require(args, "sig", "d1", "d2")
         sig = parse_signature(args.sig)
         dec = ucharacters.restrict_to_blocks(sig, args.d1, args.d2, dim_budget=args.dim_budget)
         report = ucharacters.check_branching_inequalities(dec, sig)
@@ -166,6 +175,7 @@ def cmd_moments(args) -> int:
         emit(payload, f"moment sweep: {checked} identities, {failures} failures", args.output)
         return 0 if failures == 0 else 1
 
+    _require(args, "sig", "r")
     sig = parse_signature(args.sig)
     f = moments.TraceZeroSigned(args.r, sig.d)
     dist = moments.weight_distribution(sig, f)
@@ -411,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("validate-diagram", help="check a Bratteli diagram", parents=[common])
-    p.add_argument("--diagram", help="preset name")
-    p.add_argument("--file", help="JSON diagram file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--diagram", help="preset name")
+    source.add_argument("--file", help="JSON diagram file")
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_validate_diagram)
 

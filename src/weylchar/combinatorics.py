@@ -195,9 +195,6 @@ class GTPattern:
     def d(self) -> int:
         return len(self.rows)
 
-    def top(self) -> Signature:
-        return Signature(self.rows[-1])
-
 
 def interlacings(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All length-(k-1) tuples interlacing below a length-k signature row."""
@@ -212,17 +209,15 @@ GT_ENUM_MAX_PATTERNS = 10**6
 
 
 def enumerate_gt_patterns(
-    sig: Signature,
-    max_d: int = GT_ENUM_MAX_D,
-    max_patterns: int = GT_ENUM_MAX_PATTERNS,
+    sig: Signature, max_patterns: int = GT_ENUM_MAX_PATTERNS
 ) -> Iterator[GTPattern]:
     """Depth-first stream of all GT patterns with top row sig.
 
     Pattern counts equal the irrep dimension, which explodes with d and with
     the entry magnitudes, so both are budgeted before the stream starts.
     """
-    if sig.d > max_d:
-        raise BudgetExceeded(f"GT enumeration bound exceeded: d = {sig.d} > {max_d}")
+    if sig.d > GT_ENUM_MAX_D:
+        raise BudgetExceeded(f"GT enumeration bound exceeded: d = {sig.d} > {GT_ENUM_MAX_D}")
     from weylchar.symfunc import weyl_dim
 
     dim = weyl_dim(sig)

@@ -87,17 +87,14 @@ class QQi:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal to a rational when im == 0, so it must hash like one.
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)

@@ -112,16 +112,23 @@ class SemigroupReport:
         }
 
 
+def _masses(rate: float, truncation: int) -> list[float]:
+    """Poisson(rate) masses at 0..truncation."""
+    return [poisson_mass(rate, z) for z in range(truncation + 1)]
+
+
+def _box_product(vectors) -> dict[tuple[int, ...], float]:
+    """Joint masses on the box: the product of one mass vector per coordinate."""
+    probs = {(): 1.0}
+    for vec in vectors:
+        probs = {y + (z,): p * v for y, p in probs.items() for z, v in enumerate(vec)}
+    return probs
+
+
 def kernel_row(params: PoissonKernelParams, scale: int, truncation: int) -> LatticeDistribution:
     """Row of the scale-fold kernel from the origin, truncated to a box."""
     rates = tuple(scale * r for r in params.floats())
-    probs = {}
-    for y in _grid(params.m, truncation):
-        mass = 1.0
-        for ai, yi in zip(rates, y):
-            mass *= poisson_mass(ai, yi)
-        if mass:
-            probs[y] = mass
+    probs = _box_product(_masses(r, truncation) for r in rates)
     tail = sum(poisson_tail(r, truncation) for r in rates)
     return LatticeDistribution(probs, tail)
 
@@ -139,12 +146,9 @@ def kstep_semigroup_check(
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    m = params.m
-    rates = params.floats()
-    grid = _grid(m, truncation)
     marginals = []
-    for ai in rates:
-        pm = [poisson_mass(ai, z) for z in range(truncation + 1)]
+    for ai in params.floats():
+        pm = _masses(ai, truncation)
         vec = [1.0] + [0.0] * truncation
         for _ in range(k):
             new = [0.0] * (truncation + 1)
@@ -154,27 +158,16 @@ def kstep_semigroup_check(
                         new[x + z] += px * pm[z]
             vec = new
         marginals.append(vec)
-    probs = {}
-    for y in grid:
-        mass = 1.0
-        for vec, yi in zip(marginals, y):
-            mass *= vec[yi]
-        probs[y] = mass
+    probs = _box_product(marginals)
     direct = kernel_row(params, k, truncation)
     # Increments are nonnegative, so a k-step path leaves the box exactly when
     # its endpoint does: the iterated row misses the same mass as the direct row.
     iterated = LatticeDistribution(probs, direct.tail_bound)
     worst = 0.0
-    for y in grid:
+    for y in probs:
         worst = max(worst, abs(iterated.mass(y) - direct.mass(y)))
     tail = direct.tail_bound
     return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))
-
-
-def _grid(m: int, truncation: int):
-    import itertools
-
-    return list(itertools.product(range(truncation + 1), repeat=m))
 
 
 def tv_bound(a_i, k: int) -> float:

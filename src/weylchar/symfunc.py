@@ -169,12 +169,12 @@ def sum_powers(values, r: int):
 
 
 @cache
-def schur_to_power_sums(lam: Partition, max_n: int = POWER_SUM_MAX_N) -> PowerSumExpansion:
+def schur_to_power_sums(lam: Partition) -> PowerSumExpansion:
     """Expansion coefficients chi^lam(rho)/z_rho over all cycle types rho of |lam|."""
     lam = Partition(tuple(lam))
     n = lam.size
-    if n > max_n:
-        raise BudgetExceeded(f"power-sum expansion bound exceeded: |lam| = {n} > {max_n}")
+    if n > POWER_SUM_MAX_N:
+        raise BudgetExceeded(f"power-sum expansion bound exceeded: |lam| = {n} > {POWER_SUM_MAX_N}")
     if n == 0:
         return PowerSumExpansion(lam, {EMPTY: Fraction(1)})
     coeffs: dict[Partition, Fraction] = {}

@@ -129,11 +129,7 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
 
 def normalized_char(sig: Signature, u: DiagonalUnitary, exact: bool = False):
     """char_eval divided by the Weyl dimension; modulus at most 1."""
-    dim = weyl_dim(sig)
-    value = char_eval(sig, u, exact=exact)
-    if isinstance(value, QQi):
-        return value / QQi.of(Fraction(dim))
-    return value / dim
+    return char_eval(sig, u, exact=exact) / weyl_dim(sig)
 
 
 @dataclass(frozen=True)
@@ -285,16 +281,16 @@ def rational_approx_defect(lam: Partition, mu: Partition, u: DiagonalUnitary) ->
     """|chi_{mu;lam}(u) - (Tr u / d)^{|lam|} (conj Tr u / d)^{|mu|}|.
 
     The deviation decays like 1/d (faster for some pairs); the caller inspects
-    the d-scaling.
+    the d-scaling.  The character is the GT sum at exact or float values alike:
+    the alternant quotient loses every digit on near-confluent float spectra.
     """
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
     d = u.d
     sig = signature_from_pair(lam, mu, d)
-    ev = u.exact_values()
-    if ev is not None:
-        chi = complex(normalized_char(sig, u, exact=True))
-    else:
-        chi = complex(eval_by_gt(sig.entries, u.complex_values())) / weyl_dim(sig)
+    values = u.exact_values()
+    if values is None:
+        values = u.complex_values()
+    chi = complex(eval_by_gt(sig.entries, values) / weyl_dim(sig))
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
     return abs(chi - target)

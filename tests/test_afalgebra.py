@@ -463,3 +463,143 @@ def test_primitivity_matches_integer_products():
         assert report.primitive_within_depth is expected, diagram.mults
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_uhf_continuation_in_phase():
+    # The periodic tail continues from the stored depth: it is exactly the
+    # next steps of the same preset built deeper.
+    for name in ("uhf:2,3", "uhf:2,3,5"):
+        for depth in range(1, 8):
+            short = preset_diagram(name, depth=depth)
+            deep = preset_diagram(name, depth=depth + len(short.continuation))
+            assert short.continuation == deep.mults[depth:], (name, depth)
+    # Lifting (2,): x2 steps always divide out once, x3 steps fail at once.
+    for depth, step in ((2, 2), (3, 1), (4, 2), (5, 1)):
+        hom = K0Hom.from_deepest(preset_diagram("uhf:2,3", depth=depth), (2,))
+        assert k0_extension_obstruction(hom) == step, depth
+
+
+# The per-type branches that `trace_value`, `eval_limit_character`,
+# `det_phi_turn` and `det_phi` had before they shared one value path, kept
+# verbatim as references.
+
+
+def _trace_value_ref(u, tw):
+    weights = tw.weights[u.level]
+    exact_blocks = [b.exact_values() for b in u.blocks]
+    if all(ev is not None for ev in exact_blocks):
+        total = QQi.of(0)
+        for w, ev in zip(weights, exact_blocks):
+            s = QQi.of(0)
+            for z in ev:
+                s = s + z
+            total = total + QQi.of(w) * s
+        return total
+    total_c = 0j
+    for w, block in zip(weights, u.blocks):
+        total_c += float(w) * sum(block.complex_values())
+    return total_c
+
+
+def _det_phi_turn_ref(u, hom):
+    phi = hom.vectors[u.level]
+    total = Fraction(0)
+    exact = True
+    acc = 0.0
+    for w, block in zip(phi, u.blocks):
+        for a in block.angles:
+            if isinstance(a, Fraction) and exact:
+                total += w * a
+            else:
+                exact = False
+            acc += w * float(a)
+    return total % 1 if exact else acc % 1.0
+
+
+def _det_phi_ref(u, hom):
+    from weylchar.exact import exact_unit, unit_complex
+
+    turn = _det_phi_turn_ref(u, hom)
+    if isinstance(turn, Fraction):
+        ev = exact_unit(turn)
+        if ev is not None:
+            return ev
+        return unit_complex(turn)
+    return unit_complex(turn)
+
+
+def _eval_limit_character_ref(spec, u):
+    factors = []
+    if spec.phi is not None and not spec.phi.is_zero():
+        factors.append(_det_phi_ref(u, spec.phi))
+    for tw, p in spec.pos_traces:
+        t = _trace_value_ref(u, tw)
+        factors.extend([t] * p)
+    for tw, q in spec.neg_traces:
+        t = _trace_value_ref(u, tw)
+        conj = t.conjugate() if isinstance(t, QQi) else complex(t).conjugate()
+        factors.extend([conj] * q)
+    if all(isinstance(x, QQi) for x in factors):
+        out = QQi.of(1)
+        for x in factors:
+            out = out * x
+        return out
+    out = 1 + 0j
+    for x in factors:
+        out *= complex(x)
+    return out
+
+
+def _random_angle(rng, kind):
+    if kind == "quarter":
+        return F(rng.randrange(4), 4)
+    if kind == "rational":
+        return F(rng.randrange(12), 12)
+    return rng.random()
+
+
+def _random_block_unitary(rng, diagram, level, kind):
+    blocks = []
+    for d in diagram.levels[level]:
+        block_kind = rng.choice(("quarter", "rational", "float")) if kind == "mixed" else kind
+        blocks.append(DiagonalUnitary(tuple(_random_angle(rng, block_kind) for _ in range(d))))
+    return BlockUnitary(level, tuple(blocks))
+
+
+def _same(new, ref):
+    return type(new) is type(ref) and new == ref
+
+
+def test_value_path_matches_per_type_branches():
+    import random
+
+    rng = random.Random(9)
+    kinds = ("quarter", "rational", "float", "mixed")
+    types = {"trace_value": set(), "det_phi_turn": set(), "det_phi": set(), "limit": set()}
+    for name in ("car", "uhf:2,3", "effros-shen", "gicar-excluded"):
+        diagram = preset_diagram(name, depth=5)
+        nb = len(diagram.levels[-1])
+        tws = [trace_weights(diagram)] + [trace_weights(diagram, boundary=j) for j in range(nb)]
+        for trial in range(80):
+            kind = kinds[trial % len(kinds)]
+            level = rng.randint(0, diagram.depth)
+            u = _random_block_unitary(rng, diagram, level, kind)
+            hom = K0Hom.from_deepest(diagram, tuple(rng.randint(-3, 3) for _ in range(nb)))
+            tw = rng.choice(tws)
+            outs = {
+                "trace_value": (trace_value(u, tw), _trace_value_ref(u, tw)),
+                "det_phi_turn": (det_phi_turn(u, hom), _det_phi_turn_ref(u, hom)),
+                "det_phi": (det_phi(u, hom), _det_phi_ref(u, hom)),
+            }
+            spec = LimitCharacterSpec(
+                rng.choice((None, hom, K0Hom.zero(diagram))),
+                tuple((rng.choice(tws), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))),
+                tuple((rng.choice(tws), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))),
+            )
+            outs["limit"] = (eval_limit_character(spec, u), _eval_limit_character_ref(spec, u))
+            for fn, (new, ref) in outs.items():
+                assert _same(new, ref), (fn, name, u, spec)
+                types[fn].add(type(new))
+    # Both the exact and the float side of every function ran.
+    assert types["det_phi_turn"] == {Fraction, float}
+    assert all(types[fn] == {QQi, complex} for fn in ("trace_value", "det_phi", "limit"))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylchar
 from weylchar.cli import main
 
@@ -240,6 +242,22 @@ def test_budget_flags_reject_zero(capsys):
         code, payload, err = run_cli(capsys, argv)
         assert code == 2 and payload is None, argv
         assert "budgets must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["validate-diagram"], "--diagram --file"),
+        (["branch", "--op", "tensor", "--sig1", "1,0"], "--sig2"),
+        (["branch", "--op", "restrict", "--sig", "1,0,-1"], "--d1, --d2"),
+        (["moments", "--r", "2"], "--sig"),
+        (["moments", "--sig", "1,0,0,-1"], "--r"),
+    ],
+)
+def test_missing_mode_flag_is_a_usage_error(capsys, argv, missing):
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert missing in err and "Traceback" not in err
 
 
 def test_validate_diagram_invalid_file_exit_code(tmp_path, capsys):

@@ -30,3 +30,11 @@ def test_pow_matches_repeated_multiplication(base):
 def test_pow_rejects_non_integer_exponent():
     with pytest.raises(TypeError):
         QQI_I ** 0.5
+
+
+def test_hash_agrees_with_rational_equality():
+    # A real QQi equals its rational, so it must land in the same hash slot.
+    assert QQi.of(F(1, 2)) == F(1, 2)
+    assert {F(1, 2): "x"}.get(QQi.of(F(1, 2))) == "x"
+    assert len({QQi.of(1), 1}) == 1
+    assert len({QQI_I, QQi(F(0), F(1)), QQI_ONE}) == 2

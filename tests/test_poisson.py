@@ -120,6 +120,38 @@ def test_kstep_matches_joint_convolution():
         assert (new.k, new.tail_bound, new.passed) == (ref.k, ref.tail_bound, ref.passed)
 
 
+def _kernel_row_ref(params, scale, truncation):
+    """The joint-grid row that the per-coordinate mass products replaced."""
+    rates = tuple(scale * r for r in params.floats())
+    probs = {}
+    for y in itertools.product(range(truncation + 1), repeat=params.m):
+        mass = 1.0
+        for ai, yi in zip(rates, y):
+            mass *= poisson_mass(ai, yi)
+        if mass:
+            probs[y] = mass
+    return LatticeDistribution(probs, sum(poisson_tail(r, truncation) for r in rates))
+
+
+def test_kernel_row_matches_joint_grid():
+    # Same products in the same order, so the rows are equal, not just close.
+    for rates, truncation in (
+        ((1,), 40),
+        ((F(3, 2),), 200),
+        ((0.37,), 35),
+        ((F(1, 2), 2), 20),
+        ((0.25, F(5, 4)), 30),
+        ((F(1, 8), F(1, 6), 3), 8),
+        ((0.9, F(1, 3), F(7, 4)), 10),
+    ):
+        params = PoissonKernelParams(rates)
+        for scale in (1, 3):
+            new = kernel_row(params, scale, truncation)
+            ref = _kernel_row_ref(params, scale, truncation)
+            assert new.probs == ref.probs, (rates, truncation, scale)
+            assert new.tail_bound == ref.tail_bound
+
+
 def test_kstep_tail_covers_the_missing_mass():
     # A union bound over single steps, k * sum_i P(Poisson(a_i) > T), fell
     # short of the mass the iterated row misses on these inputs.

@@ -229,6 +229,45 @@ def test_defect_examples():
         assert abs(rational_approx_defect(P((1,)), P((1,)), half) - expected) < 1e-12
 
 
+def _rational_approx_defect_gt_ref(lam, mu, u):
+    """rational_approx_defect on a float spectrum, written out: the GT sum at its values."""
+    from weylchar.combinatorics import signature_from_pair
+    from weylchar.symfunc import eval_by_gt
+
+    d = u.d
+    sig = signature_from_pair(lam, mu, d)
+    chi = complex(eval_by_gt(sig.entries, u.complex_values())) / weyl_dim(sig)
+    tr = u.trace()
+    target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
+    return abs(chi - target)
+
+
+def test_defect_float_route_is_the_gt_sum():
+    # Float spectra keep the GT sum, bit for bit, also where eigenvalues sit
+    # close together: there the alternant quotient of char_eval is off by
+    # up to 1e67 (d = 8, spacing 1e-7 turns).
+    rng = random.Random(31)
+    pairs = [((1,), ()), ((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((2, 1), (1,))]
+    spacings = (None, None, 1e-3, 1e-5, 1e-7)
+    for trial in range(300):
+        d = rng.randint(2, 8)
+        lam, mu = (P(x) for x in rng.choice(pairs))
+        if lam.length + mu.length > d:
+            continue
+        spacing = spacings[trial % len(spacings)]
+        if spacing is None:
+            angles = [rng.random() for _ in range(d)]
+        else:
+            start = rng.random()
+            angles = [start + k * spacing for k in range(d)]
+        if trial % 4 == 0:
+            angles[1:] = [rng.choice(angles) for _ in range(d - 1)]
+        u = DiagonalUnitary(tuple(angles))
+        defect = rational_approx_defect(lam, mu, u)
+        assert defect == _rational_approx_defect_gt_ref(lam, mu, u), (lam, mu, angles)
+        assert defect <= 2
+
+
 def test_defect_rate_bounded():
     for lam, mu in (((2,), (1,)), ((1, 1), (2,))):
         scaled = []
