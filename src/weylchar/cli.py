@@ -339,6 +339,8 @@ def cmd_validate_diagram(args) -> int:
     from weylchar import afalgebra
 
     if args.file:
+        if args.depth is not None:
+            raise ValueError("validate-diagram --file takes no --depth: the file fixes its levels")
         with open(args.file) as fh:
             diagram = afalgebra.BratteliDiagram.from_json(json.load(fh))
     else:
@@ -424,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--diagram", help="preset name")
     source.add_argument("--file", help="JSON diagram file")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=positive_int, help="preset depth (presets only)")
     p.set_defaults(func=cmd_validate_diagram)
 
     return parser

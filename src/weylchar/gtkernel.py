@@ -11,12 +11,14 @@ order cuts into runs of m same-group coordinates.  The kernel then jumps
 over each run in one step instead of walking it one GT row at a time: from
 the row lam of length k to every row nu of length k - m with
 lam_i >= nu_i >= lam_{i+m}, each jump carrying the multiplicity
-s_{lam/nu}(1^m) (the number of GT strips between the two rows), computed by
-the dual Jacobi-Trudi determinant det[C(m, lam'_i - nu'_j - i + j)]
-(Macdonald, Symmetric Functions and Hall Polynomials, I.5) with integer
-Bareiss elimination.  The bottom run jumps to the empty row, so the
-multiplicity there is the dimension s_lam(1^m).  The memo table lives for one
-call only.
+s_{lam/nu}(1^m) (the number of GT strips between the two rows).  For
+m >= 3 that is the dual Jacobi-Trudi determinant det[C(m, lam'_i - nu'_j - i + j)]
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5), computed with
+integer Bareiss elimination.  A run of two has one middle row mu, whose
+entries range independently between lam and nu (GT interlacing), so its
+multiplicity is a product of interval lengths and needs no determinant.  The
+bottom run jumps to the empty row, so the multiplicity there is the dimension
+s_lam(1^m).  The memo table lives for one call only.
 """
 
 from __future__ import annotations
@@ -57,10 +59,15 @@ def group_counts(
             return hit
         g, m = runs[r]
         total = sum(lam)
-        lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 1 else ()
+        lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 2 else ()
         out: dict[tuple[int, ...], int] = {}
         for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
-            mult = 1 if m == 1 else _skew_dim(lam, lam_conj, nu, m)
+            if m == 1:
+                mult = 1
+            elif m == 2:
+                mult = _two_row_strips(lam, nu)
+            else:
+                mult = _skew_dim(lam, lam_conj, nu, m)
             w = total - sum(nu)
             for e, n in rec(nu, r - 1).items():
                 if w:
@@ -98,6 +105,21 @@ def _conjugate(row: tuple[int, ...], base: int, top: int) -> tuple[int, ...]:
     ascending = row[::-1]
     n = len(row)
     return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
+
+
+def _two_row_strips(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """s_{lam/nu}(1^2) for len(nu) = len(lam) - 2: the middle rows mu between them.
+
+    mu interlaces both rows, so each entry mu_i ranges independently over
+    max(lam_{i+1}, nu_i) .. min(lam_i, nu_{i-1}), with nu_{-1} = +inf and
+    nu_{k-2} = -inf; lam_0 and lam_{k-1} stand in for the two infinities.
+    """
+    mult = 1
+    for a, b, hi, lo in zip(lam, lam[1:], (lam[0],) + nu, nu + (lam[-1],)):
+        mult *= (a if a < hi else hi) - (b if b > lo else lo) + 1
+    if mult <= 0:
+        raise InvariantError(f"GT jump with {mult} strips: lam={lam}, nu={nu}, m=2")
+    return mult
 
 
 def _skew_dim(lam, lam_conj, nu, m) -> int:

@@ -15,6 +15,11 @@ sum scales each spectrum by the lcm D of its denominators, so its power sums
 are integers, and weights each cycle type by the integer class-size times
 character value n! chi^lam / z; the lam terms add over the lcm of the
 s_lam(1_d), and the total is divided once by (n!)^2 D_A^n D_B^n.
+
+The brute-force side works on integer counts too: the GT pattern counts are
+tallied by k as integers, each mass is one `Fraction` of its tally over the
+dimension, and a moment is one integer sum of k^p times the masses' numerators
+over their common denominator.
 """
 
 from __future__ import annotations
@@ -126,12 +131,17 @@ class WeightDistribution:
         probs = {int(k): Fraction(v) for k, v in self.probs.items() if v != 0}
         if any(v < 0 for v in probs.values()):
             raise ValueError("negative mass")
-        if sum(probs.values(), Fraction(0)) != 1:
+        # Every mass as an integer over the common denominator of the masses.
+        den = math.lcm(*(v.denominator for v in probs.values()))
+        scaled = {k: v.numerator * (den // v.denominator) for k, v in probs.items()}
+        if sum(scaled.values()) != den:
             raise ValueError("masses must sum to 1")
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_den", den)
 
     def moment(self, p: int) -> Fraction:
-        return sum((Fraction(k**p) * v for k, v in self.probs.items()), Fraction(0))
+        return Fraction(sum(k**p * c for k, c in self._scaled.items()), self._den)
 
     def moment_ratio(self) -> Fraction | None:
         """<k^4>/<k^2>^2, the tightness diagnostic; None for the point mass at 0."""
@@ -167,12 +177,14 @@ def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistributio
     if f.d != sig.d:
         raise ValueError(f"F lives on d = {f.d}, signature on d = {sig.d}")
     counts = group_counts(sig.entries, f.groups(), 3)
-    dim = weyl_dim(sig)
-    masses: dict[int, Fraction] = {}
+    tally: dict[int, int] = {}
     for (plus, minus, _zero), mult in counts.items():
         k = plus - minus
-        masses[k] = masses.get(k, Fraction(0)) + Fraction(mult, dim)
-    return WeightDistribution(masses)
+        tally[k] = tally.get(k, 0) + mult
+    # The Weyl dimension, not the tally's total: the sum-to-one check then
+    # tests the kernel's pattern count against it.
+    dim = weyl_dim(sig)
+    return WeightDistribution({k: Fraction(c, dim) for k, c in tally.items()})
 
 
 def moment(dist: WeightDistribution, p: int) -> Fraction:

@@ -350,10 +350,12 @@ def lr_coefficient(nu: Partition, alpha: Partition, beta: Partition) -> int:
     return _ballot_fillings(nu, alpha, beta.parts).get(beta, 0)
 
 
-def skew_expand(nu: Partition, alpha: Partition) -> dict[Partition, int]:
-    """Expansion of the skew Schur function s_{nu/alpha} into {beta: c^nu_{alpha,beta}}.
+def skew_expand(nu: Partition, alpha: Partition, max_length: int) -> dict[Partition, int]:
+    """s_{nu/alpha} in max_length variables, as {beta: c^nu_{alpha,beta}}.
 
-    One tableau walk over all ballot contents at once.
+    Only the beta with at most max_length parts appear.  One tableau walk
+    over all ballot contents at once, with values capped at max_length, so no
+    content with more parts ever enters the walk.
     """
     nu, alpha = Partition(tuple(nu)), Partition(tuple(alpha))
     if not nu.contains(alpha):
@@ -361,7 +363,7 @@ def skew_expand(nu: Partition, alpha: Partition) -> dict[Partition, int]:
     size = nu.size - alpha.size
     if size == 0:
         return {EMPTY: 1}
-    return _ballot_fillings(nu, alpha, (size,) * size)
+    return _ballot_fillings(nu, alpha, (size,) * min(size, max_length))
 
 
 def lr_product(alpha: Partition, beta: Partition, max_length: int) -> dict[Partition, int]:

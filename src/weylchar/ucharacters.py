@@ -192,9 +192,7 @@ def restrict_to_blocks(
     a, nu = _det_shift(sig)
     comps: list[tuple[Signature, Signature, int]] = []
     for alpha in _subpartitions_bounded(nu, d1):
-        for beta, mult in skew_expand(nu, alpha).items():
-            if beta.length > d2:
-                continue
+        for beta, mult in skew_expand(nu, alpha, d2).items():
             s1 = Signature(tuple(alpha.part(i) - a for i in range(d1)))
             s2 = Signature(tuple(beta.part(i) - a for i in range(d2)))
             comps.append((s1, s2, mult))

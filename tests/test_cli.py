@@ -77,7 +77,7 @@ def test_broken_invariant_exit_code(capsys, monkeypatch):
 
     # A skew expansion that drops every term breaks the restriction's
     # dimension check: an internal bug, told apart from a usage error.
-    monkeypatch.setattr(ucharacters, "skew_expand", lambda nu, alpha: {})
+    monkeypatch.setattr(ucharacters, "skew_expand", lambda nu, alpha, max_length: {})
     code, payload, err = run_cli(
         capsys, ["branch", "--op", "restrict", "--sig", "1,0,-1", "--d1", "1", "--d2", "2"]
     )
@@ -221,6 +221,35 @@ def test_validate_diagram_file(tmp_path, capsys):
     path.write_text(json.dumps(preset_diagram("effros-shen").to_json()))
     code, payload, _ = run_cli(capsys, ["validate-diagram", "--file", str(path)])
     assert code == 0 and payload["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--file", "{file}", "--depth", "2"], "--depth"),
+        (["--file", "{file}", "--depth", "9"], "--depth"),
+        (["--diagram", "car", "--depth", "0"], "argument --depth"),
+        (["--diagram", "car", "--depth", "-3"], "argument --depth"),
+        (["--diagram", "effros-shen", "--depth", "x"], "argument --depth"),
+    ],
+)
+def test_validate_diagram_rejects_misused_depth(tmp_path, capsys, extra, named):
+    from weylchar.afalgebra import preset_diagram
+
+    path = tmp_path / "car7.json"
+    path.write_text(json.dumps(preset_diagram("car", depth=7).to_json()))
+    argv = ["validate-diagram"] + [a.format(file=path) for a in extra]
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert named in err and "Traceback" not in err
+
+
+def test_validate_diagram_depth_is_the_preset_depth(capsys):
+    for depth in (1, 3, 8):
+        code, payload, _ = run_cli(
+            capsys, ["validate-diagram", "--diagram", "car", "--depth", str(depth)]
+        )
+        assert code == 0 and len(payload["min_dims"]) == depth + 1
 
 
 def test_output_file_option(tmp_path, capsys):

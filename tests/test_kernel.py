@@ -117,3 +117,20 @@ def test_group_counts_exponents_sum_to_signature_weight():
     counts = gtkernel.group_counts(entries, (0, 1, 1), 2)
     for exps in counts:
         assert sum(exps) == sum(entries)
+
+
+def test_two_row_product_matches_jacobi_trudi():
+    """s_{lam/nu}(1^2) as a product of interval lengths equals the determinant."""
+    checked = bottom = 0
+    for d in range(2, 8):
+        for lam in itertools.product(range(3, -4, -1), repeat=d):
+            if any(lam[i] < lam[i + 1] for i in range(d - 1)):
+                continue
+            conj = gtkernel._conjugate(lam, lam[-1], lam[0])
+            # Every nu with lam_i >= nu_i >= lam_{i+2}; nu = () when d = 2.
+            for nu in gtkernel._rows_between(lam[: d - 2], lam[2:]):
+                product = gtkernel._two_row_strips(lam, nu)
+                assert product == gtkernel._skew_dim(lam, conj, nu, 2), (lam, nu)
+                checked += 1
+                bottom += nu == ()
+    assert bottom == 28 and checked > 100_000

@@ -475,3 +475,70 @@ def test_hciz_power_sum_matches_fraction_reference():
     assert hciz_power_sum(zero, HermitianSpectrum((1, 2, 3)), 3) == 0
     with pytest.raises(ValueError):
         hciz_power_sum(zero, zero, -1)
+
+
+def _weight_distribution_ref(sig, f):
+    """The per-pattern `Fraction` sum that the integer tally replaced."""
+    from weylchar.gtkernel import group_counts
+
+    if f.d != sig.d:
+        raise ValueError(f"F lives on d = {f.d}, signature on d = {sig.d}")
+    counts = group_counts(sig.entries, f.groups(), 3)
+    dim = weyl_dim(sig)
+    masses: dict[int, Fraction] = {}
+    for (plus, minus, _zero), mult in counts.items():
+        k = plus - minus
+        masses[k] = masses.get(k, Fraction(0)) + Fraction(mult, dim)
+    return WeightDistribution(masses)
+
+
+def _moment_ref(dist, p):
+    """The per-mass `Fraction` moment that the common-denominator sum replaced."""
+    return sum((Fraction(k**p) * v for k, v in dist.probs.items()), Fraction(0))
+
+
+def _assert_same_moments(dist, ref_probs):
+    for p in range(7):
+        new, ref = dist.moment(p), _moment_ref(WeightDistribution(ref_probs), p)
+        assert new == ref and repr(new) == repr(ref), (ref_probs, p)
+
+
+def test_integer_tally_matches_fraction_reference():
+    cases = 0
+    for d in range(4, 8):
+        for sig in signatures_with_entries(d, -2, 2):
+            for r in range(2, d + 1, 2):
+                f = TraceZeroSigned(r, d)
+                new, ref = weight_distribution(sig, f), _weight_distribution_ref(sig, f)
+                assert new.probs == ref.probs, (sig, r)
+                assert all(type(v) is Fraction for v in new.probs.values())
+                _assert_same_moments(new, ref.probs)
+                cases += 1
+    assert cases == 2012
+
+
+def test_moment_over_unequal_denominators():
+    rng = random.Random(23)
+    for _ in range(200):
+        support = rng.sample(range(-9, 10), rng.randint(1, 6))
+        weights = [F(rng.randint(1, 30), rng.randint(1, 40)) for _ in support]
+        total = sum(weights)
+        probs = {k: w / total for k, w in zip(support, weights)}
+        _assert_same_moments(WeightDistribution(probs), probs)
+    probs = {-3: F(1, 6), 0: F(1, 4), 2: F(7, 12)}
+    dist = WeightDistribution(probs)
+    assert dist.moment(1) == F(2, 3) and dist.moment(0) == 1
+    _assert_same_moments(dist, probs)
+    # Zero masses drop out; a denominator-1 mass keeps its own scale.
+    assert WeightDistribution({5: F(1), 2: F(0)}).moment(3) == 125
+
+
+def test_distribution_constructor_errors():
+    with pytest.raises(ValueError, match="negative mass"):
+        WeightDistribution({0: F(3, 2), 1: F(-1, 2)})
+    with pytest.raises(ValueError, match="masses must sum to 1"):
+        WeightDistribution({0: F(1, 3), 1: F(1, 2)})
+    with pytest.raises(ValueError, match="masses must sum to 1"):
+        WeightDistribution({0: F(2, 3), 1: F(1, 2)})
+    with pytest.raises(ValueError, match="masses must sum to 1"):
+        WeightDistribution({})

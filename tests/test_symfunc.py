@@ -275,9 +275,9 @@ def test_lr_product_matches_coefficient():
 
 def test_skew_expand_matches_coefficient():
     nu, alpha = P((3, 2, 1)), P((2, 1))
-    for beta, c in skew_expand(nu, alpha).items():
+    for beta, c in skew_expand(nu, alpha, 3).items():
         assert lr_coefficient(nu, alpha, beta) == c
-    total = sum(c * sym_group_dim(b) for b, c in skew_expand(nu, alpha).items())
+    total = sum(c * sym_group_dim(b) for b, c in skew_expand(nu, alpha, 3).items())
     assert total > 0
 
 
@@ -393,7 +393,8 @@ def test_ballot_walk_matches_separate_walks():
         assert c == _lr_coefficient_ref(nu, alpha, beta), (nu, alpha, beta)
         nonzero += c > 0
         # Same terms in the same order.
-        assert list(skew_expand(nu, alpha).items()) == list(_skew_expand_ref(nu, alpha).items())
+        full = skew_expand(nu, alpha, nu.size - alpha.size)
+        assert list(full.items()) == list(_skew_expand_ref(nu, alpha).items())
     assert nonzero > 50
 
 
@@ -431,3 +432,21 @@ def test_schur_eval_symmetric_in_variables():
         base = schur_eval_exact(lam, tuple(xs))
         rng.shuffle(xs)
         assert schur_eval_exact(lam, tuple(xs)) == base
+
+
+def test_skew_expand_caps_the_length():
+    """Capping the walk at n values equals the full expansion filtered to l(beta) <= n."""
+    cases = 0
+    for size in range(10):
+        for nu in partitions_of(size):
+            for a in range(size + 1):
+                for alpha in partitions_of(a):
+                    if not nu.contains(alpha):
+                        continue
+                    skew = size - a
+                    full = list(skew_expand(nu, alpha, skew).items())
+                    for n in range(1, skew + 1):
+                        capped = list(skew_expand(nu, alpha, n).items())
+                        assert capped == [(b, c) for b, c in full if b.length <= n], (nu, alpha, n)
+                        cases += 1
+    assert cases > 5000
