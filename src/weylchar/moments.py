@@ -368,14 +368,24 @@ def product_moment_identity(dists) -> WeightDistribution:
 
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar-distributed unitaries via QR with R-diagonal phase fix."""
+    """Stack of Haar-distributed unitaries via QR with R-diagonal phase fix.
+
+    Works in place where it can: at d = 8 one chunk array is 8 MB, and every
+    extra live copy raises the process's peak memory.
+    """
     import numpy as np
 
-    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    q, r = np.linalg.qr(z / math.sqrt(2))
+    z = np.empty((count, d, d), dtype=complex)
+    z.real = rng.standard_normal((count, d, d))
+    z.imag = rng.standard_normal((count, d, d))
+    z /= math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    del z
     diag = np.einsum("sii->si", r)
     phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    del r, diag
+    q *= phases[:, None, :]
+    return q
 
 
 @dataclass(frozen=True)

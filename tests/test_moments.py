@@ -232,6 +232,26 @@ def test_haar_sampler_moments():
     assert abs(second - 1) <= 3 * err2
 
 
+def _haar_unitaries_ref(d, count, rng):
+    """The out-of-place sampler that the in-place one replaced."""
+    import math
+
+    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    q, r = np.linalg.qr(z / math.sqrt(2))
+    diag = np.einsum("sii->si", r)
+    phases = diag / np.abs(diag)
+    return q * phases[:, None, :]
+
+
+def test_haar_sampler_matches_out_of_place_reference():
+    for d, count in ((1, 5), (2, 1000), (3, 8192), (8, 8192), (8, 1808), (11, 17)):
+        for seed in (0, 1, 99):
+            new = haar_unitaries(d, count, np.random.default_rng(seed))
+            ref = _haar_unitaries_ref(d, count, np.random.default_rng(seed))
+            assert new.dtype == ref.dtype and new.shape == ref.shape
+            assert new.tobytes() == ref.tobytes(), (d, count, seed)
+
+
 def test_hciz_monte_carlo_zero_matrix():
     a = HermitianSpectrum((0, 0, 0))
     b = HermitianSpectrum((1, 0, -1))
