@@ -6,13 +6,15 @@ signature with entries in [-2,2], every admissible even r), a deep-tower
 confluent character evaluation with the two eigenvalues on contiguous
 halves, and the CAR tower at d in {256, 512} with the eigenvalues interleaved
 the way the tower embedding lays them out.  Exits 1 unless every checksum
-matches; each checksum is a sum of Weyl dimensions.
+matches; each checksum is a sum of Weyl dimensions.  The kernel's shared
+node memo is cleared before each timed repetition, so the times are cold.
 Usage: python3 benchmarks/bench_gt.py
 """
 
 import sys
 import time
 
+from weylchar import gtkernel
 from weylchar.combinatorics import signatures_with_entries
 from weylchar.gtkernel import group_counts
 from weylchar.moments import TraceZeroSigned
@@ -59,6 +61,7 @@ def run(label, workload, repeats=3):
     best = float("inf")
     result = None
     for _ in range(repeats):
+        gtkernel._node.cache_clear()
         start = time.perf_counter()
         result = workload()
         best = min(best, time.perf_counter() - start)

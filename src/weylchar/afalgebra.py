@@ -202,8 +202,11 @@ def preset_diagram(name: str, depth: int | None = None) -> BratteliDiagram:
 
     Names: "car", "uhf:<k1,k2,...>" (factors cycled), "effros-shen[:<cf terms>]"
     (golden mean by default), "gicar-excluded" (the Pascal diagram; valid but
-    not simple, excluded from the simplicity-dependent guarantees).
+    not simple, excluded from the simplicity-dependent guarantees).  `depth`
+    None means the preset's default depth; otherwise it must be at least 1.
     """
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     key = name.strip().lower()
     if key == "car":
         return _uhf_diagram((2,), depth or 8, "car")

@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 def positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError("budgets must be positive")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 

@@ -18,16 +18,33 @@ integer Bareiss elimination.  A run of two has one middle row mu, whose
 entries range independently between lam and nu (GT interlacing), so its
 multiplicity is a product of interval lengths and needs no determinant.  The
 bottom run jumps to the empty row, so the multiplicity there is the dimension
-s_lam(1^m).  The memo table lives for one call only.
+s_lam(1^m).
+
+The sub-result below a row depends only on that row, the runs beneath it
+and the number of groups, so one memo, `_node`, is shared by every call: an
+`lru_cache` keyed by (row, runs below, ngroups) and bounded by
+`NODE_CACHE_SIZE` entries.  `group_counts` jumps over its own top run
+uncached, so the dict it returns is always built fresh and cached dicts never
+escape; the jump only reads them.  A node holds one entry per grouped weight
+of the patterns below its row, at most the dimension of that row's irrep,
+so the memo holds at most `NODE_CACHE_SIZE` such tables.  A moment sweep
+over every signature with entries in [-2, 2] at d = 4..7 caches 351 nodes
+(0.35 MB); the d = 7 staircase with seven groups caches 429.  A call that
+needs more nodes than the bound evicts its least recently used ones and
+recomputes them when they come back.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
 from weylchar.errors import InvariantError
+
+# About three times the 351 nodes of a full moment sweep.
+NODE_CACHE_SIZE = 1024
 
 
 def group_counts(
@@ -39,7 +56,8 @@ def group_counts(
     weight vector w; coordinate i is assigned to groups[i].  Returns a map
     from (e_0, ..., e_{ngroups-1}) to the number of patterns whose group sums
     e_g = sum(w_i for groups[i] == g) take those values.  The values sum to
-    the dimension of the irrep.
+    the dimension of the irrep.  The map is built fresh on every call, so the
+    caller may mutate it.
     """
     d = len(entries)
     if len(groups) != d:
@@ -48,35 +66,41 @@ def group_counts(
         raise ValueError("group index out of range")
 
     # Bottom run first: runs[r] covers GT rows sum(lengths[:r]) + 1 .. sum(lengths[:r+1]).
-    runs = [(g, sum(1 for _ in run)) for g, run in itertools.groupby(sorted(groups))]
-    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    runs = tuple((g, sum(1 for _ in run)) for g, run in itertools.groupby(sorted(groups)))
+    return _jump(tuple(entries), runs, ngroups)
 
-    def rec(lam: tuple[int, ...], r: int) -> dict[tuple[int, ...], int]:
-        if r < 0:
-            return {(0,) * ngroups: 1}
-        hit = memo.get(lam)
-        if hit is not None:
-            return hit
-        g, m = runs[r]
-        total = sum(lam)
-        lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 2 else ()
-        out: dict[tuple[int, ...], int] = {}
-        for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
-            if m == 1:
-                mult = 1
-            elif m == 2:
-                mult = _two_row_strips(lam, nu)
-            else:
-                mult = _skew_dim(lam, lam_conj, nu, m)
-            w = total - sum(nu)
-            for e, n in rec(nu, r - 1).items():
-                if w:
-                    e = e[:g] + (e[g] + w,) + e[g + 1 :]
-                out[e] = out.get(e, 0) + n * mult
-        memo[lam] = out
-        return out
 
-    return rec(tuple(entries), len(runs) - 1)
+def _jump(
+    lam: tuple[int, ...], runs: tuple[tuple[int, int], ...], ngroups: int
+) -> dict[tuple[int, ...], int]:
+    """Grouped counts of the GT patterns below row lam, whose runs (bottom first) are `runs`.
+
+    Jumps over the top run and reads the rows below from the shared memo; it
+    never mutates a dict that `_node` returned.
+    """
+    if not runs:
+        return {(0,) * ngroups: 1}
+    g, m = runs[-1]
+    below = runs[:-1]
+    total = sum(lam)
+    lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 2 else ()
+    out: dict[tuple[int, ...], int] = {}
+    for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
+        if m == 1:
+            mult = 1
+        elif m == 2:
+            mult = _two_row_strips(lam, nu)
+        else:
+            mult = _skew_dim(lam, lam_conj, nu, m)
+        w = total - sum(nu)
+        for e, n in _node(nu, below, ngroups).items():
+            if w:
+                e = e[:g] + (e[g] + w,) + e[g + 1 :]
+            out[e] = out.get(e, 0) + n * mult
+    return out
+
+
+_node = functools.lru_cache(maxsize=NODE_CACHE_SIZE)(_jump)
 
 
 def _rows_between(hi: tuple[int, ...], lo: tuple[int, ...]):

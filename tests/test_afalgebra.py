@@ -77,6 +77,14 @@ def test_unknown_preset():
         preset_diagram("nonsense")
 
 
+def test_preset_depth_below_one_is_rejected():
+    for name in ("car", "uhf:3", "effros-shen", "gicar-excluded"):
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+                preset_diagram(name, depth=depth)
+        assert len(preset_diagram(name, depth=1).levels) == 2
+
+
 def test_trace_weights_car():
     car = preset_diagram("car")
     tw = trace_weights(car)

@@ -266,11 +266,13 @@ def test_budget_flags_reject_zero(capsys):
         ["branch", "--op", "restrict", "--sig", "1,0,-1", "--d1", "1", "--d2", "2", "--dim-budget", "0"],
         ["poisson", "--stirling", "4", "--truncation", "0"],
         ["hciz", "--d", "3", "--samples", "0"],
+        ["validate-diagram", "--diagram", "car", "--depth", "0"],
     )
     for argv in cases:
         code, payload, err = run_cli(capsys, argv)
         assert code == 2 and payload is None, argv
-        assert "budgets must be positive" in err
+        flag = argv[-2]
+        assert f"error: argument {flag}: must be a positive integer, got 0\n" in err, argv
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 
 from weylchar import gtkernel
 from weylchar.combinatorics import Signature, enumerate_gt_patterns, gt_weight, signatures_with_entries
+from weylchar.moments import TraceZeroSigned
 
 
 def _level_by_level_counts(entries, groups, ngroups):
@@ -134,3 +135,100 @@ def test_two_row_product_matches_jacobi_trudi():
                 checked += 1
                 bottom += nu == ()
     assert bottom == 28 and checked > 100_000
+
+
+def _moment_cases(dims):
+    """The (entries, groups) of the moment sweep: every signature in [-2, 2], every even r."""
+    return [
+        (sig.entries, TraceZeroSigned(r, d).groups())
+        for d in dims
+        for sig in signatures_with_entries(d, -2, 2)
+        for r in range(2, d + 1, 2)
+    ]
+
+
+def test_shared_memo_gives_the_same_counts_warm_and_cold():
+    cases = _moment_cases((4, 5, 6, 7))
+    warm = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
+    assert gtkernel._node.cache_info().hits > 0
+    for (entries, groups), expected in zip(cases, warm):
+        gtkernel._node.cache_clear()
+        assert gtkernel.group_counts(entries, groups, 3) == expected, (entries, groups)
+
+
+def test_returned_counts_are_fresh_dicts():
+    entries, groups = (2, 1, 0, 0, -1, -2), (0, 0, 1, 1, 2, 2)
+    expected = gtkernel.group_counts(entries, groups, 3)
+    # The rows below the top are cached nodes; asking for one of them
+    # directly must not hand out the cached dict.
+    inner = gtkernel.group_counts((2, 1, 0, -1), (0, 0, 1, 1), 3)
+    inner_expected = dict(inner)
+    for counts in (gtkernel.group_counts(entries, groups, 3), inner):
+        key = next(iter(counts))
+        counts[key] += 5
+        counts[(99, 99, 99)] = 1
+    assert gtkernel.group_counts(entries, groups, 3) == expected
+    assert gtkernel.group_counts((2, 1, 0, -1), (0, 0, 1, 1), 3) == inner_expected
+
+
+def test_shared_memo_keeps_group_labels_and_ngroups_apart():
+    # Runs of equal lengths under different labels, e.g. (0, 0, 2) and
+    # (1, 1, 2), give rows below the top with the same shape but different keys.
+    three = ((0, 1, 1), (1, 0, 0), (0, 0, 2), (1, 1, 2), (0, 2, 2), (1, 2, 2))
+    four = ((0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 2, 2), (1, 1, 2, 2), (0, 1, 1, 1), (0, 2, 2, 2))
+    cases = []
+    for sig in signatures_with_entries(3, -2, 2):
+        for groups in three:
+            cases += [(sig.entries, groups, n) for n in (2, 3) if max(groups) < n]
+    for sig in signatures_with_entries(4, -1, 2):
+        for groups in four:
+            cases += [(sig.entries, groups, n) for n in (2, 3) if max(groups) < n]
+    gtkernel._node.cache_clear()
+    # Forward then backward, so each case also runs after its neighbours warmed the memo.
+    for entries, groups, ngroups in cases + cases[::-1]:
+        expected = _brute_force_counts(entries, groups, ngroups)
+        assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups, ngroups)
+
+
+def test_shared_memo_under_concurrent_calls():
+    import sys
+    import threading
+
+    cases = _moment_cases((4, 5, 6))
+    expected = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
+    mismatches = []
+
+    def worker(offset):
+        for i in range(len(cases)):
+            k = (i + offset) % len(cases)
+            counts = gtkernel.group_counts(*cases[k], 3)
+            if counts != expected[k]:
+                mismatches.append(cases[k])
+            counts.clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gtkernel._node.cache_clear()
+        threads = [threading.Thread(target=worker, args=(t * 37,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_shared_memo_stays_within_its_bound():
+    from weylchar.symfunc import weyl_dim
+
+    for entries, groups in _moment_cases((4, 5, 6)):
+        gtkernel.group_counts(entries, groups, 3)
+    car = (2, 1) + (0,) * 508 + (-1, -2)
+    counts = gtkernel.group_counts(car, tuple(i % 2 for i in range(512)), 2)
+    assert sum(counts.values()) == weyl_dim(Signature(car))
+    info = gtkernel._node.cache_info()
+    assert info.maxsize == gtkernel.NODE_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize
