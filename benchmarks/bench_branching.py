@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Checksum-gated timing of the Littlewood-Richardson branching layer.
+
+Two curves on seeded signatures: `restrict_to_blocks` against the size of
+the shifted partition (sig + a, a the smallest shift making it one), for
+sizes 10 ... 22 with two signatures each at d = 6, 7 and 8 (entries in
+[-4, 4], d1 seeded); and `tensor_decompose` against the summed shifted size
+of its two factors, for the same sizes with four pairs at d = 6 (entries in
+[-3, 3]).  Each point prints the best of three runs.  Each checksum is the
+leading hex of a sha256 over the repr of every component of its curve; the
+pinned values were computed with the per-gamma LR loop and the per-term
+signatures that the single ballot walk replaced.  Exits 1 unless both
+checksums match.
+Usage: python3 benchmarks/bench_branching.py
+"""
+
+import hashlib
+import random
+import sys
+import time
+
+from weylchar.combinatorics import Signature
+from weylchar.ucharacters import restrict_to_blocks, tensor_decompose
+
+SIZES = tuple(range(10, 23))
+RESTRICT_DS = (6, 6, 7, 7, 8, 8)
+TENSOR_D = 6
+PAIRS_PER_SIZE = 4
+DIM_BUDGET = 10**15
+
+
+def shifted_size(sig):
+    a = max(0, -sig.entries[-1])
+    return sum(e + a for e in sig.entries)
+
+
+def seeded_signature(rng, d, lo, hi, size):
+    """A signature with entries in [lo, hi] whose shifted size is `size`."""
+    while True:
+        sig = Signature(tuple(sorted((rng.randint(lo, hi) for _ in range(d)), reverse=True)))
+        if shifted_size(sig) == size:
+            return sig
+
+
+def restrict_cases(size):
+    rng = random.Random(3000 + size)
+    cases = []
+    for d in RESTRICT_DS:
+        sig = seeded_signature(rng, d, -4, 4, size)
+        cases.append((sig, rng.randint(1, d - 1)))
+    return cases
+
+
+def restrict_run(cases):
+    out = []
+    for sig, d1 in cases:
+        dec = restrict_to_blocks(sig, d1, sig.d - d1, dim_budget=DIM_BUDGET)
+        out.append([(s1.entries, s2.entries, m) for s1, s2, m in dec.components])
+    return out
+
+
+def tensor_cases(size):
+    rng = random.Random(4000 + size)
+    cases = []
+    for _ in range(PAIRS_PER_SIZE):
+        first = rng.randint(size // 3, size - size // 3)
+        cases.append((seeded_signature(rng, TENSOR_D, -3, 3, first),
+                       seeded_signature(rng, TENSOR_D, -3, 3, size - first)))
+    return cases
+
+
+def tensor_run(cases):
+    out = []
+    for sig1, sig2 in cases:
+        comps = tensor_decompose(sig1, sig2, dim_budget=DIM_BUDGET)
+        out.append([(s.entries, m) for s, m in comps])
+    return out
+
+
+CURVES = (
+    ("restrict_to_blocks", "size", restrict_cases, restrict_run, "b7d22024b4a211ef"),
+    ("tensor_decompose", "size", tensor_cases, tensor_run, "b86a6a7af74513c6"),
+)
+
+
+def timed(run, cases, repeats=3):
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run(cases)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main():
+    ok = True
+    for label, knob, make_cases, run, expected in CURVES:
+        digest = hashlib.sha256()
+        for size in SIZES:
+            cases = make_cases(size)
+            best, results = timed(run, cases)
+            for value in results:
+                digest.update(repr(value).encode() + b"\n")
+            ncomps = sum(len(value) for value in results)
+            print(f"{label:>18} {knob}={size:<3}: {best * 1000:9.2f} ms  "
+                  f"({len(cases)} cases, {ncomps} components)")
+        checksum = digest.hexdigest()[:16]
+        print(f"{label:>18}: checksum {checksum}")
+        if checksum != expected:
+            print(f"{label}: checksum {checksum} != expected {expected}", file=sys.stderr)
+            ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

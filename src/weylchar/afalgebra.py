@@ -201,9 +201,11 @@ def preset_diagram(name: str, depth: int | None = None) -> BratteliDiagram:
     """Load a named diagram.
 
     Names: "car", "uhf:<k1,k2,...>" (factors cycled), "effros-shen[:<cf terms>]"
-    (golden mean by default), "gicar-excluded" (the Pascal diagram; valid but
-    not simple, excluded from the simplicity-dependent guarantees).  `depth`
-    None means the preset's default depth; otherwise it must be at least 1.
+    (golden mean by default; explicit terms cycled like the uhf factors),
+    "gicar-excluded" (the Pascal diagram; valid but not simple, excluded from
+    the simplicity-dependent guarantees).  `depth` None means the preset's
+    default depth, which for explicit Effros-Shen terms is one step per term
+    as given; otherwise it must be at least 1.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -219,6 +221,8 @@ def preset_diagram(name: str, depth: int | None = None) -> BratteliDiagram:
         return _effros_shen_diagram((1,) * (depth or 10), key)
     if key.startswith("effros-shen:"):
         terms = tuple(int(t) for t in key[len("effros-shen:") :].split(",") if t)
+        if depth is not None and terms:
+            terms = tuple(terms[n % len(terms)] for n in range(depth))
         return _effros_shen_diagram(terms, key)
     if key in ("gicar-excluded", "gicar"):
         return _gicar_diagram(depth or 8)

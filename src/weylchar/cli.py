@@ -133,7 +133,8 @@ def cmd_branch(args) -> int:
             "total_dim": dec.total_dim(),
             "inequalities_hold": report.holds,
         }
-        emit(payload, f"restrict: {len(dec.components)} components, dim {dec.total_dim()}", args.output)
+        summary = f"restrict: {len(dec.components)} components, dim {payload['total_dim']}"
+        emit(payload, summary, args.output)
     return 0 if report.holds else 1
 
 

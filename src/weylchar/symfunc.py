@@ -289,43 +289,42 @@ def _ballot_fillings(
     caps[v-1] times (Macdonald, Symmetric Functions and Hall Polynomials,
     I.9).  A ballot content is a partition, so the result is the skew Schur
     expansion {beta: c^nu_{alpha,beta}} over the contents within the caps.
-    Leaves are tallied by content tuple, and one Partition is built per
-    distinct content at the end, not one per leaf.
+    Each cell's right and upper neighbours come earlier in the reading order,
+    so their indices (-1 outside the skew shape) are laid out once and the
+    walk reads both bounds from one flat filling.  Leaves are tallied by
+    content tuple, and one Partition is built per distinct content at the
+    end, not one per leaf.
     """
-    nrows = nu.length
-    cells = []
-    for r in range(nrows):
-        for c in range(nu.parts[r] - 1, alpha.part(r) - 1, -1):
-            cells.append((r, c))
+    right: list[int] = []
+    upper: list[int] = []
+    above_start = above_nu = above_alpha = 0
+    for r, (nu_r, alpha_r) in enumerate(zip(nu.parts, alpha.parts + (0,) * nu.length)):
+        start = len(right)
+        for c in range(nu_r - 1, alpha_r - 1, -1):
+            right.append(len(right) - 1 if c < nu_r - 1 else -1)
+            upper.append(above_start + above_nu - 1 - c if r and c >= above_alpha else -1)
+        above_start, above_nu, above_alpha = start, nu_r, alpha_r
+    ncells = len(right)
     nvals = len(caps)
-    grid = [[0] * nu.parts[r] for r in range(nrows)]
-    counts = [0] * (nvals + 1)
+    fill = [0] * ncells
+    # counts[0] stands above every count, so value 1 always passes the ballot test.
+    counts = [ncells + 1] + [0] * nvals
     found: dict[tuple[int, ...], int] = {}
 
-    def in_skew(r: int, c: int) -> bool:
-        return 0 <= r < nrows and alpha.part(r) <= c < nu.parts[r]
-
     def rec(idx: int):
-        if idx == len(cells):
+        if idx == ncells:
             content = tuple(c for c in counts[1:] if c)
             found[content] = found.get(content, 0) + 1
             return
-        r, c = cells[idx]
-        hi = nvals
-        if in_skew(r, c + 1):
-            hi = min(hi, grid[r][c + 1])
-        for v in range(1, hi + 1):
-            if counts[v] >= caps[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            if in_skew(r - 1, c) and grid[r - 1][c] >= v:
-                continue
-            grid[r][c] = v
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
+        hi = fill[right[idx]] if right[idx] >= 0 else nvals
+        lo = fill[upper[idx]] + 1 if upper[idx] >= 0 else 1
+        for v in range(lo, hi + 1):
+            n = counts[v]
+            if n < caps[v - 1] and counts[v - 1] > n:
+                fill[idx] = v
+                counts[v] = n + 1
+                rec(idx + 1)
+                counts[v] = n
 
     rec(0)
     return {Partition(content): n for content, n in found.items()}
@@ -367,15 +366,15 @@ def skew_expand(nu: Partition, alpha: Partition, max_length: int) -> dict[Partit
 
 
 def lr_product(alpha: Partition, beta: Partition, max_length: int) -> dict[Partition, int]:
-    """s_alpha * s_beta = sum c^gamma_{alpha,beta} s_gamma over l(gamma) <= max_length."""
+    """s_alpha * s_beta = sum c^gamma_{alpha,beta} s_gamma over l(gamma) <= max_length.
+
+    With b = beta_1, the skew shape nu/mu, nu = (alpha_i + b)_i followed by
+    beta and mu = (b)^{l(alpha)}, is alpha shifted b columns right above
+    beta.  The two pieces share no row or column, so s_{nu/mu} = s_alpha *
+    s_beta (Macdonald I.5), and one `skew_expand` walk gives every gamma.
+    The dict follows the walk's order.
+    """
     alpha, beta = Partition(tuple(alpha)), Partition(tuple(beta))
-    n = alpha.size + beta.size
-    out: dict[Partition, int] = {}
-    max_part = alpha.part(0) + beta.part(0)
-    for gamma in partitions_of(n, max_length=max_length, max_part=max_part):
-        if not gamma.contains(alpha):
-            continue
-        c = lr_coefficient(gamma, alpha, beta)
-        if c:
-            out[gamma] = c
-    return out
+    b = beta.part(0)
+    nu = Partition(tuple(p + b for p in alpha.parts) + beta.parts)
+    return skew_expand(nu, Partition((b,) * alpha.length), max_length)

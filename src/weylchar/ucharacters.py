@@ -142,7 +142,8 @@ class BlockDecomposition:
     components: tuple[tuple[Signature, Signature, int], ...]
 
     def total_dim(self) -> int:
-        return sum(m * weyl_dim(s1) * weyl_dim(s2) for s1, s2, m in self.components)
+        dims = {s: weyl_dim(s) for s in {s for comp in self.components for s in comp[:2]}}
+        return sum(m * dims[s1] * dims[s2] for s1, s2, m in self.components)
 
     def to_json(self) -> list[dict]:
         return [
@@ -191,10 +192,13 @@ def restrict_to_blocks(
         raise BudgetExceeded(f"irrep dimension {dim} exceeds budget {dim_budget}")
     a, nu = _det_shift(sig)
     comps: list[tuple[Signature, Signature, int]] = []
+    second: dict[Partition, Signature] = {}
     for alpha in _subpartitions_bounded(nu, d1):
+        s1 = Signature(tuple(alpha.part(i) - a for i in range(d1)))
         for beta, mult in skew_expand(nu, alpha, d2).items():
-            s1 = Signature(tuple(alpha.part(i) - a for i in range(d1)))
-            s2 = Signature(tuple(beta.part(i) - a for i in range(d2)))
+            s2 = second.get(beta)
+            if s2 is None:
+                s2 = second[beta] = Signature(tuple(beta.part(i) - a for i in range(d2)))
             comps.append((s1, s2, mult))
     comps.sort(key=lambda c: (c[0].entries, c[1].entries))
     out = BlockDecomposition(sig, d1, d2, tuple(comps))

@@ -64,6 +64,15 @@ def test_effros_shen_preset():
     assert validate_diagram(custom).valid
 
 
+def test_effros_shen_terms_cycle_to_depth():
+    for depth in (1, 5, 9, 12):
+        es = preset_diagram("effros-shen:2,3,2", depth=depth)
+        assert len(es.mults) == depth and len(es.levels) == depth + 1
+        assert [m[0][0] for m in es.mults] == [(2, 3, 2)[n % 3] for n in range(depth)]
+        assert validate_diagram(es).valid
+    assert len(preset_diagram("effros-shen:2,3,2").mults) == 3
+
+
 def test_gicar_preset_excluded_from_simplicity():
     g = preset_diagram("gicar-excluded", depth=6)
     rep = validate_diagram(g)

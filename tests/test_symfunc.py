@@ -281,6 +281,36 @@ def test_skew_expand_matches_coefficient():
     assert total > 0
 
 
+def _lr_product_ref(alpha: Partition, beta: Partition, max_length: int) -> dict[Partition, int]:
+    """The per-gamma loop that the two-piece skew walk of `lr_product` replaced."""
+    alpha, beta = Partition(tuple(alpha)), Partition(tuple(beta))
+    n = alpha.size + beta.size
+    out: dict[Partition, int] = {}
+    max_part = alpha.part(0) + beta.part(0)
+    for gamma in partitions_of(n, max_length=max_length, max_part=max_part):
+        if not gamma.contains(alpha):
+            continue
+        c = lr_coefficient(gamma, alpha, beta)
+        if c:
+            out[gamma] = c
+    return out
+
+
+def test_lr_product_matches_per_gamma_loop():
+    """Every alpha, beta with |alpha| + |beta| <= 8, empty ones included."""
+    nonempty = 0
+    for n in range(9):
+        for a in range(n + 1):
+            for alpha in partitions_of(a):
+                for beta in partitions_of(n - a):
+                    for max_length in range(1, 5):
+                        prod = lr_product(alpha, beta, max_length)
+                        assert prod == _lr_product_ref(alpha, beta, max_length), (
+                            alpha, beta, max_length)
+                        nonempty += bool(prod)
+    assert nonempty == 893
+
+
 def _lr_coefficient_ref(nu: Partition, alpha: Partition, beta: Partition) -> int:
     """The content-capped tableau walk that `_ballot_fillings` replaced."""
     nu, alpha, beta = (Partition(tuple(p)) for p in (nu, alpha, beta))

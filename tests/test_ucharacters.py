@@ -158,6 +158,34 @@ def test_restrict_weight_oracle_random():
         assert rebuilt == _weight_multiset(sig)
 
 
+# The ten restrictions of the exact_sweep benchmark workload at seed 0, as (entries, d1).
+SWEEP_RESTRICTIONS = (
+    ((4, 2, 1, 0, -1, -2, -4), 3),
+    ((4, 3, -1, -3, -4, -4), 4),
+    ((4, 2, 0, -3, -4, -4), 5),
+    ((4, 2, -1, -2, -3, -4), 1),
+    ((4, 3, 2, 1, 0, -2, -2), 4),
+    ((4, 3, 1, 1, 0, -1, -2), 3),
+    ((2, 1, 0, -1, -3, -4, -4), 2),
+    ((4, 2, 2, 1, 0, 0, -1, -1), 1),
+    ((1, 0, 0, -2, -3, -3, -4, -4), 2),
+    ((2, 1, 0, 0, -3, -4, -4, -4), 3),
+)
+
+
+def test_total_dim_matches_naive_sum():
+    rng = random.Random(59)
+    cases = list(SWEEP_RESTRICTIONS)
+    for _ in range(20):
+        d = rng.randint(2, 6)
+        entries = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+        cases.append((entries, rng.randint(1, d - 1)))
+    for entries, d1 in cases:
+        dec = restrict_to_blocks(S(entries), d1, len(entries) - d1, dim_budget=10**9)
+        naive = sum(m * weyl_dim(s1) * weyl_dim(s2) for s1, s2, m in dec.components)
+        assert dec.total_dim() == naive == weyl_dim(S(entries)), (entries, d1)
+
+
 def test_tensor_defining_reps():
     comps = tensor_decompose(S((1, 0)), S((1, 0)))
     assert [(s.entries, m) for s, m in comps] == [((1, 1), 1), ((2, 0), 1)]
