@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("hciz", help="Monte Carlo unitary integral vs exact value", parents=[common])
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

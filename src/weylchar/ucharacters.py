@@ -158,15 +158,21 @@ def _det_shift(sig: Signature) -> tuple[int, Partition]:
     return a, Partition(tuple(e + a for e in sig.entries))
 
 
-def _subpartitions_bounded(nu: Partition, max_length: int):
-    """All alpha contained in nu with at most max_length rows."""
+def _subpartitions_bounded(nu: Partition, max_length: int, depth: int):
+    """All alpha contained in nu with at most max_length rows and alpha_i >= nu_{i+depth}.
+
+    The lower bound keeps exactly the alpha for which no column of nu/alpha
+    is taller than depth, the only ones whose skew expansion in depth
+    variables is nonempty.
+    """
     rows = nu.parts[:max_length]
+    floors = [nu.part(i + depth) for i in range(len(rows))]
 
     def rec(i, prev):
         if i == len(rows):
             yield ()
             return
-        for v in range(min(rows[i], prev), -1, -1):
+        for v in range(min(rows[i], prev), floors[i] - 1, -1):
             for rest in rec(i + 1, v):
                 yield (v,) + rest
 
@@ -193,7 +199,7 @@ def restrict_to_blocks(
     a, nu = _det_shift(sig)
     comps: list[tuple[Signature, Signature, int]] = []
     second: dict[Partition, Signature] = {}
-    for alpha in _subpartitions_bounded(nu, d1):
+    for alpha in _subpartitions_bounded(nu, d1, d2):
         s1 = Signature(tuple(alpha.part(i) - a for i in range(d1)))
         for beta, mult in skew_expand(nu, alpha, d2).items():
             s2 = second.get(beta)

@@ -332,6 +332,13 @@ NUMPY_FREE_COMMANDS = (
 )
 
 
+def _child_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(weylchar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _modules_after(commands) -> list[str]:
     """Modules loaded by a fresh interpreter after running the commands through cli.main."""
     script = (
@@ -343,11 +350,8 @@ def _modules_after(commands) -> list[str]:
         "        codes.append(main(argv))\n"
         "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
     )
-    src = str(Path(weylchar.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_child_env(), timeout=120, check=True)
     out = json.loads(proc.stdout)
     assert out["codes"] == [0] * len(commands)
     return out["modules"]
@@ -359,3 +363,19 @@ def test_numpy_free_commands_do_not_import_numpy():
     modules = _modules_after(["poisson --stirling 4"])
     for name in ("symfunc", "afalgebra", "moments", "ucharacters"):
         assert f"weylchar.{name}" not in modules
+
+
+@pytest.mark.parametrize("d", ("0", "-1"))
+def test_hciz_rejects_nonpositive_d(d):
+    # Without --a/--b a random spectrum of length d is drawn until it is
+    # nonzero, which never happens for d < 1; the timeout catches that hang.
+    proc = subprocess.run([sys.executable, "-m", "weylchar.cli", "hciz", "--d", d],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"error: argument --d: must be a positive integer, got {d}\n" in proc.stderr
+
+
+def test_hciz_rejects_negative_n(capsys):
+    code, payload, err = run_cli(capsys, ["hciz", "--d", "3", "--n", "-1"])
+    assert code == 2 and payload is None
+    assert "n must be a nonnegative integer, got -1" in err

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylchar import moments
 from weylchar.combinatorics import (
     Signature,
     enumerate_gt_patterns,
@@ -13,6 +16,8 @@ from weylchar.combinatorics import (
     signatures_with_entries,
 )
 from weylchar.moments import (
+    MC_BATCH,
+    MC_CHUNK,
     HermitianSpectrum,
     J_closed,
     J_series,
@@ -297,6 +302,130 @@ def test_monte_carlo_sample_floor():
     a = HermitianSpectrum((1, -1))
     with pytest.raises(ValueError):
         hciz_monte_carlo(a, a, 2, 999, seed=1)
+
+
+@functools.lru_cache(maxsize=1)
+def _serial_traces(a, b, samples, seed):
+    """Per-sample Tr(U A U^{-1} B) from the serial chunk loop; the two modes share one draw."""
+    av = np.array([float(v) for v in a.eigenvalues])
+    bv = np.array([float(v) for v in b.eigenvalues])
+    nchunks = (samples + MC_CHUNK - 1) // MC_CHUNK
+    children = np.random.SeedSequence(seed).spawn(nchunks)
+    traces = np.empty(samples)
+    done = 0
+    for child in children:
+        take = min(MC_CHUNK, samples - done)
+        u = haar_unitaries(a.d, take, np.random.default_rng(child))
+        traces[done : done + take] = np.einsum("sij,j,i->s", np.abs(u) ** 2, av, bv)
+        done += take
+    return traces
+
+
+def _hciz_monte_carlo_ref(a, b, n, samples, seed, mode="power"):
+    """The serial chunk loop that the thread pool replaced: (estimate, stderr)."""
+    traces = _serial_traces(a, b, samples, seed)
+    values = np.exp(1j * traces) if mode == "exp" else traces**n
+    est = values.mean()
+    if mode == "exp":
+        return complex(est), math.sqrt((values.real.var() + values.imag.var()) / samples)
+    return complex(est), math.sqrt(values.real.var() / samples)
+
+
+def _mc_spectra(d):
+    a = HermitianSpectrum(tuple(F(i - d // 2, 3) for i in range(d)))
+    b = HermitianSpectrum(tuple(F((7 * i) % 5 - 2, 2) for i in range(d)))
+    return a, b
+
+
+def _hex(estimate, stderr):
+    return estimate.real.hex(), estimate.imag.hex(), stderr.hex()
+
+
+MC_SAMPLES = (1000, 8191, 8192, 8193, 3 * 8192 + 5, 100_000)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 8, 11))
+def test_hciz_monte_carlo_matches_serial_reference(d):
+    a, b = _mc_spectra(d)
+    for samples in MC_SAMPLES:
+        for seed in (0, 2**31 + 5):
+            for mode, n in (("power", 3), ("exp", 1)):
+                rep = hciz_monte_carlo(a, b, n, samples, seed, mode=mode)
+                ref = _hciz_monte_carlo_ref(a, b, n, samples, seed, mode)
+                assert _hex(rep.estimate, rep.stderr) == _hex(*ref), (d, samples, mode, seed)
+
+
+@pytest.mark.parametrize("workers", (1, 3, 5))
+def test_hciz_monte_carlo_ignores_the_worker_count(monkeypatch, workers):
+    a, b = _mc_spectra(4)
+    refs = {mode: _hciz_monte_carlo_ref(a, b, 2, 3 * 8192 + 5, 11, mode) for mode in ("power", "exp")}
+    monkeypatch.setattr(moments, "_mc_workers", lambda nchunks: min(nchunks, workers))
+    for mode, ref in refs.items():
+        rep = hciz_monte_carlo(a, b, 2, 3 * 8192 + 5, 11, mode=mode)
+        assert _hex(rep.estimate, rep.stderr) == _hex(*ref), mode
+
+
+def test_hciz_monte_carlo_concurrent_callers():
+    import sys
+    import threading
+
+    a, b = _mc_spectra(5)
+    ref = _hex(*_hciz_monte_carlo_ref(a, b, 2, 30_000, 3))
+    results = [None] * 4
+
+    def call(slot):
+        rep = hciz_monte_carlo(a, b, 2, 30_000, 3)
+        results[slot] = _hex(rep.estimate, rep.stderr)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [ref] * 4
+
+
+def test_hciz_monte_carlo_peak_memory_within_stated_bound():
+    import tracemalloc
+
+    d, samples = 8, 100_000
+    a, b = _mc_spectra(d)
+    workers = moments._mc_workers((samples + MC_CHUNK - 1) // MC_CHUNK)
+    # The docstring's bound: per worker, the chunk's normals plus one
+    # sub-batch; plus the values array.
+    bound = workers * (16 * d * d * MC_CHUNK + 80 * d * d * MC_BATCH) + 8 * samples
+    tracemalloc.start()
+    try:
+        hciz_monte_carlo(a, b, 2, samples, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound, workers)
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (-1, 1, "n must be a nonnegative integer, got -1"),
+        (2.5, 1, "n must be a nonnegative integer, got 2.5"),
+        (2, -1, "seed must be a nonnegative integer, got -1"),
+        (2, 1.5, "seed must be a nonnegative integer, got 1.5"),
+    ],
+)
+def test_hciz_monte_carlo_rejects_bad_n_and_seed(monkeypatch, n, seed, message):
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating the arguments")
+
+    monkeypatch.setattr(moments, "_normals", no_sampling)
+    a = HermitianSpectrum((1, -1))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hciz_monte_carlo(a, a, n, 1000, seed)
 
 
 def test_multiblock_distribution_is_convolution():

@@ -310,3 +310,29 @@ def test_block_decomposition_json():
     data = dec.to_json()
     assert data[0]["multiplicity"] == 1
     assert {"first", "second", "multiplicity"} <= set(data[0])
+
+
+def test_subpartitions_skip_exactly_the_empty_skew_shapes():
+    """The bounded walk drops only the alpha whose skew expansion is empty."""
+    from itertools import product
+
+    from weylchar.combinatorics import partitions_of
+    from weylchar.symfunc import skew_expand
+    from weylchar.ucharacters import _subpartitions_bounded
+
+    for size in range(11):
+        for nu in partitions_of(size, max_length=6):
+            for d in range(max(2, nu.length), 7):
+                for d1 in range(1, d):
+                    d2 = d - d1
+                    rows = nu.parts[:d1]
+                    # Every alpha inside nu with at most d1 rows, in the walk's
+                    # order: lexicographically decreasing.
+                    unbounded = [
+                        P(t) for t in sorted(product(*(range(r + 1) for r in rows)),
+                                             reverse=True)
+                        if all(t[i] >= t[i + 1] for i in range(len(t) - 1))
+                    ]
+                    expected = [a for a in unbounded if skew_expand(nu, a, d2)]
+                    got = list(_subpartitions_bounded(nu, d1, d2))
+                    assert got == expected, (nu, d1, d2)
