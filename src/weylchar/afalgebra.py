@@ -601,10 +601,9 @@ def ergodic_sequence(
         sig = signature_from_pair(lam, mu, d)
         if weyl_dim(sig) > dim_budget:
             raise BudgetExceeded("character dimension exceeds budget")
-        ub = v.blocks[block]
         levels.append(n)
         dims.append(d)
-        values.append(normalized_char(sig, ub, exact=ub.exact_values() is not None))
+        values.append(normalized_char(sig, v.blocks[block]))
     tau = trace_value(u, weights)
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)

@@ -9,9 +9,11 @@ unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
 
 Each subcommand imports only the modules it calls, so a process pays for no
 other.  Three load numpy: hciz (Haar sampling and the determinant formula),
-ergodic (the fitted decay rate) and char when no two eigenvalues lie within
-1e-8 of each other (the float alternant).  char at repeated eigenvalues, such
-as a tower-embedded unitary, and every other subcommand run without it.
+ergodic (the fitted decay rate) and char at a spectrum that is not all quarter
+turns when no two eigenvalues lie within 1e-8 of each other (the float
+alternant).  char at quarter turns (evaluated exactly), char at repeated
+eigenvalues, such as a tower-embedded unitary, and every other subcommand run
+without it.
 """
 
 from __future__ import annotations
@@ -87,22 +89,23 @@ def emit(payload: dict, summary: str, output: str | None = None) -> None:
 
 def cmd_char(args) -> int:
     from weylchar import ucharacters
+    from weylchar.exact import QQi
     from weylchar.symfunc import weyl_dim
 
     sig = parse_signature(args.sig)
     u = ucharacters.DiagonalUnitary(parse_rationals(args.u))
     dim = weyl_dim(sig)
     trace = ucharacters.char_eval(sig, u)
+    normalized = complex(trace) / dim
     payload = {
         "signature": sig.to_json(),
         "dim": dim,
         "trace": _c(trace),
-        "normalized": _c(complex(trace) / dim),
+        "normalized": _c(normalized),
     }
-    if u.exact_values() is not None:
-        exact = ucharacters.char_eval(sig, u, exact=True)
-        payload["trace_exact"] = [str(exact.re), str(exact.im)]
-    emit(payload, f"char: dim {dim}, normalized {complex(trace) / dim:.6g}", args.output)
+    if isinstance(trace, QQi):
+        payload["trace_exact"] = [str(trace.re), str(trace.im)]
+    emit(payload, f"char: dim {dim}, normalized {normalized:.6g}", args.output)
     return 0
 
 
@@ -222,6 +225,9 @@ def cmd_hciz(args) -> int:
 
     from weylchar import moments
 
+    # Checked before the generator below is seeded, which would fail first
+    # with numpy's own message.
+    moments.require_nonnegative_int("seed", args.seed)
     rng = np.random.default_rng(args.seed)
     d = args.d
     a = (

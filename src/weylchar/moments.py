@@ -146,6 +146,7 @@ class WeightDistribution:
         object.__setattr__(self, "_den", den)
 
     def moment(self, p: int) -> Fraction:
+        """p-th moment sum k^p M(k); zero for odd p on symmetric distributions."""
         return Fraction(sum(k**p * c for k, c in self._scaled.items()), self._den)
 
     def moment_ratio(self) -> Fraction | None:
@@ -190,11 +191,6 @@ def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistributio
     # tests the kernel's pattern count against it.
     dim = weyl_dim(sig)
     return WeightDistribution({k: Fraction(c, dim) for k, c in tally.items()})
-
-
-def moment(dist: WeightDistribution, p: int) -> Fraction:
-    """p-th moment sum k^p M(k); zero for odd p on symmetric distributions."""
-    return dist.moment(p)
 
 
 def _integer_scaling(spec: HermitianSpectrum) -> tuple[int, tuple[int, ...]]:
@@ -411,6 +407,12 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_from_normals(_normals(d, count, rng))
 
 
+def require_nonnegative_int(name: str, value) -> None:
+    """Raise ValueError unless value is a nonnegative integer."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _mc_workers(nchunks: int) -> int:
     """Threads for nchunks Monte Carlo chunks: one per CPU this process may use."""
     if hasattr(os, "sched_getaffinity"):
@@ -468,10 +470,8 @@ def hciz_monte_carlo(
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1000:
         raise ValueError("at least 1000 samples required for a usable stderr")
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    require_nonnegative_int("n", n)
+    require_nonnegative_int("seed", seed)
     import numpy as np
 
     d = a.d
@@ -492,17 +492,12 @@ def hciz_monte_carlo(
                 np.exp(1j * traces) if mode == "exp" else traces**n
             )
 
-    workers = _mc_workers(nchunks)
-    if workers == 1:
-        for i in range(nchunks):
-            run_chunk(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            # Reading every result re-raises a worker's exception here.
-            for _ in pool.map(run_chunk, range(nchunks)):
-                pass
+    with ThreadPoolExecutor(_mc_workers(nchunks)) as pool:
+        # Reading every result re-raises a worker's exception here.
+        for _ in pool.map(run_chunk, range(nchunks)):
+            pass
     est = values.mean()
     if mode == "exp":
         err = math.sqrt((values.real.var() + values.imag.var()) / samples)

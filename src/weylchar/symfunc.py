@@ -1,10 +1,11 @@
 """Symmetric-function kernel, all in exact arithmetic.
 
-Schur evaluation goes through the bialternant when the points are distinct and
-through Gelfand-Tsetlin aggregation when they are not; the two agree wherever
-both apply.  Power-sum expansions come from symmetric-group characters
-(Murnaghan-Nakayama divided by centralizer orders).  Floating point enters
-only as complex values that `ucharacters` passes to `eval_by_gt`.
+Schur evaluation is one route, `eval_by_gt`: Gelfand-Tsetlin aggregation at
+grouped values, confluent or not.  `bialternant`, the alternant quotient at
+distinct points, is kept as the independent reference it is checked against.
+Power-sum expansions come from symmetric-group characters (Murnaghan-Nakayama
+divided by centralizer orders).  Floating point enters only as complex values
+that `ucharacters` passes to `eval_by_gt`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import cache
 
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded, InvariantError
-from weylchar.exact import QQi
 from weylchar.gtkernel import group_counts
 
 POWER_SUM_MAX_N = 12
@@ -214,13 +214,6 @@ def exact_det(rows):
     return det
 
 
-def _coerce_exact(values):
-    values = tuple(values)
-    if any(isinstance(v, QQi) for v in values):
-        return tuple(QQi.of(v) for v in values)
-    return tuple(Fraction(v) for v in values)
-
-
 def bialternant(sig_entries: tuple[int, ...], values) -> object:
     """det(x_i^(e_j + d - j)) / det(x_i^(d - j)); requires distinct nonzero-safe values."""
     d = len(values)
@@ -261,21 +254,6 @@ def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
                 term = term * v**e
         total = total + term
     return total
-
-
-def schur_eval_exact(lam: Partition, values):
-    """s_lam at a tuple of exact rationals or Gaussian rationals."""
-    lam = Partition(tuple(lam))
-    values = _coerce_exact(values)
-    d = len(values)
-    if lam.length > d:
-        raise ValueError(f"l(lam) = {lam.length} exceeds number of variables {d}")
-    if d == 0:
-        return Fraction(1)
-    padded = lam.parts + (0,) * (d - lam.length)
-    if len(set(values)) == d and all(v != 0 for v in values):
-        return bialternant(padded, values)
-    return eval_by_gt(padded, values)
 
 
 def _ballot_fillings(

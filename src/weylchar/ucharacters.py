@@ -1,10 +1,12 @@
 """Irreducible characters of U(d) and their branching behaviour.
 
-Evaluation happens at diagonal unitaries (characters are class functions).
-Distinct spectra go through the Weyl quotient of alternants; near-confluent or
-exact spectra go through `symfunc.eval_by_gt`, the Gelfand-Tsetlin weight
-aggregation at grouped values, since the alternant denominator degenerates
-there.
+Evaluation happens at diagonal unitaries (characters are class functions),
+and the spectrum alone picks the route.  Quarter-turn spectra have exact
+Gaussian rational eigenvalues and go through `symfunc.eval_by_gt`, the
+Gelfand-Tsetlin weight aggregation, in exact arithmetic.  Other spectra are
+complex doubles: distinct ones go through the Weyl quotient of alternants,
+near-confluent ones through `eval_by_gt` at grouped values, since the
+alternant denominator degenerates there.
 """
 
 from __future__ import annotations
@@ -88,19 +90,17 @@ def _cluster(values: tuple[complex, ...]):
     return reps, tuple(groups)
 
 
-def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
+def char_eval(sig: Signature, u: DiagonalUnitary):
     """Trace of the irrep sig at u.
 
-    Returns an exact Gaussian rational in exact mode with quarter-turn angles;
-    otherwise a complex double.  Falls back to GT summation whenever two
-    eigenvalues are closer than 1e-8.
+    The input picks the route: an exact Gaussian rational when every angle is
+    a quarter turn (`u.exact_values()`), otherwise a complex double, from GT
+    summation whenever two eigenvalues are closer than 1e-8.
     """
     if sig.d != u.d:
         raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
-    if exact:
-        ev = u.exact_values()
-        if ev is None:
-            raise ValueError("exact mode needs quarter-turn rational angles")
+    ev = u.exact_values()
+    if ev is not None:
         return QQi.of(eval_by_gt(sig.entries, ev))
     values = u.complex_values()
     # Tower-embedded unitaries repeat eigenvalues exactly; spot that in O(d)
@@ -127,9 +127,9 @@ def char_eval(sig: Signature, u: DiagonalUnitary, exact: bool = False):
     return num / den
 
 
-def normalized_char(sig: Signature, u: DiagonalUnitary, exact: bool = False):
+def normalized_char(sig: Signature, u: DiagonalUnitary):
     """char_eval divided by the Weyl dimension; modulus at most 1."""
-    return char_eval(sig, u, exact=exact) / weyl_dim(sig)
+    return char_eval(sig, u) / weyl_dim(sig)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,15 @@ def test_char_example(capsys):
     assert payload["trace_exact"] == ["9", "0"]
 
 
+def test_char_quarter_turns_print_the_exact_value(capsys):
+    # One exact evaluation feeds every field, so no float rounding noise shows.
+    code, payload, _ = run_cli(capsys, ["char", "--sig", "1,0,-1", "--u", "0,1/4,1/2"])
+    assert code == 0
+    assert payload["trace_exact"] == ["0", "0"]
+    assert payload["trace"] == [0.0, 0.0]
+    assert payload["normalized"] == [0.0, 0.0]
+
+
 def test_char_trivial(capsys):
     code, payload, _ = run_cli(capsys, ["char", "--sig", "0,0", "--u", "0,0"])
     assert code == 0
@@ -320,6 +329,7 @@ def test_ergodic_dim_budget_flag(capsys):
 # README commands that need no numpy: all but the two hciz runs and ergodic.
 NUMPY_FREE_COMMANDS = (
     "char --sig 1,0,0,-1 --u 0.25,0,0,0",
+    "char --sig 1,0,-1 --u 0,1/4,1/2",
     "branch --op restrict --sig 1,0,-1 --d1 1 --d2 2",
     "branch --op tensor --sig1 1,0,-1 --sig2 1,0,-1",
     "moments --sig 1,0,0,0 --r 4",
@@ -379,3 +389,19 @@ def test_hciz_rejects_negative_n(capsys):
     code, payload, err = run_cli(capsys, ["hciz", "--d", "3", "--n", "-1"])
     assert code == 2 and payload is None
     assert "n must be a nonnegative integer, got -1" in err
+
+
+HCIZ_FIXED = ["hciz", "--d", "2", "--a", "1,-1", "--b", "1,-1"]
+
+
+def test_hciz_rejects_negative_seed_flag(capsys):
+    code, payload, err = run_cli(capsys, HCIZ_FIXED + ["--seed", "-1"])
+    assert code == 2 and payload is None
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def test_hciz_rejects_negative_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLCHAR_SEED", "-2")
+    code, payload, err = run_cli(capsys, HCIZ_FIXED)
+    assert code == 2 and payload is None
+    assert err == "error: seed must be a nonnegative integer, got -2\n"

@@ -29,7 +29,6 @@ from weylchar.moments import (
     hciz_exponential_exact,
     hciz_monte_carlo,
     hciz_power_sum,
-    moment,
     moment2_closed,
     moment4_closed,
     product_moment_identity,
@@ -120,9 +119,9 @@ def test_weight_distribution_symmetric_sweep():
 
 def test_moment_examples():
     pm = WeightDistribution({1: F(1, 2), -1: F(1, 2)})
-    assert moment(pm, 2) == 1
-    assert moment(pm, 3) == 0
-    assert moment(WeightDistribution({0: F(1)}), 2) == 0
+    assert pm.moment(2) == 1
+    assert pm.moment(3) == 0
+    assert WeightDistribution({0: F(1)}).moment(2) == 0
 
 
 def test_J_series_examples():

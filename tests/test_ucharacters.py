@@ -30,25 +30,25 @@ S = Signature
 
 def test_char_eval_trivial_cases():
     u = DiagonalUnitary((Fraction(0), Fraction(1, 2)))  # diag(1, -1)
-    assert abs(char_eval(S((1, 0)), u)) < 1e-12
+    assert abs(complex(char_eval(S((1, 0)), u))) < 1e-12
     anything = DiagonalUnitary((0.13, 0.02, 0.9))
     assert abs(char_eval(S((0, 0, 0)), anything) - 1) < 1e-12
 
 
 def test_char_eval_adjoint_exact():
     u = DiagonalUnitary((Fraction(1, 4), Fraction(3, 4)))  # diag(i, -i)
-    val = char_eval(S((1, -1)), u, exact=True)
+    val = char_eval(S((1, -1)), u)
     assert val == QQi.of(-1)
     # Oracle: explicit 3-dim expansion x1/x2 + 1 + x2/x1 = -1 - ... at (i, -i)
     x1, x2 = 1j, -1j
-    assert abs(char_eval(S((1, -1)), u) - (x1 / x2 + 1 + x2 / x1)) < 1e-12
+    assert abs(complex(char_eval(S((1, -1)), u)) - (x1 / x2 + 1 + x2 / x1)) < 1e-12
 
 
 def test_normalized_char_examples():
     u = DiagonalUnitary((Fraction(1, 4), Fraction(3, 4)))
-    assert normalized_char(S((1, -1)), u, exact=True) == QQi.of(Fraction(-1, 3))
+    assert normalized_char(S((1, -1)), u) == QQi.of(Fraction(-1, 3))
     ident = DiagonalUnitary.identity(4)
-    assert normalized_char(S((3, 1, 0, -2)), ident, exact=True) == QQi.of(1)
+    assert normalized_char(S((3, 1, 0, -2)), ident) == QQi.of(1)
     z = cmath.exp(2j * cmath.pi * 0.37)
     u2 = DiagonalUnitary((0.37, 0.0, 0.0, 0.0))
     assert abs(normalized_char(S((1, 0, 0, 0)), u2) - (z + 3) / 4) < 1e-12
@@ -68,8 +68,9 @@ def test_char_routes_agree():
         sig = S(entries)
         angles = tuple(Fraction(rng.randint(0, 7), 8) for _ in range(d))
         u = DiagonalUnitary(angles)
-        numeric = char_eval(sig, u)  # GT route iff angles collide
-        exact = char_eval(sig, DiagonalUnitary(angles), exact=True) if all(
+        # Float angles keep the float routes: GT iff angles collide.
+        numeric = char_eval(sig, DiagonalUnitary(tuple(map(float, angles))))
+        exact = char_eval(sig, u) if all(
             a.denominator in (1, 2, 4) for a in angles
         ) else None
         distinct = len(set(angles)) == d
@@ -94,7 +95,7 @@ def test_normalized_char_bounded_and_central():
         # central element z * 1_d
         turn = Fraction(rng.randint(0, 3), 4)
         central = DiagonalUnitary((turn,) * d)
-        val = normalized_char(sig, central, exact=True)
+        val = normalized_char(sig, central)
         z = complex(QQi.of(1)) if turn == 0 else cmath.exp(2j * cmath.pi * float(turn))
         assert abs(complex(val) - z ** sum(entries)) < 1e-12
 
