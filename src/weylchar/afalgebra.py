@@ -73,12 +73,16 @@ class BratteliDiagram:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "BratteliDiagram":
-        return BratteliDiagram(
-            tuple(tuple(lv) for lv in data["levels"]),
-            tuple(_as_matrix(m) for m in data["multiplicities"]),
-            name=data.get("name", ""),
-        )
+    def from_json(data) -> "BratteliDiagram":
+        """Inverse of to_json; ValueError when data does not have its structure."""
+        try:
+            return BratteliDiagram(
+                tuple(tuple(lv) for lv in data["levels"]),
+                tuple(_as_matrix(m) for m in data["multiplicities"]),
+                name=data.get("name", ""),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed diagram JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -229,23 +233,6 @@ def preset_diagram(name: str, depth: int | None = None) -> BratteliDiagram:
     raise ValueError(f"unknown diagram preset: {name!r}")
 
 
-def uhf_product_diagram(factors: tuple[int, ...], depth: int) -> BratteliDiagram:
-    """Direct sum of UHF towers (diagonal multiplicities); one extreme trace per block."""
-    nb = len(factors)
-    levels = [(1,) * nb]
-    mults = []
-    for _ in range(depth):
-        m = tuple(
-            tuple(factors[j] if i == j else 0 for i in range(nb)) for j in range(nb)
-        )
-        mults.append(m)
-        levels.append(tuple(levels[-1][j] * factors[j] for j in range(nb)))
-    return BratteliDiagram(
-        tuple(levels), tuple(mults), f"product:{','.join(map(str, factors))}",
-        None, simple_known=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # traces
 
@@ -280,17 +267,6 @@ class TraceWeights:
     def level(self, n: int) -> tuple[Fraction, ...]:
         return self.weights[n]
 
-    def residual(self) -> Fraction:
-        """Max L1 compatibility defect; zero by construction."""
-        worst = Fraction(0)
-        for n, m in enumerate(self.diagram.mults):
-            diff = sum(
-                abs(a - b)
-                for a, b in zip(_mat_t_vec(m, self.weights[n + 1]), self.weights[n])
-            )
-            worst = max(worst, diff)
-        return worst
-
 
 def _backward_weights(diagram: BratteliDiagram, boundary: tuple[Fraction, ...]):
     out = [tuple(boundary)]
@@ -300,32 +276,17 @@ def _backward_weights(diagram: BratteliDiagram, boundary: tuple[Fraction, ...]):
     return tuple(out)
 
 
-def trace_weights(
-    diagram: BratteliDiagram,
-    boundary=None,
-    depth: int | None = None,
-) -> TraceWeights:
+def trace_weights(diagram: BratteliDiagram, boundary=None) -> TraceWeights:
     """Compatible normalized weights by exact backward substitution.
 
-    The boundary is the weight vector at level `depth` (default: the deepest
-    stored level): "uniform" spreads mass evenly, an integer selects the
-    extreme trace concentrated on that block, and a tuple is used as given.
-    Without a boundary, effros-shen diagrams take their convergent ratio
-    (1/q_n on the first block, 0 on the second) and every other diagram the
-    uniform one.  Deeper boundaries give better approximations of the true
-    trace of the infinite limit; compatibility below the boundary is exact
-    regardless.
+    The boundary is the weight vector at the deepest stored level: "uniform"
+    spreads mass evenly, an integer selects the extreme trace concentrated on
+    that block, and a tuple is used as given.  Without a boundary,
+    effros-shen diagrams take their convergent ratio (1/q_n on the first
+    block, 0 on the second) and every other diagram the uniform one.  Deeper
+    diagrams give better approximations of the true trace of the infinite
+    limit; compatibility below the boundary is exact regardless.
     """
-    if depth is not None:
-        if not 0 <= depth <= diagram.depth:
-            raise ValueError(f"depth {depth} outside stored range")
-        diagram = BratteliDiagram(
-            diagram.levels[: depth + 1],
-            diagram.mults[:depth],
-            diagram.name,
-            diagram.continuation,
-            diagram.simple_known,
-        )
     dims = diagram.levels[-1]
     nb = len(dims)
     if boundary is None:
@@ -343,22 +304,6 @@ def trace_weights(
     else:
         vec = tuple(Fraction(x) for x in boundary)
     return TraceWeights(diagram, _backward_weights(diagram, vec))
-
-
-def trace_weights_sensitivity(diagram: BratteliDiagram) -> Fraction:
-    """L1 movement of the level-0..depth-1 weights when the boundary deepens by one.
-
-    An honest convergence indicator for non-preset diagrams: the infinite
-    diagram's true trace is out of reach, truncation error is not.
-    """
-    if diagram.depth < 1:
-        return Fraction(0)
-    deep_w = trace_weights(diagram)
-    shallow_w = trace_weights(diagram, depth=diagram.depth - 1)
-    worst = Fraction(0)
-    for lv_deep, lv_shallow in zip(deep_w.weights, shallow_w.weights):
-        worst = max(worst, sum(abs(a - b) for a, b in zip(lv_deep, lv_shallow)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +406,6 @@ def _check_on_diagram(u: BlockUnitary, diagram: BratteliDiagram):
         raise ValueError(
             f"block sizes {u.sizes()} != level dims {diagram.levels[u.level]}"
         )
-
-
-def identity_unitary(diagram: BratteliDiagram, level: int) -> BlockUnitary:
-    return BlockUnitary(
-        level, tuple(DiagonalUnitary.identity(d) for d in diagram.levels[level])
-    )
 
 
 def embed(u: BlockUnitary, diagram: BratteliDiagram, m: int) -> BlockUnitary:
@@ -592,6 +531,9 @@ def ergodic_sequence(
         weights = trace_weights(diagram)
     if n_max > diagram.depth:
         raise ValueError(f"n_max {n_max} beyond diagram depth {diagram.depth}")
+    for n in range(u.level, n_max + 1):
+        if not 0 <= block < len(diagram.levels[n]):
+            raise ValueError(f"no block {block} at level {n}: its blocks are 0..{len(diagram.levels[n]) - 1}")
     levels, dims, values = [], [], []
     for n in range(u.level, n_max + 1):
         v = embed(u, diagram, n)
@@ -624,6 +566,8 @@ def schur_weyl_defect(n: int, p: int, q: int) -> Fraction:
     (1/2^{n(p+q)}) * sum over lam of p, mu of q of
     (s_lam(1_d) s_mu(1_d) - dim pi_{mu;lam}) * dim K_lam * dim K_mu, d = 2^n.
     """
+    if min(n, p, q) < 0:
+        raise ValueError(f"n, p and q must be nonnegative, got {n}, {p}, {q}")
     if (p, q) == (0, 0):
         raise ValueError("(p, q) = (0, 0) has no defect")
     d = 2**n

@@ -2,8 +2,9 @@
 
 JSON goes to stdout (stable key order, byte-identical for identical seeded
 invocations); one human-readable summary line goes to stderr.  Exit codes:
-0 pass, 1 check failure, 2 usage or parse error, 3 budget exceeded,
-4 broken internal invariant (a bug, not bad input).
+0 pass, 1 check failure, 2 usage or parse error (a check over an empty
+range included), 3 budget exceeded, 4 broken internal invariant (a bug, not
+bad input).
 Angles are given in turns (fractions of a full circle), so exact roots of
 unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
 
@@ -63,6 +64,17 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
     return tuple(Fraction(t) for t in text.split(","))
+
+
+def parse_complexes(text: str) -> list[complex]:
+    """Complex values written 're,im' (or a bare 're') and separated by ';'."""
+    values = []
+    for item in text.split(";"):
+        parts = [float(t) for t in item.split(",")]
+        if len(parts) > 2:
+            raise ValueError(f"complex value {item!r} is not 're,im'")
+        values.append(complex(*parts))
+    return values
 
 
 def _c(z) -> list[float]:
@@ -151,6 +163,11 @@ def cmd_moments(args) -> int:
     if args.sweep:
         from weylchar.combinatorics import signatures_with_entries
 
+        # The sweep checks d = 4..dmax, the range of the fourth-moment form.
+        if args.dmax < 4:
+            raise ValueError(f"moments --sweep needs --dmax >= 4, got {args.dmax}")
+        if args.entry_bound < 0:
+            raise ValueError(f"moments --sweep needs --entry-bound >= 0, got {args.entry_bound}")
         failures = 0
         checked = 0
         estimates = 0
@@ -270,6 +287,8 @@ def cmd_ergodic(args) -> int:
     from weylchar import afalgebra, ucharacters
 
     diagram = afalgebra.preset_diagram(args.diagram, depth=max(args.nmax, 8))
+    if not 0 <= args.level <= diagram.depth:
+        raise ValueError(f"level {args.level} outside diagram depth {diagram.depth}")
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     angles = parse_rationals(args.u)
     blocks = []
@@ -327,12 +346,8 @@ def cmd_poisson(args) -> int:
     if args.series_n is not None:
         a = parse_rationals(args.kernel_a or "1")
         b = parse_rationals(args.kernel_b) if args.kernel_b else ()
-        tau = [complex(*map(float, t.split(","))) for t in args.tau.split(";")] if args.tau else []
-        taup = (
-            [complex(*map(float, t.split(","))) for t in args.tau_prime.split(";")]
-            if args.tau_prime
-            else None
-        )
+        tau = parse_complexes(args.tau) if args.tau else []
+        taup = parse_complexes(args.tau_prime) if args.tau_prime else None
         report = poisson.poisson_series_check(
             a, b, args.series_n, tau, taup, truncation=args.truncation
         )

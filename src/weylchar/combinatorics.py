@@ -1,8 +1,8 @@
-"""Partitions, signatures and Gelfand-Tsetlin patterns.
+"""Partitions and signatures.
 
 These are the index sets for everything else: partitions label symmetric-group
-irreps and polynomial U(d) irreps, signatures label all rational U(d) irreps,
-and GT patterns enumerate a weight basis of a given irrep.
+irreps and polynomial U(d) irreps, and signatures label all rational U(d)
+irreps.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
-
-from weylchar.errors import BudgetExceeded
-
-GT_ENUM_MAX_D = 8
 
 
 def _as_int_tuple(xs) -> tuple[int, ...]:
@@ -138,111 +134,6 @@ def signature_to_pair(sig: Signature) -> tuple[Partition, Partition]:
     pos = tuple(e for e in sig.entries if e > 0)
     neg = tuple(-e for e in reversed(sig.entries) if e < 0)
     return Partition(pos), Partition(neg)
-
-
-@dataclass(frozen=True)
-class ShiftDecomposition:
-    a: int
-    lam: Partition
-    mu: Partition
-
-
-def shift_decompose(sig: Signature, max_l: int | None = None) -> ShiftDecomposition | None:
-    """Split sig = a*1_d + (lam above, mu below) around a constant middle run.
-
-    Searches l = 0..max_l (default floor(d/4)) for the smallest l such that the
-    entries at positions l+1..d-l are all equal; returns None when no such l
-    exists within the bound.
-    """
-    d = sig.d
-    if max_l is None:
-        max_l = d // 4
-    max_l = min(max_l, d // 2)
-    for l in range(max_l + 1):
-        middle = sig.entries[l : d - l]
-        if not middle:
-            continue
-        a = middle[0]
-        if all(e == a for e in middle):
-            lam = Partition(tuple(e - a for e in sig.entries[:l]))
-            mu = Partition(tuple(a - e for e in reversed(sig.entries[d - l :])))
-            return ShiftDecomposition(a, lam, mu)
-    return None
-
-
-@dataclass(frozen=True)
-class GTPattern:
-    """Triangular array; rows[k] has length k+1 and the last row is the signature.
-
-    Interlacing: rows[k+1][i] >= rows[k][i] >= rows[k+1][i+1].
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(_as_int_tuple(r) for r in self.rows)
-        for k, r in enumerate(rows):
-            if len(r) != k + 1:
-                raise ValueError(f"row {k} has length {len(r)}, expected {k + 1}")
-        for k in range(len(rows) - 1):
-            lower, upper = rows[k], rows[k + 1]
-            for i in range(k + 1):
-                if not (upper[i] >= lower[i] >= upper[i + 1]):
-                    raise ValueError(f"interlacing fails between rows {k} and {k + 1}")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
-
-def interlacings(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All length-(k-1) tuples interlacing below a length-k signature row."""
-    k = len(entries)
-    if k == 1:
-        return iter(())
-    ranges = [range(entries[i + 1], entries[i] + 1) for i in range(k - 1)]
-    return itertools.product(*ranges)
-
-
-GT_ENUM_MAX_PATTERNS = 10**6
-
-
-def enumerate_gt_patterns(
-    sig: Signature, max_patterns: int = GT_ENUM_MAX_PATTERNS
-) -> Iterator[GTPattern]:
-    """Depth-first stream of all GT patterns with top row sig.
-
-    Pattern counts equal the irrep dimension, which explodes with d and with
-    the entry magnitudes, so both are budgeted before the stream starts.
-    """
-    if sig.d > GT_ENUM_MAX_D:
-        raise BudgetExceeded(f"GT enumeration bound exceeded: d = {sig.d} > {GT_ENUM_MAX_D}")
-    from weylchar.symfunc import weyl_dim
-
-    dim = weyl_dim(sig)
-    if dim > max_patterns:
-        raise BudgetExceeded(f"{dim} patterns exceed the enumeration budget {max_patterns}")
-
-    def rec(row: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(row) == 1:
-            yield (row,)
-            return
-        for lower in interlacings(row):
-            for rest in rec(lower):
-                yield rest + (row,)
-
-    def stream() -> Iterator[GTPattern]:
-        for rows in rec(sig.entries):
-            yield GTPattern(rows)
-
-    return stream()
-
-
-def gt_weight(pattern: GTPattern) -> tuple[int, ...]:
-    """Weight vector: k-th entry is rowsum(k) - rowsum(k-1)."""
-    sums = [sum(r) for r in pattern.rows]
-    return tuple(s - prev for s, prev in zip(sums, [0] + sums[:-1]))
 
 
 @cache

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from weylchar.combinatorics import Partition, Signature, partitions_of
+from weylchar.combinatorics import Signature, partitions_of
 from weylchar.gtkernel import group_counts
 from weylchar.symfunc import (
     schur_dim,
@@ -160,6 +160,7 @@ class WeightDistribution:
         return all(self.probs.get(-k, Fraction(0)) == v for k, v in self.probs.items())
 
     def convolve(self, other: "WeightDistribution") -> "WeightDistribution":
+        """Distribution of the sum of independent weights, as in a product of characters."""
         out: dict[int, Fraction] = {}
         for k1, v1 in self.probs.items():
             for k2, v2 in other.probs.items():
@@ -172,10 +173,6 @@ class WeightDistribution:
             str(k): f"{v.numerator}/{v.denominator}"
             for k, v in sorted(self.probs.items())
         }
-
-    @staticmethod
-    def point(k: int = 0) -> "WeightDistribution":
-        return WeightDistribution({k: Fraction(1)})
 
 
 def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistribution:
@@ -225,7 +222,7 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
         if lam.length > d:
             continue
         na = nb = 0
-        for ct, c in schur_to_power_sums(lam).coeffs.items():
+        for ct, c in schur_to_power_sums(lam).items():
             weight = c.numerator * (fact // c.denominator)
             na += weight * pa_ct[ct]
             nb += weight * pb_ct[ct]
@@ -358,14 +355,6 @@ def estimate_check(sig: Signature, f: TraceZeroSigned) -> EstimateReport:
         bound,
         m4 <= bound,
     )
-
-
-def product_moment_identity(dists) -> WeightDistribution:
-    """Convolution of distributions: products of characters add independent weights."""
-    out = WeightDistribution.point(0)
-    for dist in dists:
-        out = out.convolve(dist)
-    return out
 
 
 def _normals(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

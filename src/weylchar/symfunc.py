@@ -1,19 +1,19 @@
 """Symmetric-function kernel, all in exact arithmetic.
 
 Schur evaluation is one route, `eval_by_gt`: Gelfand-Tsetlin aggregation at
-grouped values, confluent or not.  `bialternant`, the alternant quotient at
-distinct points, is kept as the independent reference it is checked against.
-Power-sum expansions come from symmetric-group characters (Murnaghan-Nakayama
-divided by centralizer orders).  Floating point enters only as complex values
-that `ucharacters` passes to `eval_by_gt`.
+grouped values, confluent or not.  Power-sum expansions come from
+symmetric-group characters (Murnaghan-Nakayama divided by centralizer
+orders).  Floating point enters only as complex values that `ucharacters`
+passes to `eval_by_gt`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded, InvariantError
@@ -122,67 +122,25 @@ def _centralizer_order(rho: Partition) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class PowerSumExpansion:
-    """s_lam = sum over cycle types rho of coeffs[rho] * p_rho."""
-
-    lam: Partition
-    coeffs: dict[Partition, Fraction] = field(compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
-    def coefficient(self, rho: Partition) -> Fraction:
-        return self.coeffs.get(Partition(tuple(rho)), Fraction(0))
-
-    def evaluate_power_sums(self, p):
-        """Value given p[r] for r = 1..n; works for Fraction, QQi or complex."""
-        total = None
-        for rho, c in self.coeffs.items():
-            term = c
-            for r in rho.parts:
-                term = term * p[r]
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
-
-    def evaluate(self, values):
-        values = tuple(values)
-        p = {r: sum_powers(values, r) for r in range(1, self.n + 1)}
-        if self.n == 0:
-            return Fraction(1)
-        return self.evaluate_power_sums(p)
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            ",".join(map(str, rho.parts)): f"{c.numerator}/{c.denominator}"
-            for rho, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].parts)
-        }
-
-
-def sum_powers(values, r: int):
-    total = None
-    for v in values:
-        term = v**r
-        total = term if total is None else total + term
-    return 0 if total is None else total
-
-
 @cache
-def schur_to_power_sums(lam: Partition) -> PowerSumExpansion:
-    """Expansion coefficients chi^lam(rho)/z_rho over all cycle types rho of |lam|."""
+def schur_to_power_sums(lam: Partition) -> Mapping[Partition, Fraction]:
+    """s_lam = sum of coeffs[rho] * p_rho, coeffs[rho] = chi^lam(rho)/z_rho.
+
+    Only the cycle types rho of |lam| with a nonzero character appear.  The
+    mapping is cached and shared by every caller, so it is read-only.
+    """
     lam = Partition(tuple(lam))
     n = lam.size
     if n > POWER_SUM_MAX_N:
         raise BudgetExceeded(f"power-sum expansion bound exceeded: |lam| = {n} > {POWER_SUM_MAX_N}")
     if n == 0:
-        return PowerSumExpansion(lam, {EMPTY: Fraction(1)})
+        return MappingProxyType({EMPTY: Fraction(1)})
     coeffs: dict[Partition, Fraction] = {}
     for rho in partitions_of(n):
         chi = sym_group_character(lam.parts, rho.parts)
         if chi:
             coeffs[rho] = Fraction(chi, _centralizer_order(rho))
-    return PowerSumExpansion(lam, coeffs)
+    return MappingProxyType(coeffs)
 
 
 def leading_coeff(lam: Partition) -> Fraction:
@@ -212,18 +170,6 @@ def exact_det(rows):
     for i in range(n):
         det = det * m[i][i]
     return det
-
-
-def bialternant(sig_entries: tuple[int, ...], values) -> object:
-    """det(x_i^(e_j + d - j)) / det(x_i^(d - j)); requires distinct nonzero-safe values."""
-    d = len(values)
-    exps = [sig_entries[j] + d - 1 - j for j in range(d)]
-    num = exact_det([[x**e for e in exps] for x in values])
-    den = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            den = den * (values[i] - values[j])
-    return num / den
 
 
 def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
@@ -308,25 +254,6 @@ def _ballot_fillings(
     return {Partition(content): n for content, n in found.items()}
 
 
-def lr_coefficient(nu: Partition, alpha: Partition, beta: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{alpha,beta} by tableau enumeration.
-
-    Counts the ballot fillings of nu/alpha with content beta.  Returns 0 on
-    any size or containment mismatch.
-    """
-    nu, alpha, beta = (Partition(tuple(p)) for p in (nu, alpha, beta))
-    if alpha.size + beta.size != nu.size:
-        return 0
-    if not nu.contains(alpha):
-        return 0
-    if beta.size == 0:
-        return 1
-    if beta.length > nu.length:
-        return 0
-    # With caps beta and |nu/alpha| = |beta|, every filling has content beta.
-    return _ballot_fillings(nu, alpha, beta.parts).get(beta, 0)
-
-
 def skew_expand(nu: Partition, alpha: Partition, max_length: int) -> dict[Partition, int]:
     """s_{nu/alpha} in max_length variables, as {beta: c^nu_{alpha,beta}}.
 
@@ -334,7 +261,6 @@ def skew_expand(nu: Partition, alpha: Partition, max_length: int) -> dict[Partit
     over all ballot contents at once, with values capped at max_length, so no
     content with more parts ever enters the walk.
     """
-    nu, alpha = Partition(tuple(nu)), Partition(tuple(alpha))
     if not nu.contains(alpha):
         return {}
     size = nu.size - alpha.size
@@ -352,7 +278,6 @@ def lr_product(alpha: Partition, beta: Partition, max_length: int) -> dict[Parti
     s_beta (Macdonald I.5), and one `skew_expand` walk gives every gamma.
     The dict follows the walk's order.
     """
-    alpha, beta = Partition(tuple(alpha)), Partition(tuple(beta))
     b = beta.part(0)
     nu = Partition(tuple(p + b for p in alpha.parts) + beta.parts)
     return skew_expand(nu, Partition((b,) * alpha.length), max_length)

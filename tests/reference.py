@@ -1,0 +1,158 @@
+"""Brute-force references the tests check the package against.
+
+Nothing in `weylchar` calls these: each is the slow, literal form of a result
+the package computes another way.  GT pattern enumeration is the reference
+for the aggregation kernel `gtkernel.group_counts`, the alternant quotient
+for `symfunc.eval_by_gt`, and power-sum evaluation for
+`moments.hciz_power_sum` and `symfunc.schur_dim`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
+
+from weylchar.afalgebra import BratteliDiagram
+from weylchar.combinatorics import Partition, Signature, _as_int_tuple
+from weylchar.errors import BudgetExceeded
+from weylchar.symfunc import exact_det, schur_to_power_sums, weyl_dim
+
+GT_ENUM_MAX_D = 8
+GT_ENUM_MAX_PATTERNS = 10**6
+
+
+@dataclass(frozen=True)
+class GTPattern:
+    """Triangular array; rows[k] has length k+1 and the last row is the signature.
+
+    Interlacing: rows[k+1][i] >= rows[k][i] >= rows[k+1][i+1].
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(_as_int_tuple(r) for r in self.rows)
+        for k, r in enumerate(rows):
+            if len(r) != k + 1:
+                raise ValueError(f"row {k} has length {len(r)}, expected {k + 1}")
+        for k in range(len(rows) - 1):
+            lower, upper = rows[k], rows[k + 1]
+            for i in range(k + 1):
+                if not (upper[i] >= lower[i] >= upper[i + 1]):
+                    raise ValueError(f"interlacing fails between rows {k} and {k + 1}")
+        object.__setattr__(self, "rows", rows)
+
+
+def interlacings(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All length-(k-1) tuples interlacing below a length-k signature row."""
+    k = len(entries)
+    if k == 1:
+        return iter(())
+    ranges = [range(entries[i + 1], entries[i] + 1) for i in range(k - 1)]
+    return itertools.product(*ranges)
+
+
+def enumerate_gt_patterns(
+    sig: Signature, max_patterns: int = GT_ENUM_MAX_PATTERNS
+) -> Iterator[GTPattern]:
+    """Depth-first stream of all GT patterns with top row sig.
+
+    Pattern counts equal the irrep dimension, which explodes with d and with
+    the entry magnitudes, so both are budgeted before the stream starts.
+    """
+    if sig.d > GT_ENUM_MAX_D:
+        raise BudgetExceeded(f"GT enumeration bound exceeded: d = {sig.d} > {GT_ENUM_MAX_D}")
+    dim = weyl_dim(sig)
+    if dim > max_patterns:
+        raise BudgetExceeded(f"{dim} patterns exceed the enumeration budget {max_patterns}")
+
+    def rec(row: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if len(row) == 1:
+            yield (row,)
+            return
+        for lower in interlacings(row):
+            for rest in rec(lower):
+                yield rest + (row,)
+
+    def stream() -> Iterator[GTPattern]:
+        for rows in rec(sig.entries):
+            yield GTPattern(rows)
+
+    return stream()
+
+
+def gt_weight(pattern: GTPattern) -> tuple[int, ...]:
+    """Weight vector: k-th entry is rowsum(k) - rowsum(k-1)."""
+    sums = [sum(r) for r in pattern.rows]
+    return tuple(s - prev for s, prev in zip(sums, [0] + sums[:-1]))
+
+
+def brute_force_counts(entries, groups, ngroups) -> dict[tuple[int, ...], int]:
+    """GT patterns of the signature counted by grouped weight, one pattern at a time.
+
+    Coordinate k adds its weight to group groups[k]; with groups = range(d)
+    the keys are the full weights, so the result is the weight multiset.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for pattern in enumerate_gt_patterns(Signature(tuple(entries))):
+        e = [0] * ngroups
+        for g, w in zip(groups, gt_weight(pattern)):
+            e[g] += w
+        out[tuple(e)] = out.get(tuple(e), 0) + 1
+    return out
+
+
+def bialternant(sig_entries: tuple[int, ...], values) -> object:
+    """det(x_i^(e_j + d - j)) / det(x_i^(d - j)); requires distinct values.
+
+    The alternant quotient, the reference `symfunc.eval_by_gt` is checked
+    against at distinct points.
+    """
+    d = len(values)
+    exps = [sig_entries[j] + d - 1 - j for j in range(d)]
+    num = exact_det([[x**e for e in exps] for x in values])
+    den = Fraction(1)
+    for i in range(d):
+        for j in range(i + 1, d):
+            den = den * (values[i] - values[j])
+    return num / den
+
+
+def power_sum_value(coeffs, p):
+    """Sum over cycle types rho of coeffs[rho] * prod p[r], r in rho.
+
+    Takes the {rho: coefficient} dict of `schur_to_power_sums` and p[r] for
+    r = 1..n; works for Fraction, QQi or complex power sums.
+    """
+    total = None
+    for rho, c in coeffs.items():
+        term = c
+        for r in rho.parts:
+            term = term * p[r]
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+def schur_by_power_sums(lam: Partition, values) -> Fraction:
+    """s_lam at the given values, through the power-sum expansion."""
+    p = {r: sum(v**r for v in values) for r in range(1, lam.size + 1)}
+    return power_sum_value(schur_to_power_sums(lam), p)
+
+
+def uhf_product_diagram(factors: tuple[int, ...], depth: int) -> BratteliDiagram:
+    """Direct sum of UHF towers (diagonal multiplicities); one extreme trace per block."""
+    nb = len(factors)
+    levels = [(1,) * nb]
+    mults = []
+    for _ in range(depth):
+        m = tuple(
+            tuple(factors[j] if i == j else 0 for i in range(nb)) for j in range(nb)
+        )
+        mults.append(m)
+        levels.append(tuple(levels[-1][j] * factors[j] for j in range(nb)))
+    return BratteliDiagram(
+        tuple(levels), tuple(mults), f"product:{','.join(map(str, factors))}",
+        None, simple_known=False,
+    )

@@ -300,6 +300,48 @@ def test_missing_mode_flag_is_a_usage_error(capsys, argv, missing):
     assert missing in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, file_data",
+    [
+        pytest.param(["ergodic", "--u", "0.25,0", "--level", "20"], None, id="ergodic-level"),
+        pytest.param(["ergodic", "--u", "0.25,0", "--block", "5"], None, id="ergodic-block"),
+        pytest.param(["poisson", "--series-n", "1", "--kernel-a", "1", "--tau", "1,2,3"], None,
+                     id="poisson-tau"),
+        pytest.param(["validate-diagram", "--file"], {"levels": [[1], [2]]}, id="file-no-mults"),
+        pytest.param(["validate-diagram", "--file"], {"levels": 1, "multiplicities": []},
+                     id="file-int-levels"),
+        pytest.param(["validate-diagram", "--file"], [1, 2], id="file-list"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, file_data):
+    # Exit 1 would read as a failed check, so bad input must exit 2 with one line.
+    if file_data is not None:
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(file_data))
+        argv = argv + [str(path)]
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["moments", "--sweep", "--dmax", "3"], "needs --dmax >= 4, got 3",
+                     id="sweep-dmax"),
+        pytest.param(["moments", "--sweep", "--entry-bound", "-1"],
+                     "needs --entry-bound >= 0, got -1", id="sweep-entry-bound"),
+        pytest.param(["schur-weyl", "--n", "3", "--p", "-1", "--q", "1"],
+                     "must be nonnegative, got 3, -1, 1", id="schur-weyl-negative"),
+    ],
+)
+def test_a_check_of_nothing_is_a_usage_error(capsys, argv, message):
+    # A check over an empty range would pass having checked nothing.
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and message in err
+
+
 def test_validate_diagram_invalid_file_exit_code(tmp_path, capsys):
     bad = {"name": "broken", "levels": [[1], [3]], "multiplicities": [[[2]]]}
     path = tmp_path / "bad.json"

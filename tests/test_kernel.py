@@ -1,8 +1,9 @@
 import itertools
 import random
 
+from reference import brute_force_counts
 from weylchar import gtkernel
-from weylchar.combinatorics import Signature, enumerate_gt_patterns, gt_weight, signatures_with_entries
+from weylchar.combinatorics import Signature, signatures_with_entries
 from weylchar.moments import TraceZeroSigned
 
 
@@ -42,16 +43,6 @@ def _level_by_level_counts(entries, groups, ngroups):
     return rec(tuple(entries))
 
 
-def _brute_force_counts(entries, groups, ngroups):
-    out = {}
-    for pattern in enumerate_gt_patterns(Signature(entries)):
-        e = [0] * ngroups
-        for g, w in zip(groups, gt_weight(pattern)):
-            e[g] += w
-        out[tuple(e)] = out.get(tuple(e), 0) + 1
-    return out
-
-
 def test_kernel_matches_brute_force_enumeration():
     rng = random.Random(99)
     cases = []
@@ -65,7 +56,7 @@ def test_kernel_matches_brute_force_enumeration():
         cases.append((sig.entries, (0, 0, 1, 1), 2))
         cases.append((sig.entries, (0, 1, 0, 1), 2))
     for entries, groups, ngroups in cases:
-        expected = _brute_force_counts(entries, groups, ngroups)
+        expected = brute_force_counts(entries, groups, ngroups)
         assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups)
 
 
@@ -186,7 +177,7 @@ def test_shared_memo_keeps_group_labels_and_ngroups_apart():
     gtkernel._node.cache_clear()
     # Forward then backward, so each case also runs after its neighbours warmed the memo.
     for entries, groups, ngroups in cases + cases[::-1]:
-        expected = _brute_force_counts(entries, groups, ngroups)
+        expected = brute_force_counts(entries, groups, ngroups)
         assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups, ngroups)
 
 

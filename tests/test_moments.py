@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import brute_force_counts, power_sum_value
 from weylchar import moments
-from weylchar.combinatorics import (
-    Signature,
-    enumerate_gt_patterns,
-    gt_weight,
-    signatures_with_entries,
-)
+from weylchar.combinatorics import Signature, signatures_with_entries
 from weylchar.moments import (
     MC_BATCH,
     MC_CHUNK,
@@ -31,7 +27,6 @@ from weylchar.moments import (
     hciz_power_sum,
     moment2_closed,
     moment4_closed,
-    product_moment_identity,
     rho,
     weight_distribution,
 )
@@ -100,10 +95,9 @@ def test_weight_distribution_matches_literal_enumeration():
         sig = S(entries)
         f = TraceZeroSigned(2, sig.d)
         direct = {}
-        for pat in enumerate_gt_patterns(sig):
-            w = gt_weight(pat)
+        for w, c in brute_force_counts(sig.entries, tuple(range(sig.d)), sig.d).items():
             k = w[0] - w[1]
-            direct[k] = direct.get(k, 0) + 1
+            direct[k] = direct.get(k, 0) + c
         dim = weyl_dim(sig)
         expected = {k: F(c, dim) for k, c in direct.items() if c}
         assert weight_distribution(sig, f).probs == expected
@@ -192,8 +186,8 @@ def test_estimate_check_examples():
 def test_product_moment_identity_examples():
     pm = WeightDistribution({1: F(1, 2), -1: F(1, 2)})
     point = WeightDistribution({0: F(1)})
-    assert product_moment_identity([pm, point]).probs == pm.probs
-    conv = product_moment_identity([pm, pm])
+    assert pm.convolve(point).probs == pm.probs
+    conv = pm.convolve(pm)
     assert conv.probs == {2: F(1, 4), 0: F(1, 2), -2: F(1, 4)}
     assert conv.moment(2) == 2
     assert conv.moment(4) == 8  # = m4_1 + m4_2 + 6 m2_1 m2_2
@@ -214,7 +208,7 @@ def _sym_dists(draw):
 @given(st.lists(_sym_dists(), min_size=2, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_convolution_moment_additivity(dists):
-    conv = product_moment_identity(dists)
+    conv = functools.reduce(WeightDistribution.convolve, dists)
     m2s = [d.moment(2) for d in dists]
     m4s = [d.moment(4) for d in dists]
     assert conv.moment(2) == sum(m2s)
@@ -441,7 +435,7 @@ def test_multiblock_distribution_is_convolution():
         f2 = TraceZeroSigned(r2, d2)
         dist1 = weight_distribution(sig1, f1)
         dist2 = weight_distribution(sig2, f2)
-        conv = product_moment_identity([dist1, dist2])
+        conv = dist1.convolve(dist2)
         # Same computation through a single ambient window per block.
         amb1 = weight_distribution(
             S(sig1.entries), TraceZeroSigned(r1, d1, offset=0)
@@ -556,8 +550,8 @@ def _hciz_power_sum_ref(a, b, n):
         exp = schur_to_power_sums(lam)
         total += (
             Fraction(sym_group_dim(lam))
-            * exp.evaluate_power_sums(pa)
-            * exp.evaluate_power_sums(pb)
+            * power_sum_value(exp, pa)
+            * power_sum_value(exp, pb)
             / schur_dim(lam, d)
         )
     return total
