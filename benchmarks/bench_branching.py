@@ -18,6 +18,10 @@ import hashlib
 import random
 import sys
 import time
+from pathlib import Path
+
+# Import the package from this checkout's src/, whether or not it is installed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylchar.combinatorics import Signature
 from weylchar.ucharacters import restrict_to_blocks, tensor_decompose

@@ -5,19 +5,29 @@ The workloads mirror the hot paths: the full d in {4,5,6} moment sweep (every
 signature with entries in [-2,2], every admissible even r), a deep-tower
 confluent character evaluation with the two eigenvalues on contiguous
 halves, and the CAR tower at d in {256, 512} with the eigenvalues interleaved
-the way the tower embedding lays them out.  Exits 1 unless every checksum
-matches; each checksum is a sum of Weyl dimensions.  The kernel's shared
-node memo is cleared before each timed repetition, so the times are cold.
+the way the tower embedding lays them out; each checksum is a sum of Weyl
+dimensions.  Then a curve: `weight_distribution` over the moment sweep at
+each d in {4, ..., 8}, printing the time, the kernel nodes built and a
+checksum, the leading hex of a sha256 over the repr of every (m2, m4) of the
+point; the pinned values were computed with the tuple-keyed kernel that the
+integer-keyed one replaced.  The kernel's shared node memo is cleared before
+each timed repetition, so the times are cold.  Exits 1 unless every checksum
+matches.
 Usage: python3 benchmarks/bench_gt.py
 """
 
+import hashlib
 import sys
 import time
+from pathlib import Path
+
+# Import the package from this checkout's src/, whether or not it is installed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylchar import gtkernel
 from weylchar.combinatorics import signatures_with_entries
 from weylchar.gtkernel import group_counts
-from weylchar.moments import TraceZeroSigned
+from weylchar.moments import TraceZeroSigned, weight_distribution
 
 
 def sweep_workload():
@@ -57,24 +67,52 @@ WORKLOADS = (
 )
 
 
-def run(label, workload, repeats=3):
+# d -> checksum of the (m2, m4) of weight_distribution over the moment sweep at d.
+SWEEP_CURVE = {
+    4: "9c1c8c2cdc4a3b7f",
+    5: "497f2f37f200a0de",
+    6: "3cd2b665e51569c5",
+    7: "7eae18188883dfce",
+    8: "6d296deb899a6d2d",
+}
+
+
+def moment_pairs(d):
+    out = []
+    for sig in signatures_with_entries(d, -2, 2):
+        for r in range(2, d + 1, 2):
+            dist = weight_distribution(sig, TraceZeroSigned(r, d))
+            out.append((dist.moment(2), dist.moment(4)))
+    return out
+
+
+def cold_best(workload, repeats=3):
+    """(best seconds, nodes built, result) over cold repetitions."""
     best = float("inf")
-    result = None
     for _ in range(repeats):
-        gtkernel._node.cache_clear()
+        gtkernel._shared.cache_clear()
         start = time.perf_counter()
         result = workload()
         best = min(best, time.perf_counter() - start)
-    print(f"{label:>15}: {best * 1000:8.1f} ms  (checksum {result})")
-    return result
+    return best, gtkernel._shared.cache_info().misses, result
 
 
 def main():
     ok = True
     for label, workload, expected in WORKLOADS:
-        result = run(label, workload)
+        best, _, result = cold_best(workload)
+        print(f"{label:>15}: {best * 1000:8.1f} ms  (checksum {result})")
         if result != expected:
             print(f"{label}: checksum {result} != expected {expected}", file=sys.stderr)
+            ok = False
+    print("weight_distribution over the moment sweep, cold:")
+    for d, expected in SWEEP_CURVE.items():
+        best, nodes, pairs = cold_best(lambda: moment_pairs(d))
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+        print(f"  d={d}: {len(pairs):5d} calls {best * 1000:8.1f} ms  {nodes:5d} nodes  "
+              f"(checksum {digest})")
+        if digest != expected:
+            print(f"d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
 

@@ -17,6 +17,10 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+# Import the package from this checkout's src/, whether or not it is installed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylchar.combinatorics import Signature
 from weylchar.moments import (

@@ -52,6 +52,9 @@ class BratteliDiagram:
     def __post_init__(self):
         levels = tuple(tuple(int(d) for d in lv) for lv in self.levels)
         mults = tuple(_as_matrix(m) for m in self.mults)
+        for n, lv in enumerate(levels):
+            if not lv:
+                raise ValueError(f"level {n} has no blocks")
         if len(mults) != len(levels) - 1:
             raise ValueError("need exactly one multiplicity matrix per level step")
         for n, m in enumerate(mults):
@@ -531,6 +534,8 @@ def ergodic_sequence(
         weights = trace_weights(diagram)
     if n_max > diagram.depth:
         raise ValueError(f"n_max {n_max} beyond diagram depth {diagram.depth}")
+    if n_max < u.level:
+        raise ValueError(f"n_max {n_max} is below the level {u.level} of u: no level to walk")
     for n in range(u.level, n_max + 1):
         if not 0 <= block < len(diagram.levels[n]):
             raise ValueError(f"no block {block} at level {n}: its blocks are 0..{len(diagram.levels[n]) - 1}")

@@ -1,50 +1,82 @@
 """Gelfand-Tsetlin aggregation kernel.
 
-`group_counts` is the hot primitive behind weight distributions, confluent
-character evaluation and characters at quarter-turn spectra.  It aggregates
-GT pattern counts by the total weight landing in each coordinate group, i.e.
-the coefficients of s_lam evaluated with every coordinate of group g set to
-y_g.
+`pairing_counts` is the hot primitive behind weight distributions, and
+`group_counts` behind confluent character evaluation and characters at
+quarter-turn spectra.  Both count the GT patterns of one irrep by an integer
+linear functional of the pattern's weight w: `pairing_counts` keys each
+pattern by k = sum_i c_i w_i for given integer coefficients c_i (for a weight
+distribution, c = the diagonal of F, so k = <F, w>); `group_counts` keys it
+by the group sums e_g = sum(w_i for groups[i] == g), packed into one integer
+Kronecker-style, k = sum_g B^g (e_g - m_g lo) with lo the smallest entry, m_g
+the group size and B = d (hi - lo) + 1 past every digit, and decodes the keys.
 
-s_lam is symmetric, so the coordinates are first sorted by group; the sorted
-order cuts into runs of m same-group coordinates.  The kernel then jumps
-over each run in one step instead of walking it one GT row at a time: from
-the row lam of length k to every row nu of length k - m with
-lam_i >= nu_i >= lam_{i+m}, each jump carrying the multiplicity
-s_{lam/nu}(1^m) (the number of GT strips between the two rows).  For
-m >= 3 that is the dual Jacobi-Trudi determinant det[C(m, lam'_i - nu'_j - i + j)]
-(Macdonald, Symmetric Functions and Hall Polynomials, I.5), computed with
-integer Bareiss elimination.  A run of two has one middle row mu, whose
-entries range independently between lam and nu (GT interlacing), so its
-multiplicity is a product of interval lengths and needs no determinant.  The
-bottom run jumps to the empty row, so the multiplicity there is the dimension
-s_lam(1^m).
+s_lam is symmetric, so coordinates with equal coefficients merge into one
+run of m coordinates, and the runs may be stacked in any order.  The kernel
+jumps over each run in one step instead of walking it one GT row at a time:
+from the row lam of length k to every row nu of length k - m with
+lam_i >= nu_i >= lam_{i+m}, each jump adding c (|lam| - |nu|) to the key and
+carrying the multiplicity s_{lam/nu}(1^m) (the number of GT strips between the
+two rows).  For m >= 3 that is the dual Jacobi-Trudi determinant
+det[C(m, lam'_i - nu'_j - i + j)] (Macdonald, Symmetric Functions and Hall
+Polynomials, I.5), computed with integer Bareiss elimination.  A run of two
+has one middle row mu, whose entries range independently between lam and nu
+(GT interlacing), so its multiplicity is a product of interval lengths and
+needs no determinant; a run of one has multiplicity 1.
 
-The sub-result below a row depends only on that row, the runs beneath it
-and the number of groups, so one memo, `_node`, is shared by every call: an
-`lru_cache` keyed by (row, runs below, ngroups) and bounded by
-`NODE_CACHE_SIZE` entries.  `group_counts` jumps over its own top run
-uncached, so the dict it returns is always built fresh and cached dicts never
-escape; the jump only reads them.  A node holds one entry per grouped weight
-of the patterns below its row, at most the dimension of that row's irrep,
-so the memo holds at most `NODE_CACHE_SIZE` such tables.  A moment sweep
-over every signature with entries in [-2, 2] at d = 4..7 caches 351 nodes
-(0.35 MB); the d = 7 staircase with seven groups caches 429.  A call that
-needs more nodes than the bound evicts its least recently used ones and
-recomputes them when they come back.
+Run order: the longest run goes at the bottom, ties broken by coefficient.
+The bottom run jumps to the empty row with multiplicity s_nu(1^m), and that
+jump is a memo node keyed within a call by its row alone, so the long run's
+determinants are computed once per distinct row; the top jump, which is
+never cached, then walks the short runs, which need no determinant when
+m <= 2.  With the zero run of a weight distribution on top instead (up to
+d - 2 coordinates long), the skew determinants of the top jump took over half
+of the kernel's steady-state time under cProfile.
+
+The sub-result below a row depends only on that row and the runs beneath it,
+so it is memoised in two tiers, with no knob.  A per-call dict, keyed by the
+row (the row's length fixes the runs beneath it), holds every node the call
+builds and is freed on return, so one call never builds a node twice however
+many it needs.  A shared `lru_cache` of `NODE_CACHE_SIZE` nodes, keyed by
+(row, runs below), serves reuse across calls; a node it misses is built on
+the calling thread's per-call dict and kept there, so its
+`cache_info().misses` counts the nodes built.  The top jump is never cached,
+so the dict a call returns is always fresh and cached dicts never escape;
+jumps only read them.  A node holds one entry per key of the patterns below
+its row, at most the dimension of that row's irrep.  A weight-distribution
+sweep over every signature with entries in [-2, 2] at d = 4..7, every even
+r, builds 1,213 nodes, whose dicts, keys and values take 0.55 MB
+(`sys.getsizeof`); one pass of the `perfbench` `exact_sweep` workload builds
+2,510.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
-import itertools
 import math
+import threading
 
 from weylchar.errors import InvariantError
 
-# About three times the 351 nodes of a full moment sweep.
-NODE_CACHE_SIZE = 1024
+# About three times the 1,213 nodes of a full moment sweep (see above).
+NODE_CACHE_SIZE = 4096
+
+
+def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[int, int]:
+    """Counts of GT patterns by k = sum_i coeffs[i] * w_i.
+
+    For the irrep with top row `entries` (length d, non-increasing), maps each
+    value k of the pairing of the pattern weights w with the integer vector
+    `coeffs` to the number of patterns taking it.  The values sum to the
+    dimension of the irrep.  The map is built fresh on every call, so the
+    caller may mutate it.
+    """
+    if len(coeffs) != len(entries):
+        raise ValueError("coeffs must give every coordinate a coefficient")
+    # Bottom first: the longest run, ties broken by coefficient.
+    runs = sorted(collections.Counter(coeffs).items(), key=lambda run: (-run[1], run[0]))
+    return _counts(tuple(entries), tuple(runs))
 
 
 def group_counts(
@@ -64,27 +96,54 @@ def group_counts(
         raise ValueError("groups must assign every coordinate")
     if any(not 0 <= g < ngroups for g in groups):
         raise ValueError("group index out of range")
+    if not d:
+        return {(0,) * ngroups: 1}
 
-    # Bottom run first: runs[r] covers GT rows sum(lengths[:r]) + 1 .. sum(lengths[:r+1]).
-    runs = tuple((g, sum(1 for _ in run)) for g, run in itertools.groupby(sorted(groups)))
-    return _jump(tuple(entries), runs, ngroups)
+    # Every w_i lies in [lo, hi], so e_g - m_g lo is a digit in [0, base).
+    lo, hi = min(entries), max(entries)
+    base = d * (hi - lo) + 1
+    sizes = [0] * ngroups
+    for g in groups:
+        sizes[g] += 1
+    lows = [m * lo for m in sizes]
+    offset = sum(base**g * low for g, low in enumerate(lows))
+    out: dict[tuple[int, ...], int] = {}
+    for k, n in pairing_counts(entries, tuple(base**g for g in groups)).items():
+        k -= offset
+        e = []
+        for low in lows:
+            k, digit = divmod(k, base)
+            e.append(digit + low)
+        out[tuple(e)] = n
+    return out
+
+
+def _counts(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """Pattern counts below row lam for runs (coefficient, length), bottom first, in any order."""
+    if not runs:
+        return {0: 1}
+    # The per-call memo tier, keyed by row; the empty row carries the empty pattern.
+    _call.nodes = {(): {0: 1}}
+    try:
+        return _jump(lam, runs, _call.nodes)
+    finally:
+        del _call.nodes
 
 
 def _jump(
-    lam: tuple[int, ...], runs: tuple[tuple[int, int], ...], ngroups: int
-) -> dict[tuple[int, ...], int]:
-    """Grouped counts of the GT patterns below row lam, whose runs (bottom first) are `runs`.
+    lam: tuple[int, ...], runs: tuple[tuple[int, int], ...], nodes: dict
+) -> dict[int, int]:
+    """Counts by key of the GT patterns below row lam, whose runs (bottom first) are `runs`.
 
-    Jumps over the top run and reads the rows below from the shared memo; it
-    never mutates a dict that `_node` returned.
+    Jumps over the top run and reads the rows below from the memo: the call's
+    own `nodes`, else the shared tier.  It never mutates a dict that the memo
+    holds.
     """
-    if not runs:
-        return {(0,) * ngroups: 1}
-    g, m = runs[-1]
+    c, m = runs[-1]
     below = runs[:-1]
     total = sum(lam)
     lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 2 else ()
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
         if m == 1:
             mult = 1
@@ -92,15 +151,24 @@ def _jump(
             mult = _two_row_strips(lam, nu)
         else:
             mult = _skew_dim(lam, lam_conj, nu, m)
-        w = total - sum(nu)
-        for e, n in _node(nu, below, ngroups).items():
-            if w:
-                e = e[:g] + (e[g] + w,) + e[g + 1 :]
-            out[e] = out.get(e, 0) + n * mult
+        node = nodes.get(nu)
+        if node is None:
+            node = nodes[nu] = _shared(nu, below)
+        shift = c * (total - sum(nu))
+        for k, n in node.items():
+            k += shift
+            out[k] = out.get(k, 0) + n * mult
     return out
 
 
-_node = functools.lru_cache(maxsize=NODE_CACHE_SIZE)(_jump)
+# The calling thread's per-call tier, set by `_counts` for the length of one call.
+_call = threading.local()
+
+
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _shared(row: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """The shared tier: counts below `row`, built in the calling thread's per-call tier."""
+    return _jump(row, runs, _call.nodes)
 
 
 def _rows_between(hi: tuple[int, ...], lo: tuple[int, ...]):

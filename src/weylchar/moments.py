@@ -16,10 +16,9 @@ are integers, and weights each cycle type by the integer class-size times
 character value n! chi^lam / z; the lam terms add over the lcm of the
 s_lam(1_d), and the total is divided once by (n!)^2 D_A^n D_B^n.
 
-The brute-force side works on integer counts too: the GT pattern counts are
-tallied by k as integers, each mass is one `Fraction` of its tally over the
-dimension, and a moment is one integer sum of k^p times the masses' numerators
-over their common denominator.
+The brute-force side works on integer counts too: the GT kernel counts the
+patterns by k = <F, w> directly, the distribution keeps those counts over the
+dimension, and a moment is one integer sum of k^p times the counts over it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from weylchar.combinatorics import Signature, partitions_of
-from weylchar.gtkernel import group_counts
+from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import (
     schur_dim,
     schur_to_power_sums,
@@ -128,22 +127,44 @@ class TraceZeroSigned:
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Finitely supported exact probability distribution on the integers."""
+    """Finitely supported exact probability distribution on the integers.
+
+    Held as integer masses over one common denominator.  `from_counts` builds
+    it from integer counts and their total directly; `probs`, the masses as
+    `Fraction`s, is then derived on first use.
+    """
 
     probs: dict[int, Fraction]
 
     def __post_init__(self):
         probs = {int(k): Fraction(v) for k, v in self.probs.items() if v != 0}
-        if any(v < 0 for v in probs.values()):
-            raise ValueError("negative mass")
         # Every mass as an integer over the common denominator of the masses.
         den = math.lcm(*(v.denominator for v in probs.values()))
-        scaled = {k: v.numerator * (den // v.denominator) for k, v in probs.items()}
-        if sum(scaled.values()) != den:
-            raise ValueError("masses must sum to 1")
+        self._set_scaled({k: v.numerator * (den // v.denominator) for k, v in probs.items()}, den)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def from_counts(cls, counts: dict[int, int], total: int) -> "WeightDistribution":
+        """The distribution with mass counts[k] / total at k; the counts must sum to total."""
+        dist = object.__new__(cls)
+        dist._set_scaled({k: c for k, c in counts.items() if c}, total)
+        return dist
+
+    def _set_scaled(self, scaled: dict[int, int], den: int) -> None:
+        if any(c < 0 for c in scaled.values()):
+            raise ValueError("negative mass")
+        if den < 1 or sum(scaled.values()) != den:
+            raise ValueError("masses must sum to 1")
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_den", den)
+
+    def __getattr__(self, name: str):
+        # Only reached for a `probs` that `from_counts` left to its first reader.
+        if name != "probs":
+            raise AttributeError(name)
+        probs = {k: Fraction(c, self._den) for k, c in self._scaled.items()}
+        object.__setattr__(self, "probs", probs)
+        return probs
 
     def moment(self, p: int) -> Fraction:
         """p-th moment sum k^p M(k); zero for odd p on symmetric distributions."""
@@ -179,15 +200,10 @@ def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistributio
     """Exact distribution of the F-pairing of GT weights of the irrep sig."""
     if f.d != sig.d:
         raise ValueError(f"F lives on d = {f.d}, signature on d = {sig.d}")
-    counts = group_counts(sig.entries, f.groups(), 3)
-    tally: dict[int, int] = {}
-    for (plus, minus, _zero), mult in counts.items():
-        k = plus - minus
-        tally[k] = tally.get(k, 0) + mult
+    tally = pairing_counts(sig.entries, f.diagonal())
     # The Weyl dimension, not the tally's total: the sum-to-one check then
     # tests the kernel's pattern count against it.
-    dim = weyl_dim(sig)
-    return WeightDistribution({k: Fraction(c, dim) for k, c in tally.items()})
+    return WeightDistribution.from_counts(tally, weyl_dim(sig))
 
 
 def _integer_scaling(spec: HermitianSpectrum) -> tuple[int, tuple[int, ...]]:

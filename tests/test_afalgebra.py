@@ -309,6 +309,13 @@ def test_ergodic_defining_rep_constant():
     assert all(e < 1e-15 for e in report.errors)
 
 
+def test_ergodic_rejects_an_empty_range_of_levels():
+    car = preset_diagram("car")
+    with pytest.raises(ValueError, match="n_max 0 is below the level 1 of u"):
+        ergodic_sequence(car, P((1,)), P((1,)), _car_u(), 0)
+    assert ergodic_sequence(car, P((1,)), P((1,)), _car_u(), 1).levels == (1,)
+
+
 def test_ergodic_trivial_pair():
     car = preset_diagram("car")
     report = ergodic_sequence(car, P(()), P(()), _car_u(), 4)

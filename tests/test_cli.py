@@ -333,6 +333,8 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, file_data):
                      "needs --entry-bound >= 0, got -1", id="sweep-entry-bound"),
         pytest.param(["schur-weyl", "--n", "3", "--p", "-1", "--q", "1"],
                      "must be nonnegative, got 3, -1, 1", id="schur-weyl-negative"),
+        pytest.param(["ergodic", "--diagram", "car", "--lam", "1", "--mu", "1", "--u", "0.25,0",
+                      "--nmax", "0"], "n_max 0 is below the level 1 of u", id="ergodic-nmax"),
     ],
 )
 def test_a_check_of_nothing_is_a_usage_error(capsys, argv, message):
@@ -340,6 +342,21 @@ def test_a_check_of_nothing_is_a_usage_error(capsys, argv, message):
     code, payload, err = run_cli(capsys, argv)
     assert code == 2 and payload is None
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "file_data, message",
+    [
+        ({"levels": [[]], "multiplicities": []}, "error: level 0 has no blocks\n"),
+        ({"levels": [[1], []], "multiplicities": [[]]}, "error: level 1 has no blocks\n"),
+    ],
+)
+def test_a_diagram_level_with_no_blocks_is_named(tmp_path, capsys, file_data, message):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(file_data))
+    code, payload, err = run_cli(capsys, ["validate-diagram", "--file", str(path)])
+    assert code == 2 and payload is None
+    assert err == message
 
 
 def test_validate_diagram_invalid_file_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import random
 
@@ -141,9 +143,9 @@ def _moment_cases(dims):
 def test_shared_memo_gives_the_same_counts_warm_and_cold():
     cases = _moment_cases((4, 5, 6, 7))
     warm = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
-    assert gtkernel._node.cache_info().hits > 0
+    assert gtkernel._shared.cache_info().hits > 0
     for (entries, groups), expected in zip(cases, warm):
-        gtkernel._node.cache_clear()
+        gtkernel._shared.cache_clear()
         assert gtkernel.group_counts(entries, groups, 3) == expected, (entries, groups)
 
 
@@ -174,7 +176,7 @@ def test_shared_memo_keeps_group_labels_and_ngroups_apart():
     for sig in signatures_with_entries(4, -1, 2):
         for groups in four:
             cases += [(sig.entries, groups, n) for n in (2, 3) if max(groups) < n]
-    gtkernel._node.cache_clear()
+    gtkernel._shared.cache_clear()
     # Forward then backward, so each case also runs after its neighbours warmed the memo.
     for entries, groups, ngroups in cases + cases[::-1]:
         expected = brute_force_counts(entries, groups, ngroups)
@@ -200,7 +202,7 @@ def test_shared_memo_under_concurrent_calls():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        gtkernel._node.cache_clear()
+        gtkernel._shared.cache_clear()
         threads = [threading.Thread(target=worker, args=(t * 37,)) for t in range(4)]
         for t in threads:
             t.start()
@@ -220,6 +222,38 @@ def test_shared_memo_stays_within_its_bound():
     car = (2, 1) + (0,) * 508 + (-1, -2)
     counts = gtkernel.group_counts(car, tuple(i % 2 for i in range(512)), 2)
     assert sum(counts.values()) == weyl_dim(Signature(car))
-    info = gtkernel._node.cache_info()
+    info = gtkernel._shared.cache_info()
     assert info.maxsize == gtkernel.NODE_CACHE_SIZE
     assert 0 < info.currsize <= info.maxsize
+
+
+def test_pairing_counts_match_brute_force_in_every_run_order():
+    rng = random.Random(1616)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        entries = tuple(sorted((rng.randint(-2, 2) for _ in range(d)), reverse=True))
+        # Zeros, negatives and repeated coefficients, so runs merge.
+        coeffs = tuple(rng.choice((-3, -1, 0, 0, 1, 2, 2)) for _ in range(d))
+        expected: dict[int, int] = {}
+        for w, n in brute_force_counts(entries, tuple(range(d)), d).items():
+            k = sum(c * x for c, x in zip(coeffs, w))
+            expected[k] = expected.get(k, 0) + n
+        assert gtkernel.pairing_counts(entries, coeffs) == expected, (entries, coeffs)
+        runs = tuple(collections.Counter(coeffs).items())
+        for order in itertools.permutations(runs):
+            assert gtkernel._counts(entries, order) == expected, (entries, order)
+
+
+def test_a_call_builds_each_node_once_past_the_shared_bound(monkeypatch):
+    # Six groups on a d = 6 signature: one call needs about 100 nodes.
+    entries, groups = (2, 2, 1, 0, -1, -2), tuple(range(6))
+    build = gtkernel._shared.__wrapped__
+    monkeypatch.setattr(gtkernel, "_shared", functools.lru_cache(maxsize=None)(build))
+    expected = gtkernel.group_counts(entries, groups, 6)
+    nodes = gtkernel._shared.cache_info().misses
+    assert 80 <= nodes <= 120
+    # A shared tier far below the call's need must not make it rebuild nodes.
+    monkeypatch.setattr(gtkernel, "_shared", functools.lru_cache(maxsize=8)(build))
+    assert gtkernel.group_counts(entries, groups, 6) == expected
+    info = gtkernel._shared.cache_info()
+    assert info.misses == nodes and info.currsize == 8

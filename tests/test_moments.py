@@ -118,6 +118,16 @@ def test_moment_examples():
     assert WeightDistribution({0: F(1)}).moment(2) == 0
 
 
+def test_distribution_from_counts_matches_the_fraction_form():
+    counts = WeightDistribution.from_counts({2: 1, 0: 4, -2: 1, 5: 0}, 6)
+    masses = WeightDistribution({2: F(1, 6), 0: F(2, 3), -2: F(1, 6)})
+    assert counts.probs == masses.probs and counts == masses
+    assert [counts.moment(p) for p in range(5)] == [masses.moment(p) for p in range(5)]
+    for bad, total in (({1: 2}, 3), ({1: 3, 2: -1}, 2), ({}, 0)):
+        with pytest.raises(ValueError):
+            WeightDistribution.from_counts(bad, total)
+
+
 def test_J_series_examples():
     f = TraceZeroSigned(4, 4)
     assert J_series(rho(4), f, 1) == 0
