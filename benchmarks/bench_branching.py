@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
 """Checksum-gated timing of the Littlewood-Richardson branching layer.
 
-Two curves on seeded signatures: `restrict_to_blocks` against the size of
-the shifted partition (sig + a, a the smallest shift making it one), for
-sizes 10 ... 22 with two signatures each at d = 6, 7 and 8 (entries in
+Three curves.  Two on seeded signatures: `restrict_to_blocks` against the
+size of the shifted partition (sig + a, a the smallest shift making it one),
+for sizes 10 ... 22 with two signatures each at d = 6, 7 and 8 (entries in
 [-4, 4], d1 seeded); and `tensor_decompose` against the summed shifted size
 of its two factors, for the same sizes with four pairs at d = 6 (entries in
-[-3, 3]).  Each point prints the best of three runs.  Each checksum is the
-leading hex of a sha256 over the repr of every component of its curve; the
-pinned values were computed with the per-gamma LR loop and the per-term
-signatures that the single ballot walk replaced.  Exits 1 unless both
-checksums match.
+[-3, 3]).  The third restricts {1;2,1} = (2, 1, 0, ..., 0, -1) to two halves
+U(d/2) x U(d/2) at d = 2^k, k = 8 ... 12: the answer has 17 components at
+every d, but the shifted partition has d - 1 rows, so the walks grow with d.
+Each point prints the best of three runs and its component count.  Each
+checksum is the leading hex of a sha256 over the repr of every component of
+its curve.  The first two were pinned with the per-gamma LR loop and the
+per-term signatures that the single ballot walk replaced; the third with the
+walks that recursed once per row and once per cell, which needed the
+recursion limit raised past d = 1024.  Exits 1 unless every checksum
+matches.
 Usage: python3 benchmarks/bench_branching.py
 """
 
@@ -30,6 +35,7 @@ SIZES = tuple(range(10, 23))
 RESTRICT_DS = (6, 6, 7, 7, 8, 8)
 TENSOR_D = 6
 PAIRS_PER_SIZE = 4
+HALVES_DS = tuple(2**k for k in range(8, 13))
 DIM_BUDGET = 10**15
 
 
@@ -81,9 +87,14 @@ def tensor_run(cases):
     return out
 
 
+def halves_cases(d):
+    return [(Signature((2, 1) + (0,) * (d - 3) + (-1,)), d // 2)]
+
+
 CURVES = (
-    ("restrict_to_blocks", "size", restrict_cases, restrict_run, "b7d22024b4a211ef"),
-    ("tensor_decompose", "size", tensor_cases, tensor_run, "b86a6a7af74513c6"),
+    ("restrict_to_blocks", "size", SIZES, restrict_cases, restrict_run, "b7d22024b4a211ef"),
+    ("tensor_decompose", "size", SIZES, tensor_cases, tensor_run, "b86a6a7af74513c6"),
+    ("restrict halves", "d", HALVES_DS, halves_cases, restrict_run, "8a0d2339ae08519d"),
 )
 
 
@@ -99,15 +110,15 @@ def timed(run, cases, repeats=3):
 
 def main():
     ok = True
-    for label, knob, make_cases, run, expected in CURVES:
+    for label, knob, points, make_cases, run, expected in CURVES:
         digest = hashlib.sha256()
-        for size in SIZES:
-            cases = make_cases(size)
+        for point in points:
+            cases = make_cases(point)
             best, results = timed(run, cases)
             for value in results:
                 digest.update(repr(value).encode() + b"\n")
             ncomps = sum(len(value) for value in results)
-            print(f"{label:>18} {knob}={size:<3}: {best * 1000:9.2f} ms  "
+            print(f"{label:>18} {knob}={point:<4}: {best * 1000:9.2f} ms  "
                   f"({len(cases)} cases, {ncomps} components)")
         checksum = digest.hexdigest()[:16]
         print(f"{label:>18}: checksum {checksum}")

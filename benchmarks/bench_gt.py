@@ -7,12 +7,12 @@ confluent character evaluation with the two eigenvalues on contiguous
 halves, and the CAR tower at d in {256, 512} with the eigenvalues interleaved
 the way the tower embedding lays them out; each checksum is a sum of Weyl
 dimensions.  Then a curve: `weight_distribution` over the moment sweep at
-each d in {4, ..., 8}, printing the time, the kernel nodes built and a
-checksum, the leading hex of a sha256 over the repr of every (m2, m4) of the
-point; the pinned values were computed with the tuple-keyed kernel that the
-integer-keyed one replaced.  The kernel's shared node memo is cleared before
-each timed repetition, so the times are cold.  Exits 1 unless every checksum
-matches.
+each d in {4, ..., 8}, printing the time, the kernel nodes and jump tables
+built and a checksum, the leading hex of a sha256 over the repr of every
+(m2, m4) of the point; the pinned values were computed with the tuple-keyed
+kernel that the integer-keyed one replaced.  The kernel's shared node memo
+and its jump tables are both cleared before each timed repetition, so the
+times are cold.  Exits 1 unless every checksum matches.
 Usage: python3 benchmarks/bench_gt.py
 """
 
@@ -87,30 +87,32 @@ def moment_pairs(d):
 
 
 def cold_best(workload, repeats=3):
-    """(best seconds, nodes built, result) over cold repetitions."""
+    """(best seconds, nodes built, tables built, result) over cold repetitions."""
     best = float("inf")
     for _ in range(repeats):
         gtkernel._shared.cache_clear()
+        gtkernel._table.cache_clear()
         start = time.perf_counter()
         result = workload()
         best = min(best, time.perf_counter() - start)
-    return best, gtkernel._shared.cache_info().misses, result
+    nodes, tables = gtkernel._shared.cache_info().misses, gtkernel._table.cache_info().misses
+    return best, nodes, tables, result
 
 
 def main():
     ok = True
     for label, workload, expected in WORKLOADS:
-        best, _, result = cold_best(workload)
+        best, _, _, result = cold_best(workload)
         print(f"{label:>15}: {best * 1000:8.1f} ms  (checksum {result})")
         if result != expected:
             print(f"{label}: checksum {result} != expected {expected}", file=sys.stderr)
             ok = False
     print("weight_distribution over the moment sweep, cold:")
     for d, expected in SWEEP_CURVE.items():
-        best, nodes, pairs = cold_best(lambda: moment_pairs(d))
+        best, nodes, tables, pairs = cold_best(lambda: moment_pairs(d))
         digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
         print(f"  d={d}: {len(pairs):5d} calls {best * 1000:8.1f} ms  {nodes:5d} nodes  "
-              f"(checksum {digest})")
+              f"{tables:5d} tables  (checksum {digest})")
         if digest != expected:
             print(f"d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
             ok = False

@@ -23,14 +23,28 @@ has one middle row mu, whose entries range independently between lam and nu
 (GT interlacing), so its multiplicity is a product of interval lengths and
 needs no determinant; a run of one has multiplicity 1.
 
+Each jump splits into geometry and weighting.  The geometry of a jump over a
+run of m from row lam, the rows nu with their drops |lam| - |nu| and
+multiplicities, depends on neither the run's coefficient nor the runs below,
+so `_table(lam, m)` builds it once, as one flat tuple (nu, drop, mult, nu,
+drop, mult, ...), in a shared `lru_cache` of `NODE_CACHE_SIZE` tables; the
+jump itself only adds c * drop to each key and multiplies the counts by
+mult.  Every caller shares the tables: `pairing_counts` at any coefficients,
+and through it `group_counts` and so `symfunc.eval_by_gt`.  A warm jump
+therefore computes no multiplicity, and the table's own nu tuples key the
+memo nodes below it.  One pass of the `perfbench` `exact_sweep` workload
+builds 1,968 tables holding 17,058 rows (4,916 with m = 1, 9,281 with m = 2,
+2,660 with m = 3 and 201 with m >= 4), but only 457 distinct rows, so `_row`
+keeps one shared copy of each (in an `lru_cache` of `NODE_CACHE_SIZE` rows).
+Peak RSS after five passes then rises by 0.45 MB over a kernel without
+tables; with a fresh row tuple per entry it rose by 2.0 MB, and with three
+parallel tuples (rows, drops, mults) of shared rows by 0.85 MB.
+
 Run order: the longest run goes at the bottom, ties broken by coefficient.
 The bottom run jumps to the empty row with multiplicity s_nu(1^m), and that
-jump is a memo node keyed within a call by its row alone, so the long run's
-determinants are computed once per distinct row; the top jump, which is
-never cached, then walks the short runs, which need no determinant when
-m <= 2.  With the zero run of a weight distribution on top instead (up to
-d - 2 coordinates long), the skew determinants of the top jump took over half
-of the kernel's steady-state time under cProfile.
+jump is a memo node keyed within a call by its row alone, so a cold call
+computes the long run's determinants once per distinct row, and the top jump
+walks the short runs, which need no determinant when m <= 2.
 
 The sub-result below a row depends only on that row and the runs beneath it,
 so it is memoised in two tiers, with no knob.  A per-call dict, keyed by the
@@ -39,14 +53,16 @@ builds and is freed on return, so one call never builds a node twice however
 many it needs.  A shared `lru_cache` of `NODE_CACHE_SIZE` nodes, keyed by
 (row, runs below), serves reuse across calls; a node it misses is built on
 the calling thread's per-call dict and kept there, so its
-`cache_info().misses` counts the nodes built.  The top jump is never cached,
-so the dict a call returns is always fresh and cached dicts never escape;
+`cache_info().misses` counts the nodes built.  The top jump's result is not a
+node: the dict a call returns is always fresh and cached dicts never escape;
 jumps only read them.  A node holds one entry per key of the patterns below
 its row, at most the dimension of that row's irrep.  A weight-distribution
 sweep over every signature with entries in [-2, 2] at d = 4..7, every even
 r, builds 1,213 nodes, whose dicts, keys and values take 0.55 MB
-(`sys.getsizeof`); one pass of the `perfbench` `exact_sweep` workload builds
-2,510.
+(`sys.getsizeof`); one `exact_sweep` pass builds 2,510.  The shared caches
+hold only tuples, or dicts that are never written after they are built, so
+concurrent calls may share them; two threads may both build one entry, and
+the two copies are equal.
 """
 
 from __future__ import annotations
@@ -59,7 +75,8 @@ import threading
 
 from weylchar.errors import InvariantError
 
-# About three times the 1,213 nodes of a full moment sweep (see above).
+# About three times the 1,213 nodes of a full moment sweep, and twice the
+# 1,968 jump tables of an `exact_sweep` pass (457 distinct rows; see above).
 NODE_CACHE_SIZE = 4096
 
 
@@ -135,30 +152,49 @@ def _jump(
 ) -> dict[int, int]:
     """Counts by key of the GT patterns below row lam, whose runs (bottom first) are `runs`.
 
-    Jumps over the top run and reads the rows below from the memo: the call's
-    own `nodes`, else the shared tier.  It never mutates a dict that the memo
-    holds.
+    Jumps over the top run through its cached table and reads the rows below
+    from the memo: the call's own `nodes`, else the shared tier.  It never
+    mutates a dict that the memo holds.
     """
     c, m = runs[-1]
     below = runs[:-1]
-    total = sum(lam)
-    lam_conj = _conjugate(lam, lam[-1], lam[0]) if m > 2 else ()
+    table = iter(_table(lam, m))
     out: dict[int, int] = {}
-    for nu in _rows_between(lam[: len(lam) - m], lam[m:]):
-        if m == 1:
-            mult = 1
-        elif m == 2:
-            mult = _two_row_strips(lam, nu)
-        else:
-            mult = _skew_dim(lam, lam_conj, nu, m)
+    for nu, drop, mult in zip(table, table, table):
         node = nodes.get(nu)
         if node is None:
             node = nodes[nu] = _shared(nu, below)
-        shift = c * (total - sum(nu))
+        shift = c * drop
         for k, n in node.items():
             k += shift
             out[k] = out.get(k, 0) + n * mult
     return out
+
+
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _table(lam: tuple[int, ...], m: int) -> tuple:
+    """The geometry of a jump over a run of m, flat: (nu, drop, mult, nu, drop, mult, ...).
+
+    The nu are every row with lam_i >= nu_i >= lam_{i+m}, each drop is
+    |lam| - |nu| and each mult is s_{lam/nu}(1^m).  None of it depends on the
+    run's coefficient or on the runs below, so every caller shares one table.
+    """
+    rows = [_row(nu) for nu in _rows_between(lam[: len(lam) - m], lam[m:])]
+    if m == 1:
+        mults = [1] * len(rows)
+    elif m == 2:
+        mults = [_two_row_strips(lam, nu) for nu in rows]
+    else:
+        lam_conj = _conjugate(lam, lam[-1], lam[0])
+        mults = [_skew_dim(lam, lam_conj, nu, m) for nu in rows]
+    total = sum(lam)
+    return tuple([x for nu, mult in zip(rows, mults) for x in (nu, total - sum(nu), mult)])
+
+
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """One shared copy of each row: the tables list each distinct row many times."""
+    return row
 
 
 # The calling thread's per-call tier, set by `_counts` for the length of one call.

@@ -217,7 +217,8 @@ def _ballot_fillings(
     so their indices (-1 outside the skew shape) are laid out once and the
     walk reads both bounds from one flat filling.  Leaves are tallied by
     content tuple, and one Partition is built per distinct content at the
-    end, not one per leaf.
+    end, not one per leaf.  The walk keeps no recursion per cell, so shapes
+    of thousands of cells fill too.
     """
     right: list[int] = []
     upper: list[int] = []
@@ -234,23 +235,34 @@ def _ballot_fillings(
     # counts[0] stands above every count, so value 1 always passes the ballot test.
     counts = [ncells + 1] + [0] * nvals
     found: dict[tuple[int, ...], int] = {}
-
-    def rec(idx: int):
+    # Depth first with an explicit stack, the filling itself: v is the next
+    # value to try at cell idx, 0 on entering it.
+    idx = v = 0
+    while idx >= 0:
         if idx == ncells:
             content = tuple(c for c in counts[1:] if c)
             found[content] = found.get(content, 0) + 1
-            return
-        hi = fill[right[idx]] if right[idx] >= 0 else nvals
-        lo = fill[upper[idx]] + 1 if upper[idx] >= 0 else 1
-        for v in range(lo, hi + 1):
-            n = counts[v]
-            if n < caps[v - 1] and counts[v - 1] > n:
-                fill[idx] = v
-                counts[v] = n + 1
-                rec(idx + 1)
-                counts[v] = n
-
-    rec(0)
+        else:
+            if not v:
+                v = fill[upper[idx]] + 1 if upper[idx] >= 0 else 1
+            hi = fill[right[idx]] if right[idx] >= 0 else nvals
+            while v <= hi:
+                n = counts[v]
+                if n < caps[v - 1] and counts[v - 1] > n:
+                    fill[idx] = v
+                    counts[v] = n + 1
+                    idx += 1
+                    v = 0
+                    break
+                v += 1
+            if not v:  # moved on to the next cell
+                continue
+        # Back up one cell and try its next value.
+        idx -= 1
+        if idx >= 0:
+            v = fill[idx]
+            counts[v] -= 1
+            v += 1
     return {Partition(content): n for content, n in found.items()}
 
 

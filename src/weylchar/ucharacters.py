@@ -164,20 +164,26 @@ def _subpartitions_bounded(nu: Partition, max_length: int, depth: int):
     The lower bound keeps exactly the alpha for which no column of nu/alpha
     is taller than depth, the only ones whose skew expansion in depth
     variables is nonempty.
+
+    An odometer visits them in decreasing lexicographic order, with no
+    recursion per row: lower the last entry that is above its floor and reset
+    every entry j after it to its largest value min(nu_j, alpha_{j-1}).  That
+    value is never below the floor nu_{j+depth}, which is at most nu_j and at
+    most nu_{j-1+depth} <= alpha_{j-1}.
     """
     rows = nu.parts[:max_length]
     floors = [nu.part(i + depth) for i in range(len(rows))]
-
-    def rec(i, prev):
-        if i == len(rows):
-            yield ()
+    alpha = list(rows)
+    while True:
+        yield Partition(tuple(alpha))
+        i = len(alpha) - 1
+        while i >= 0 and alpha[i] == floors[i]:
+            i -= 1
+        if i < 0:
             return
-        for v in range(min(rows[i], prev), floors[i] - 1, -1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for t in rec(0, rows[0] if rows else 0):
-        yield Partition(t)
+        alpha[i] -= 1
+        for j in range(i + 1, len(alpha)):
+            alpha[j] = min(rows[j], alpha[j - 1])
 
 
 def restrict_to_blocks(

@@ -71,6 +71,22 @@ def test_branch_restrict(capsys):
     assert len(payload["components"]) == 4
 
 
+def test_branch_restrict_at_d_2000(capsys):
+    # {1;2,1} shifts to a partition with 1,999 rows, deeper than the
+    # interpreter's recursion limit: the branching walks must not recurse per
+    # row or per cell.
+    sig = ",".join(["2", "1"] + ["0"] * 1997 + ["-1"])
+    code, payload, _ = run_cli(
+        capsys,
+        ["branch", "--op", "restrict", "--sig", sig, "--d1", "1000", "--d2", "1000",
+         "--dim-budget", str(10**18)],
+    )
+    assert code == 0
+    assert len(payload["components"]) == 17
+    assert payload["total_dim"] == 5333328000000
+    assert payload["inequalities_hold"] is True
+
+
 def test_branch_budget_exit_code(capsys):
     code, _, err = run_cli(
         capsys,

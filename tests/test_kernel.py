@@ -146,6 +146,7 @@ def test_shared_memo_gives_the_same_counts_warm_and_cold():
     assert gtkernel._shared.cache_info().hits > 0
     for (entries, groups), expected in zip(cases, warm):
         gtkernel._shared.cache_clear()
+        gtkernel._table.cache_clear()
         assert gtkernel.group_counts(entries, groups, 3) == expected, (entries, groups)
 
 
@@ -203,6 +204,7 @@ def test_shared_memo_under_concurrent_calls():
     sys.setswitchinterval(1e-6)
     try:
         gtkernel._shared.cache_clear()
+        gtkernel._table.cache_clear()
         threads = [threading.Thread(target=worker, args=(t * 37,)) for t in range(4)]
         for t in threads:
             t.start()
@@ -257,3 +259,62 @@ def test_a_call_builds_each_node_once_past_the_shared_bound(monkeypatch):
     assert gtkernel.group_counts(entries, groups, 6) == expected
     info = gtkernel._shared.cache_info()
     assert info.misses == nodes and info.currsize == 8
+
+
+def _seeded_rows(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 7)
+        yield tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+
+
+def test_jump_tables_match_the_inline_jump():
+    """`_table` gives the rows, drops and multiplicities a jump computed inline."""
+    for lam in _seeded_rows(1717, 150):
+        d = len(lam)
+        total = sum(lam)
+        conj = gtkernel._conjugate(lam, lam[-1], lam[0])
+        for m in range(1, d + 1):
+            rows = list(gtkernel._rows_between(lam[: d - m], lam[m:]))
+            drops = [total - sum(nu) for nu in rows]
+            if m == 1:
+                mults = [1] * len(rows)
+            elif m == 2:
+                mults = [gtkernel._two_row_strips(lam, nu) for nu in rows]
+            else:
+                mults = [gtkernel._skew_dim(lam, conj, nu, m) for nu in rows]
+            expected = tuple(x for entry in zip(rows, drops, mults) for x in entry)
+            gtkernel._table.cache_clear()
+            assert gtkernel._table(lam, m) == expected, (lam, m)
+            # A warm read hands back the same table.
+            assert gtkernel._table(lam, m) == expected, (lam, m)
+
+
+def test_jump_tables_satisfy_the_branching_rule():
+    """sum over nu of s_{lam/nu}(1^m) dim(nu) = dim(lam): U(d) restricted to U(d - m)."""
+    from weylchar.symfunc import weyl_dim
+
+    for lam in _seeded_rows(1718, 150):
+        d = len(lam)
+        for m in range(1, d + 1):
+            table = gtkernel._table(lam, m)
+            assert len(table) % 3 == 0 and table
+            rows, mults = table[::3], table[2::3]
+            total = sum(
+                mult * (weyl_dim(Signature(nu)) if nu else 1) for nu, mult in zip(rows, mults)
+            )
+            assert total == weyl_dim(Signature(lam)), (lam, m)
+
+
+def test_jump_tables_stay_within_their_bound():
+    from weylchar.symfunc import weyl_dim
+
+    for entries, groups in _moment_cases((4, 5, 6)):
+        gtkernel.group_counts(entries, groups, 3)
+    car = (2, 1) + (0,) * 508 + (-1, -2)
+    counts = gtkernel.group_counts(car, tuple(i % 2 for i in range(512)), 2)
+    assert sum(counts.values()) == weyl_dim(Signature(car))
+    info = gtkernel._table.cache_info()
+    assert info.maxsize == gtkernel.NODE_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > 0
