@@ -12,22 +12,30 @@ built and a checksum, the leading hex of a sha256 over the repr of every
 (m2, m4) of the point; the pinned values were computed with the tuple-keyed
 kernel that the integer-keyed one replaced.  The kernel's shared node memo
 and its jump tables are both cleared before each timed repetition, so the
-times are cold.  Exits 1 unless every checksum matches.
+times are cold.  Last a curve of exact characters: `char_eval` at each
+d in {2^4, ..., 2^10} along the CAR tower, for five pairs {mu; lam} at three
+spectra of two interleaved quarter turns, timed cold and then warm (best of
+three each), with a checksum over the repr of every value; the pinned values
+were computed by evaluating the Schur polynomial at Gaussian rational
+eigenvalues, the route the phase count replaced.  Exits 1 unless every
+checksum matches.
 Usage: python3 benchmarks/bench_gt.py
 """
 
 import hashlib
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 # Import the package from this checkout's src/, whether or not it is installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylchar import gtkernel
-from weylchar.combinatorics import signatures_with_entries
+from weylchar.combinatorics import Partition, signature_from_pair, signatures_with_entries
 from weylchar.gtkernel import group_counts
 from weylchar.moments import TraceZeroSigned, weight_distribution
+from weylchar.ucharacters import DiagonalUnitary, char_eval
 
 
 def sweep_workload():
@@ -77,6 +85,31 @@ SWEEP_CURVE = {
 }
 
 
+# d -> checksum of the exact character values of `car_characters(d)`.
+CHAR_CURVE = {
+    16: "8095103636640f4d",
+    32: "3dd59cd9d8349d47",
+    64: "b692fba6b9d8afdb",
+    128: "9012cfba9248afb0",
+    256: "5bedd48d178db02a",
+    512: "7202ce05642cfc00",
+    1024: "6facd5979ef46a52",
+}
+
+CHAR_PAIRS = (((1,), (1,)), ((2,), (1,)), ((1,), (2,)), ((2, 1), (1,)), ((2,), (2,)))
+# Level-1 spectra of the CAR tower; level n repeats them, interleaved, 2^(n-1) times.
+CAR_BASES = tuple((Fraction(k, 4), Fraction(k + 1, 4)) for k in range(3))
+
+
+def car_characters(d):
+    out = []
+    for base in CAR_BASES:
+        u = DiagonalUnitary(base * (d // 2))
+        for lam, mu in CHAR_PAIRS:
+            out.append(char_eval(signature_from_pair(Partition(lam), Partition(mu), d), u))
+    return out
+
+
 def moment_pairs(d):
     out = []
     for sig in signatures_with_entries(d, -2, 2):
@@ -99,6 +132,16 @@ def cold_best(workload, repeats=3):
     return best, nodes, tables, result
 
 
+def warm_best(workload, repeats=3):
+    """Best seconds over repetitions that keep the kernel caches."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        workload()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main():
     ok = True
     for label, workload, expected in WORKLOADS:
@@ -113,6 +156,16 @@ def main():
         digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
         print(f"  d={d}: {len(pairs):5d} calls {best * 1000:8.1f} ms  {nodes:5d} nodes  "
               f"{tables:5d} tables  (checksum {digest})")
+        if digest != expected:
+            print(f"d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
+            ok = False
+    print("char_eval at quarter-turn CAR-tower spectra, cold then warm:")
+    for d, expected in CHAR_CURVE.items():
+        cold, _, _, values = cold_best(lambda: car_characters(d))
+        warm = warm_best(lambda: car_characters(d))
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+        print(f"  d={d:4d}: {len(values)} calls {cold * 1000:8.1f} ms cold "
+              f"{warm * 1000:8.1f} ms warm  (checksum {digest})")
         if digest != expected:
             print(f"d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
             ok = False

@@ -9,20 +9,21 @@ integer vectors; both must intertwine the transposed multiplicity matrices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from weylchar.combinatorics import Partition, partitions_of, signature_from_pair
+from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
-from weylchar.exact import QQi, exact_unit, unit_complex
-from weylchar.symfunc import exact_det, schur_dim, sym_group_dim, weyl_dim
+from weylchar.exact import QQi, phase_sum, quarter_turn, unit_complex
+from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, normalized_char
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(_as_int_tuple(row) for row in rows)
 
 
 def _mat_vec(m: Matrix, v):
@@ -50,7 +51,7 @@ class BratteliDiagram:
     simple_known: bool | None = None
 
     def __post_init__(self):
-        levels = tuple(tuple(int(d) for d in lv) for lv in self.levels)
+        levels = tuple(_as_int_tuple(lv) for lv in self.levels)
         mults = tuple(_as_matrix(m) for m in self.mults)
         for n, lv in enumerate(levels):
             if not lv:
@@ -446,8 +447,8 @@ def det_phi_turn(u: BlockUnitary, hom: K0Hom):
 def det_phi(u: BlockUnitary, hom: K0Hom):
     """Product over blocks and eigenvalues z of z^phi; multiplicative in u."""
     turn = det_phi_turn(u, hom)
-    exact = exact_unit(turn) if isinstance(turn, Fraction) else None
-    return unit_complex(turn) if exact is None else exact
+    k = quarter_turn(turn)
+    return unit_complex(turn) if k is None else phase_sum({k: 1})
 
 
 @dataclass(frozen=True)
@@ -469,10 +470,12 @@ def trace_value(u: BlockUnitary, tw: TraceWeights):
     Exact Gaussian rational at quarter-turn angles, complex otherwise.
     """
     _check_on_diagram(u, tw.diagram)
-    values = [b.exact_values() for b in u.blocks]
-    if any(v is None for v in values):
-        values = [b.complex_values() for b in u.blocks]
-    return sum(w * sum(v) for w, v in zip(tw.weights[u.level], values))
+    quarters = [b.quarter_turns() for b in u.blocks]
+    if any(q is None for q in quarters):
+        sums = [sum(b.complex_values()) for b in u.blocks]
+    else:
+        sums = [phase_sum(Counter(q)) for q in quarters]
+    return sum(w * v for w, v in zip(tw.weights[u.level], sums))
 
 
 def eval_limit_character(spec: LimitCharacterSpec, u: BlockUnitary):
@@ -540,8 +543,9 @@ def ergodic_sequence(
         if not 0 <= block < len(diagram.levels[n]):
             raise ValueError(f"no block {block} at level {n}: its blocks are 0..{len(diagram.levels[n]) - 1}")
     levels, dims, values = [], [], []
+    v = u
     for n in range(u.level, n_max + 1):
-        v = embed(u, diagram, n)
+        v = embed(v, diagram, n)  # one step from the level before
         d = diagram.levels[n][block]
         if lam.length + mu.length > d:
             raise ValueError(f"pair does not fit at level {n}: d = {d}")
@@ -581,7 +585,9 @@ def schur_weyl_defect(n: int, p: int, q: int) -> Fraction:
     total = 0
     for lam in partitions_of(p):
         for mu in partitions_of(q):
-            dim_pair = weyl_dim(signature_from_pair(lam, mu, d))
-            gap = schur_dim(lam, d) * schur_dim(mu, d) - dim_pair
+            # The runs of {mu; lam}: the cost follows p + q, not d.
+            zeros = [(0, d - lam.length - mu.length)]
+            runs = runs_of(lam) + zeros + runs_of(-m for m in reversed(mu))
+            gap = schur_dim(lam, d) * schur_dim(mu, d) - dim_of_runs(runs)
             total += gap * sym_group_dim(lam) * sym_group_dim(mu)
     return Fraction(total, 2 ** (n * (p + q)))

@@ -106,19 +106,20 @@ class QQi:
 QQI_ONE = QQi(Fraction(1), Fraction(0))
 QQI_I = QQi(Fraction(0), Fraction(1))
 
-# Quarter-turn roots of unity: turn -> exact value.
-_QUARTER = {
-    Fraction(0): QQI_ONE,
-    Fraction(1, 4): QQI_I,
-    Fraction(1, 2): QQi(Fraction(-1), Fraction(0)),
-    Fraction(3, 4): QQi(Fraction(0), Fraction(-1)),
-}
+
+def quarter_turn(turn) -> int | None:
+    """The k in 0..3 with exp(2*pi*i*turn) = i**k; None unless turn is a quarter-turn Fraction."""
+    if not isinstance(turn, Fraction) or 4 % turn.denominator:
+        return None
+    return 4 * turn.numerator // turn.denominator % 4
 
 
-def exact_unit(turn: Fraction) -> QQi | None:
-    """Exact value of exp(2*pi*i*turn) when the angle is a quarter turn."""
-    t = Fraction(turn) % 1
-    return _QUARTER.get(t)
+def phase_sum(counts) -> QQi:
+    """The Gaussian integer sum of n * i**k over a tally {k: n}, as a QQi."""
+    by_phase = [0] * 4
+    for k, n in counts.items():
+        by_phase[k % 4] += n
+    return QQi(Fraction(by_phase[0] - by_phase[2]), Fraction(by_phase[1] - by_phase[3]))
 
 
 def unit_complex(turn) -> complex:

@@ -1,12 +1,12 @@
 """Gelfand-Tsetlin aggregation kernel.
 
-`pairing_counts` is the hot primitive behind weight distributions, and
-`group_counts` behind confluent character evaluation and characters at
-quarter-turn spectra.  Both count the GT patterns of one irrep by an integer
-linear functional of the pattern's weight w: `pairing_counts` keys each
-pattern by k = sum_i c_i w_i for given integer coefficients c_i (for a weight
-distribution, c = the diagonal of F, so k = <F, w>); `group_counts` keys it
-by the group sums e_g = sum(w_i for groups[i] == g), packed into one integer
+`pairing_counts` is the hot primitive behind weight distributions and exact
+characters, and `group_counts` behind confluent character evaluation.  Both
+count the GT patterns of one irrep by an integer linear functional of the
+pattern's weight w: `pairing_counts` keys each pattern by k = sum_i c_i w_i
+for integer coefficients c_i (c = the diagonal of F gives k = <F, w>; at
+eigenvalues i**q_j, c = q gives the pattern's phase i**k); `group_counts` keys
+it by the group sums e_g = sum(w_i for groups[i] == g), packed into one integer
 Kronecker-style, k = sum_g B^g (e_g - m_g lo) with lo the smallest entry, m_g
 the group size and B = d (hi - lo) + 1 past every digit, and decodes the keys.
 

@@ -338,17 +338,6 @@ class ReexpansionReport:
     tail_bound: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "constant_exact": self.constant_exact,
-            "row_mass_deviation": self.row_mass_deviation,
-            "projection_deviation": self.projection_deviation,
-            "character_deviation": self.character_deviation,
-            "binomial_deviation": self.binomial_deviation,
-            "tail_bound": self.tail_bound,
-            "passed": self.passed,
-        }
-
 
 def embedded_trace_values(tau_values, n: int, m: int):
     """Trace values after padding from level n to level m: (n tau + m - n)/m."""

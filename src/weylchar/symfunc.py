@@ -1,14 +1,15 @@
 """Symmetric-function kernel, all in exact arithmetic.
 
-Schur evaluation is one route, `eval_by_gt`: Gelfand-Tsetlin aggregation at
-grouped values, confluent or not.  Power-sum expansions come from
-symmetric-group characters (Murnaghan-Nakayama divided by centralizer
-orders).  Floating point enters only as complex values that `ucharacters`
-passes to `eval_by_gt`.
+Schur evaluation is one routine, `eval_by_gt`: Gelfand-Tsetlin aggregation at
+grouped Fraction, QQi or complex values, which `ucharacters` calls only at
+near-confluent float spectra (exact characters count patterns by phase).
+Power-sum expansions come from symmetric-group characters (Murnaghan-Nakayama
+divided by centralizer orders).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -25,25 +26,39 @@ POWER_SUM_MAX_N = 12
 def weyl_dim(sig: Signature) -> int:
     """dim of the U(d) irrep with highest weight sig: prod (e_i - e_j + j - i)/(j - i).
 
-    Pairs inside a run of equal entries contribute 1 and are skipped.  For two
-    runs with value gap c, fix one element of the shorter run; the factors
-    along the longer run (length n) then form the ratio of falling factorials
+    One scan finds the runs of equal entries, and `dim_of_runs` takes the
+    product over them.
+    """
+    return dim_of_runs(runs_of(sig.entries))
+
+
+def runs_of(entries) -> list[tuple[int, int]]:
+    """(value, length) of each run of equal entries, in order."""
+    return [(v, len(list(run))) for v, run in itertools.groupby(entries)]
+
+
+def dim_of_runs(runs: list[tuple[int, int]]) -> int:
+    """weyl_dim of the signature made of runs (value, length) with decreasing values.
+
+    Pairs inside a run contribute 1 and are skipped.  For two runs with value
+    gap c, fix one element of the shorter run; the factors along the longer
+    run (length n) then form the ratio of falling factorials
     perm(hi + c, n) / perm(hi, n), hi the largest index distance, which
     telescopes to min(c, n) factors on each side.  The cost grows with the
-    number of run pairs times the shorter run, not with d^2.
+    number of run pairs times the shorter run, not with d^2, so a signature
+    such as {mu; lam} at d = 2^64, whose zeros form one run, costs what it
+    costs at small d.
     """
-    e = sig.entries
-    d = len(e)
-    starts = [i for i in range(d) if i == 0 or e[i] != e[i - 1]]
-    runs = [(e[s], s, t - s) for s, t in zip(starts, starts[1:] + [d])]
+    starts = list(itertools.accumulate((n for _, n in runs), initial=0))
     num: list[int] = []
     den: list[int] = []
-    for a, (va, sa, na) in enumerate(runs):
-        for vb, sb, nb in runs[a + 1 :]:
+    for a, (va, na) in enumerate(runs):
+        for b in range(a + 1, len(runs)):
+            vb, nb = runs[b]
             c = va - vb
             n = max(na, nb)
             k, big = (c, n) if c < n else (n, c)
-            lo = sb - sa + max(nb - na, 0)
+            lo = starts[b] - starts[a] + max(nb - na, 0)
             for hi in range(lo, lo + min(na, nb)):
                 num.append(math.perm(hi + c, k))
                 den.append(math.perm(hi + c - big, k))
@@ -66,8 +81,7 @@ def schur_dim(lam: Partition, d: int) -> int:
     lam = Partition(tuple(lam))
     if lam.length > d:
         raise ValueError(f"l(lam) = {lam.length} exceeds d = {d}")
-    padded = lam.parts + (0,) * (d - lam.length)
-    return weyl_dim(Signature(padded))
+    return dim_of_runs(runs_of(lam.parts) + [(0, d - lam.length)])
 
 
 @cache

@@ -1,12 +1,12 @@
 """Irreducible characters of U(d) and their branching behaviour.
 
 Evaluation happens at diagonal unitaries (characters are class functions),
-and the spectrum alone picks the route.  Quarter-turn spectra have exact
-Gaussian rational eigenvalues and go through `symfunc.eval_by_gt`, the
-Gelfand-Tsetlin weight aggregation, in exact arithmetic.  Other spectra are
-complex doubles: distinct ones go through the Weyl quotient of alternants,
-near-confluent ones through `eval_by_gt` at grouped values, since the
-alternant denominator degenerates there.
+and the spectrum alone picks the route.  At eigenvalues i**q_j a GT pattern
+of weight w contributes i**(sum_j q_j w_j): `gtkernel.pairing_counts` counts
+the patterns by that exponent and `exact.phase_sum` folds the tally.  Other
+spectra are complex doubles: distinct ones go through the Weyl quotient of
+alternants, near-confluent ones through `symfunc.eval_by_gt` at grouped
+values, since the alternant denominator degenerates there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from weylchar.combinatorics import (
     signature_to_pair,
 )
 from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
-from weylchar.exact import QQi, exact_unit, unit_complex
+from weylchar.exact import phase_sum, quarter_turn, unit_complex
+from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import eval_by_gt, lr_product, skew_expand, weyl_dim
 
 CONFLUENCE_GAP = 1e-8
@@ -34,8 +35,8 @@ CLUSTER_TOL = 1e-9
 class DiagonalUnitary:
     """diag(exp(2*pi*i*t_1), ..., exp(2*pi*i*t_d)) with angles t_k in turns.
 
-    Rational angles are kept as Fractions; quarter turns admit exact Gaussian
-    rational eigenvalues.
+    Rational angles are kept as Fractions; at quarter turns the eigenvalues
+    are exact powers of i.
     """
 
     angles: tuple
@@ -56,17 +57,10 @@ class DiagonalUnitary:
     def complex_values(self) -> tuple[complex, ...]:
         return tuple(unit_complex(a) for a in self.angles)
 
-    def exact_values(self) -> tuple[QQi, ...] | None:
-        """Exact eigenvalues when every angle is a quarter turn, else None."""
-        out = []
-        for a in self.angles:
-            if not isinstance(a, Fraction):
-                return None
-            v = exact_unit(a)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
+    def quarter_turns(self) -> tuple[int, ...] | None:
+        """Each eigenvalue as its power k of i when every angle is a quarter turn, else None."""
+        ks = tuple(map(quarter_turn, self.angles))
+        return None if None in ks else ks
 
     def trace(self) -> complex:
         return sum(self.complex_values())
@@ -93,15 +87,16 @@ def _cluster(values: tuple[complex, ...]):
 def char_eval(sig: Signature, u: DiagonalUnitary):
     """Trace of the irrep sig at u.
 
-    The input picks the route: an exact Gaussian rational when every angle is
-    a quarter turn (`u.exact_values()`), otherwise a complex double, from GT
-    summation whenever two eigenvalues are closer than 1e-8.
+    The input picks the route: when every angle is a quarter turn
+    (`u.quarter_turns()`), the GT patterns counted by their power of i and
+    folded into an exact Gaussian integer `QQi`; otherwise a complex double,
+    from GT summation whenever two eigenvalues are closer than 1e-8.
     """
     if sig.d != u.d:
         raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
-    ev = u.exact_values()
-    if ev is not None:
-        return QQi.of(eval_by_gt(sig.entries, ev))
+    quarters = u.quarter_turns()
+    if quarters is not None:
+        return phase_sum(pairing_counts(sig.entries, quarters))
     values = u.complex_values()
     # Tower-embedded unitaries repeat eigenvalues exactly; spot that in O(d)
     # before the O(d^2) pair scan.
@@ -295,16 +290,16 @@ def rational_approx_defect(lam: Partition, mu: Partition, u: DiagonalUnitary) ->
     """|chi_{mu;lam}(u) - (Tr u / d)^{|lam|} (conj Tr u / d)^{|mu|}|.
 
     The deviation decays like 1/d (faster for some pairs); the caller inspects
-    the d-scaling.  The character is the GT sum at exact or float values alike:
-    the alternant quotient loses every digit on near-confluent float spectra.
+    the d-scaling.  The character is exact at quarter turns (`char_eval`) and
+    otherwise the GT sum at float values: the alternant quotient loses every
+    digit on near-confluent float spectra.
     """
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
     d = u.d
     sig = signature_from_pair(lam, mu, d)
-    values = u.exact_values()
-    if values is None:
-        values = u.complex_values()
-    chi = complex(eval_by_gt(sig.entries, values) / weyl_dim(sig))
+    exact = u.quarter_turns() is not None
+    chi = char_eval(sig, u) if exact else eval_by_gt(sig.entries, u.complex_values())
+    chi = complex(chi / weyl_dim(sig))
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
     return abs(chi - target)

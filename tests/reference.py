@@ -3,8 +3,11 @@
 Nothing in `weylchar` calls these: each is the slow, literal form of a result
 the package computes another way.  GT pattern enumeration is the reference
 for the aggregation kernel `gtkernel.group_counts`, the alternant quotient
-for `symfunc.eval_by_gt`, and power-sum evaluation for
-`moments.hciz_power_sum` and `symfunc.schur_dim`.
+for `symfunc.eval_by_gt`, power-sum evaluation for
+`moments.hciz_power_sum` and `symfunc.schur_dim`, and the Gaussian rational
+eigenvalues of a quarter-turn spectrum (`exact_values`) for the exact values
+of characters, traces and `det_phi`, which the package computes from powers
+of i.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterator
 from weylchar.afalgebra import BratteliDiagram
 from weylchar.combinatorics import Partition, Signature, _as_int_tuple
 from weylchar.errors import BudgetExceeded
+from weylchar.exact import QQI_I, QQI_ONE, QQi
 from weylchar.symfunc import exact_det, schur_to_power_sums, weyl_dim
 
 GT_ENUM_MAX_D = 8
@@ -118,6 +122,34 @@ def bialternant(sig_entries: tuple[int, ...], values) -> object:
         for j in range(i + 1, d):
             den = den * (values[i] - values[j])
     return num / den
+
+
+# Quarter-turn roots of unity: turn -> exact value.
+_QUARTER = {
+    Fraction(0): QQI_ONE,
+    Fraction(1, 4): QQI_I,
+    Fraction(1, 2): QQi(Fraction(-1), Fraction(0)),
+    Fraction(3, 4): QQi(Fraction(0), Fraction(-1)),
+}
+
+
+def exact_unit(turn: Fraction) -> QQi | None:
+    """Exact value of exp(2*pi*i*turn) when the angle is a quarter turn."""
+    t = Fraction(turn) % 1
+    return _QUARTER.get(t)
+
+
+def exact_values(u) -> tuple[QQi, ...] | None:
+    """Exact eigenvalues of the DiagonalUnitary u when every angle is a quarter turn, else None."""
+    out = []
+    for a in u.angles:
+        if not isinstance(a, Fraction):
+            return None
+        v = exact_unit(a)
+        if v is None:
+            return None
+        out.append(v)
+    return tuple(out)
 
 
 def power_sum_value(coeffs, p):

@@ -327,6 +327,10 @@ def test_missing_mode_flag_is_a_usage_error(capsys, argv, missing):
         pytest.param(["validate-diagram", "--file"], {"levels": 1, "multiplicities": []},
                      id="file-int-levels"),
         pytest.param(["validate-diagram", "--file"], [1, 2], id="file-list"),
+        pytest.param(["validate-diagram", "--file"],
+                     {"levels": [[1], [2.7]], "multiplicities": [[[2.9]]]}, id="file-floats"),
+        pytest.param(["validate-diagram", "--file"],
+                     {"levels": [[1], [2.5]], "multiplicities": [[[2]]]}, id="file-float-level"),
     ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, file_data):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from reference import brute_force_counts, enumerate_gt_patterns, gt_weight
-from weylchar.combinatorics import Partition, Signature
+from reference import brute_force_counts, enumerate_gt_patterns, exact_values, gt_weight
+from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
+from weylchar.combinatorics import Partition, Signature, signature_from_pair
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi
-from weylchar.symfunc import weyl_dim
+from weylchar.symfunc import eval_by_gt, weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
     all_signature_pairs,
@@ -78,6 +79,33 @@ def test_char_routes_agree():
             assert abs(numeric - gt) < 1e-9 * max(1.0, abs(gt))
         if exact is not None:
             assert abs(numeric - complex(exact)) < 1e-9 * max(1.0, abs(complex(exact)))
+
+
+def _assert_phase_count_is_exact(sig, u):
+    # The reference is the Schur polynomial at the Gaussian rational eigenvalues.
+    value = char_eval(sig, u)
+    assert type(value) is QQi, (sig, u)
+    assert value == QQi.of(eval_by_gt(sig.entries, exact_values(u))), (sig, u)
+
+
+def test_quarter_turn_characters_equal_the_gaussian_rational_sum():
+    rng = random.Random(41)
+    for _ in range(120):
+        d = rng.randint(1, 8)
+        entries = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+        u = DiagonalUnitary(tuple(Fraction(rng.randrange(4), 4) for _ in range(d)))
+        _assert_phase_count_is_exact(S(entries), u)
+    # Tower spectra: level-1 quarter turns embedded up to d = 256 (CAR) and 243 (UHF 3).
+    for name, depth in (("car", 8), ("uhf:3", 5)):
+        diagram = preset_diagram(name, depth=depth)
+        k = diagram.levels[1][0]
+        base = BlockUnitary(1, (DiagonalUnitary(tuple(Fraction(rng.randrange(4), 4)
+                                                      for _ in range(k))),))
+        for n in range(1, depth + 1):
+            u = embed(base, diagram, n).blocks[0]
+            for lam, mu in (((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((2, 1), ())):
+                if len(lam) + len(mu) <= u.d:
+                    _assert_phase_count_is_exact(signature_from_pair(P(lam), P(mu), u.d), u)
 
 
 def test_normalized_char_bounded_and_central():
