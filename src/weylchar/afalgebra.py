@@ -322,7 +322,7 @@ class K0Hom:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        v = tuple(tuple(int(x) for x in lv) for lv in self.vectors)
+        v = tuple(_as_int_tuple(lv) for lv in self.vectors)
         if len(v) != len(self.diagram.levels):
             raise ValueError("need one vector per level")
         for n, m in enumerate(self.diagram.mults):
@@ -336,7 +336,7 @@ class K0Hom:
 
     @staticmethod
     def from_deepest(diagram: BratteliDiagram, vector) -> "K0Hom":
-        return K0Hom(diagram, _backward_weights(diagram, tuple(int(x) for x in vector)))
+        return K0Hom(diagram, _backward_weights(diagram, _as_int_tuple(vector)))
 
     def level(self, n: int) -> tuple[int, ...]:
         return self.vectors[n]
@@ -500,18 +500,6 @@ class ErgodicReport:
     limit: object
     errors: tuple[float, ...]
     rate: float | None
-
-    def to_json(self) -> dict:
-        vals = [[complex(v).real, complex(v).imag] for v in self.values]
-        lim = complex(self.limit)
-        return {
-            "levels": list(self.levels),
-            "dims": list(self.dims),
-            "values": vals,
-            "limit": [lim.real, lim.imag],
-            "errors": list(self.errors),
-            "rate": self.rate,
-        }
 
 
 def ergodic_sequence(

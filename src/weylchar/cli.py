@@ -8,6 +8,12 @@ bad input).
 Angles are given in turns (fractions of a full circle), so exact roots of
 unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
 
+One encoder writes every payload: a rational is the string "n/d" (an integer
+result too, as "2/1"), a complex number or Gaussian rational is [re, im], a
+signature is {"d", "entries"}, and a result record is an object of its fields.
+The one exception is char's trace_exact, [str(re), str(im)], which writes an
+integer as "2".
+
 Each subcommand imports only the modules it calls, so a process pays for no
 other.  Three load numpy: hciz (Haar sampling and the determinant formula),
 ergodic (the fitted decay rate) and char at a spectrum that is not all quarter
@@ -77,11 +83,6 @@ def parse_complexes(text: str) -> list[complex]:
     return values
 
 
-def _c(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _require(args, *names: str) -> None:
     """Raise ValueError naming every flag the chosen mode needs but did not get."""
     missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
@@ -89,8 +90,31 @@ def _require(args, *names: str) -> None:
         raise ValueError(f"{args.command} needs {', '.join(missing)}")
 
 
+def _encode(obj):
+    """The JSON form of a value json cannot write itself: `emit`'s one encoder.
+
+    A Fraction is written "n/d" (tested first: a Fraction also has
+    __complex__), a complex or a QQi [re, im], an object with a to_json method
+    that form, and any other dataclass its own fields, taken shallowly so each
+    field goes through these rules again.
+    """
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if hasattr(obj, "__complex__"):
+        z = complex(obj)
+        return [z.real, z.imag]
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    import dataclasses  # loaded already by the module that made the record
+
+    if dataclasses.is_dataclass(obj):
+        # Not dataclasses.asdict: it would recurse into a QQi's own fields.
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
 def emit(payload: dict, summary: str, output: str | None = None) -> None:
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, default=_encode)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -110,10 +134,10 @@ def cmd_char(args) -> int:
     trace = ucharacters.char_eval(sig, u)
     normalized = complex(trace) / dim
     payload = {
-        "signature": sig.to_json(),
+        "signature": sig,
         "dim": dim,
-        "trace": _c(trace),
-        "normalized": _c(normalized),
+        "trace": trace,
+        "normalized": normalized,
     }
     if isinstance(trace, QQi):
         payload["trace_exact"] = [str(trace.re), str(trace.im)]
@@ -131,9 +155,7 @@ def cmd_branch(args) -> int:
         report = ucharacters.check_branching_inequalities(comps, (sig1, sig2))
         payload = {
             "op": "tensor",
-            "components": [
-                {"signature": s.to_json(), "multiplicity": m} for s, m in comps
-            ],
+            "components": [{"signature": s, "multiplicity": m} for s, m in comps],
             "inequalities_hold": report.holds,
         }
         emit(payload, f"tensor: {len(comps)} components, inequalities {report.holds}", args.output)
@@ -144,17 +166,15 @@ def cmd_branch(args) -> int:
         report = ucharacters.check_branching_inequalities(dec, sig)
         payload = {
             "op": "restrict",
-            "components": dec.to_json(),
+            "components": [
+                {"first": s1, "second": s2, "multiplicity": m} for s1, s2, m in dec.components
+            ],
             "total_dim": dec.total_dim(),
             "inequalities_hold": report.holds,
         }
         summary = f"restrict: {len(dec.components)} components, dim {payload['total_dim']}"
         emit(payload, summary, args.output)
     return 0 if report.holds else 1
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def cmd_moments(args) -> int:
@@ -201,20 +221,19 @@ def cmd_moments(args) -> int:
     f = moments.TraceZeroSigned(args.r, sig.d)
     dist = moments.weight_distribution(sig, f)
     m2c, m2b = moments.moment2_closed(sig, f), dist.moment(2)
-    ratio = dist.moment_ratio()
     payload = {
-        "signature": sig.to_json(),
+        "signature": sig,
         "r": args.r,
-        "distribution": dist.to_json(),
-        "m2": _frac_str(m2c),
-        "m2_brute": _frac_str(m2b),
-        "m4_over_m2_sq": None if ratio is None else _frac_str(ratio),
+        "distribution": {str(k): v for k, v in dist.probs.items()},
+        "m2": m2c,
+        "m2_brute": m2b,
+        "m4_over_m2_sq": dist.moment_ratio(),
         "equal": m2c == m2b,
     }
     if sig.d >= 4:
         m4c, m4b = moments.moment4_closed(sig, f), dist.moment(4)
-        payload["m4"] = _frac_str(m4c)
-        payload["m4_brute"] = _frac_str(m4b)
+        payload["m4"] = m4c
+        payload["m4_brute"] = m4b
         payload["equal"] = payload["equal"] and m4c == m4b
         if 3 * args.r >= 2 * sig.d:
             est = moments.estimate_check(sig, f)
@@ -263,19 +282,17 @@ def cmd_hciz(args) -> int:
     if args.mode == "power":
         exact = moments.hciz_power_sum(a, b, args.n)
         exact_c = complex(float(exact))
-        exact_json: object = _frac_str(exact)
     else:
-        exact_c = complex(moments.hciz_exponential_exact(a, b))
-        exact_json = _c(exact_c)
+        exact = exact_c = complex(moments.hciz_exponential_exact(a, b))
     dev = float(abs(report.estimate - exact_c))
     passed = bool(dev <= 3 * report.stderr + 1e-12)
     payload = {
-        "a": [_frac_str(v) for v in a.eigenvalues],
-        "b": [_frac_str(v) for v in b.eigenvalues],
+        "a": a.eigenvalues,
+        "b": b.eigenvalues,
         "mode": args.mode,
         "n": args.n,
-        "exact": exact_json,
-        "mc": report.to_json(),
+        "exact": exact,
+        "mc": report,
         "deviation": dev,
         "pass": passed,
     }
@@ -303,8 +320,7 @@ def cmd_ergodic(args) -> int:
     report = afalgebra.ergodic_sequence(
         diagram, lam, mu, u, args.nmax, block=args.block, dim_budget=args.dim_budget
     )
-    payload = report.to_json()
-    payload["diagram"] = args.diagram
+    payload = vars(report) | {"diagram": args.diagram}
     emit(payload, f"ergodic: limit {complex(report.limit):.6g}, rate {report.rate}", args.output)
     return 0
 
@@ -317,7 +333,7 @@ def cmd_schur_weyl(args) -> int:
         "n": args.n,
         "p": args.p,
         "q": args.q,
-        "defect": _frac_str(defect),
+        "defect": defect,
         "defect_float": float(defect),
     }
     emit(payload, f"schur-weyl: defect {defect}", args.output)
@@ -329,8 +345,8 @@ def cmd_poisson(args) -> int:
 
     if args.stirling is not None:
         report = poisson.stirling_identity(Fraction(args.stirling))
-        payload = {"stirling": report.to_json()}
-        emit(payload, f"stirling: closed {payload['stirling']['closed_form']}", args.output)
+        payload = {"stirling": vars(report) | {"closed_form_float": float(report.closed_form)}}
+        emit(payload, f"stirling: closed {_encode(report.closed_form)}", args.output)
         return 0
     if args.tv_a is not None:
         value = poisson.tv_bound(Fraction(args.tv_a), args.tv_k)
@@ -340,21 +356,20 @@ def cmd_poisson(args) -> int:
     if args.kstep_k is not None:
         params = poisson.PoissonKernelParams(parse_rationals(args.kernel_a or "1"))
         report = poisson.kstep_semigroup_check(params, args.kstep_k, args.truncation)
-        payload = {"kstep": report.to_json()}
+        payload = {"kstep": report}
         emit(payload, f"kstep: max deviation {report.max_deviation:.3g}", args.output)
         return 0 if report.passed else 1
-    if args.series_n is not None:
-        a = parse_rationals(args.kernel_a or "1")
-        b = parse_rationals(args.kernel_b) if args.kernel_b else ()
-        tau = parse_complexes(args.tau) if args.tau else []
-        taup = parse_complexes(args.tau_prime) if args.tau_prime else None
-        report = poisson.poisson_series_check(
-            a, b, args.series_n, tau, taup, truncation=args.truncation
-        )
-        payload = {"series": report.to_json()}
-        emit(payload, f"series: deviation {report.deviation:.3g}", args.output)
-        return 0 if report.passed else 1
-    raise ValueError("choose one of --stirling / --tv-a / --kstep-k / --series-n")
+    # argparse has made --series-n the one mode left.
+    a = parse_rationals(args.kernel_a or "1")
+    b = parse_rationals(args.kernel_b) if args.kernel_b else ()
+    tau = parse_complexes(args.tau) if args.tau else []
+    taup = parse_complexes(args.tau_prime) if args.tau_prime else None
+    report = poisson.poisson_series_check(
+        a, b, args.series_n, tau, taup, truncation=args.truncation
+    )
+    payload = {"series": report}
+    emit(payload, f"series: deviation {report.deviation:.3g}", args.output)
+    return 0 if report.passed else 1
 
 
 def cmd_validate_diagram(args) -> int:
@@ -432,13 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schur_weyl)
 
     p = sub.add_parser("poisson", help="Poisson kernel and tail checks", parents=[common])
-    p.add_argument("--stirling", help="t value for the Stirling identity")
-    p.add_argument("--tv-a", help="rate a_i for the total-variation bound")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--stirling", help="t value for the Stirling identity")
+    mode.add_argument("--tv-a", help="rate a_i for the total-variation bound")
+    mode.add_argument("--kstep-k", type=int, help="k for the semigroup check")
+    mode.add_argument("--series-n", type=int, help="level for the series check")
     p.add_argument("--tv-k", type=int, default=1)
-    p.add_argument("--kstep-k", type=int, help="k for the semigroup check")
     p.add_argument("--kernel-a", help="kernel rates, comma rationals")
     p.add_argument("--kernel-b", help="conjugate-side rates")
-    p.add_argument("--series-n", type=int, help="level for the series check")
     p.add_argument("--tau", help="trace values 're,im' separated by ';'")
     p.add_argument("--tau-prime", help="conjugate-side trace values")
     p.add_argument("--truncation", type=positive_int, default=60)

@@ -14,9 +14,10 @@ from typing import Iterator
 
 
 def _as_int_tuple(xs) -> tuple[int, ...]:
+    xs = tuple(xs)  # an iterator would be spent by the conversion before the check
     out = tuple(int(x) for x in xs)
-    if any(x != y for x, y in zip(out, tuple(xs))):
-        raise ValueError(f"non-integer entries: {tuple(xs)!r}")
+    if any(x != y for x, y in zip(out, xs)):
+        raise ValueError(f"non-integer entries: {xs!r}")
     return out
 
 
@@ -66,9 +67,6 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(other.length))
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -137,24 +135,20 @@ def signature_to_pair(sig: Signature) -> tuple[Partition, Partition]:
 
 
 @cache
-def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None):
-    """All partitions of n, optionally bounded in length and largest part."""
+def partitions_of(n: int):
+    """All partitions of n, in reverse lexicographic order."""
     if n < 0:
         return ()
-    max_part = n if max_part is None else min(max_part, n)
-    max_length = n if max_length is None else max_length
 
-    def rec(remaining, largest, slots):
+    def rec(remaining, largest):
         if remaining == 0:
             yield ()
             return
-        if slots == 0:
-            return
         for first in range(min(largest, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
+            for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(Partition(p) for p in rec(n, max_part, max_length))
+    return tuple(Partition(p) for p in rec(n, n))
 
 
 def signatures_with_entries(d: int, lo: int, hi: int) -> Iterator[Signature]:

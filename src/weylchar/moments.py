@@ -189,12 +189,6 @@ class WeightDistribution:
                 out[k] = out.get(k, Fraction(0)) + v1 * v2
         return WeightDistribution(out)
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            str(k): f"{v.numerator}/{v.denominator}"
-            for k, v in sorted(self.probs.items())
-        }
-
 
 def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistribution:
     """Exact distribution of the F-pairing of GT weights of the irrep sig."""
@@ -434,15 +428,6 @@ class MonteCarloReport:
     samples: int
     seed: int
     mode: str
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": [self.estimate.real, self.estimate.imag],
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
 
 
 def hciz_monte_carlo(

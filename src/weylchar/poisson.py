@@ -103,14 +103,6 @@ class SemigroupReport:
     tail_bound: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "max_deviation": self.max_deviation,
-            "tail_bound": self.tail_bound,
-            "passed": self.passed,
-        }
-
 
 def _masses(rate: float, truncation: int) -> list[float]:
     """Poisson(rate) masses at 0..truncation."""
@@ -195,24 +187,6 @@ class StirlingReport:
     tail_bound: float
     relative_deviation: float
 
-    def to_json(self) -> dict:
-        closed = self.closed_form
-        if isinstance(closed, Fraction):
-            closed_str = f"{closed.numerator}/{closed.denominator}"
-        else:
-            closed_str = repr(float(closed))
-        return {
-            "t": self.t,
-            "closed_form": closed_str,
-            "closed_form_float": float(self.closed_form),
-            "partial_sum": self.partial_sum,
-            "damped": self.damped,
-            "peak_mass": self.peak_mass,
-            "terms": self.terms,
-            "tail_bound": self.tail_bound,
-            "relative_deviation": self.relative_deviation,
-        }
-
 
 def stirling_identity(t, max_terms: int = 200) -> StirlingReport:
     """Absolute consecutive-difference series against its closed form.
@@ -270,16 +244,6 @@ class SeriesReport:
     tail_bound: float
     truncation: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "closed": [self.closed.real, self.closed.imag],
-            "series": [self.series.real, self.series.imag],
-            "deviation": self.deviation,
-            "tail_bound": self.tail_bound,
-            "truncation": self.truncation,
-            "passed": self.passed,
-        }
 
 
 def poisson_series_check(

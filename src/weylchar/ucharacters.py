@@ -140,12 +140,6 @@ class BlockDecomposition:
         dims = {s: weyl_dim(s) for s in {s for comp in self.components for s in comp[:2]}}
         return sum(m * dims[s1] * dims[s2] for s1, s2, m in self.components)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"first": s1.to_json(), "second": s2.to_json(), "multiplicity": m}
-            for s1, s2, m in self.components
-        ]
-
 
 def _det_shift(sig: Signature) -> tuple[int, Partition]:
     """Smallest determinant twist making the signature polynomial."""

@@ -211,6 +211,16 @@ def test_k0_compatibility_enforced():
         K0Hom(car, ((1,), (1,), (1,)))
 
 
+def test_k0_rejects_non_integer_vectors():
+    # int() would truncate 2.7 to 2 and report the obstruction of (2,).
+    with pytest.raises(ValueError, match="non-integer"):
+        K0Hom.from_deepest(preset_diagram("car", depth=2), (2.7,))
+    with pytest.raises(ValueError, match="non-integer"):
+        K0Hom.from_deepest(preset_diagram("car", depth=2), iter((2.7,)))
+    with pytest.raises(ValueError, match="non-integer"):
+        K0Hom(preset_diagram("car", depth=1), ((2,), (1.5,)))
+
+
 def test_embed_car_example():
     car = preset_diagram("car")
     u = _car_u()

@@ -1,13 +1,22 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import weylchar
-from weylchar.cli import main
+from weylchar.cli import _encode, main
+from weylchar.exact import QQi
+
+# sha256 of the stdout of each README command, keyed by the command verbatim.
+PINNED_STDOUT = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json").read_text()
+)["cli_stdout_sha256"]
 
 
 def run_cli(capsys, argv):
@@ -308,6 +317,9 @@ def test_budget_flags_reject_zero(capsys):
         (["branch", "--op", "restrict", "--sig", "1,0,-1"], "--d1, --d2"),
         (["moments", "--r", "2"], "--sig"),
         (["moments", "--sig", "1,0,0,-1"], "--r"),
+        (["poisson"], "--stirling --tv-a --kstep-k --series-n"),
+        (["poisson", "--stirling", "4", "--tv-a", "1"],
+         "--tv-a: not allowed with argument --stirling"),
     ],
 )
 def test_missing_mode_flag_is_a_usage_error(capsys, argv, missing):
@@ -484,3 +496,35 @@ def test_hciz_rejects_negative_seed_env(capsys, monkeypatch):
     code, payload, err = run_cli(capsys, HCIZ_FIXED)
     assert code == 2 and payload is None
     assert err == "error: seed must be a nonnegative integer, got -2\n"
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_readme_stdout_is_the_pinned_bytes(capsys, monkeypatch, command):
+    monkeypatch.delenv("WEYLCHAR_SEED", raising=False)
+    assert main(command.split()[1:]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT[command]
+
+
+def _render(value):
+    return json.loads(json.dumps(value, default=_encode))
+
+
+def test_encoder_writes_a_fraction_as_n_over_d():
+    assert _render([Fraction(2), Fraction(-3, 4)]) == ["2/1", "-3/4"]
+
+
+def test_encoder_writes_a_qqi_field_of_a_dataclass_as_re_im():
+    # dataclasses.asdict would write the QQi as {"re": ..., "im": ...}.
+    @dataclasses.dataclass(frozen=True)
+    class Holder:
+        value: QQi
+        weight: Fraction
+
+    held = Holder(QQi(Fraction(1, 2), Fraction(-3)), Fraction(1, 3))
+    assert _render(held) == {"value": [0.5, -3.0], "weight": "1/3"}
+
+
+def test_encoder_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="object has no JSON form"):
+        json.dumps({"x": object()}, default=_encode)

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import GTPattern, brute_force_counts, enumerate_gt_patterns, gt_weight
+from weylchar.cli import _encode
 from weylchar.combinatorics import (
     Partition,
     Signature,
@@ -131,9 +134,10 @@ def test_weight_multiset_contragredient():
 def test_partitions_of():
     assert [p.parts for p in partitions_of(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert [p.parts for p in partitions_of(0)] == [()]
-    assert all(p.length <= 2 for p in partitions_of(6, max_length=2))
+    assert [p.parts for p in partitions_of(6) if p.length <= 2] == [(6,), (5, 1), (4, 2), (3, 3)]
 
 
 def test_signature_json():
     assert Signature((1, 0, -1)).to_json() == {"d": 3, "entries": [1, 0, -1]}
-    assert Partition((2, 1)).to_json() == [2, 1]
+    # The CLI writes a Partition, which keeps no to_json, as its one field.
+    assert json.loads(json.dumps(Partition((2, 1)), default=_encode)) == {"parts": [2, 1]}

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import brute_force_counts, power_sum_value
 from weylchar import moments
+from weylchar.cli import main
 from weylchar.combinatorics import Signature, signatures_with_entries
 from weylchar.moments import (
     MC_BATCH,
@@ -290,9 +292,11 @@ def test_hciz_monte_carlo_deterministic():
     assert r1 == r2
 
 
-def test_distribution_json():
-    dist = weight_distribution(S((1, 0, 0, 0)), TraceZeroSigned(2, 4))
-    assert dist.to_json() == {"-1": "1/4", "0": "1/2", "1": "1/4"}
+def test_distribution_json(capsys):
+    # The distribution of S((1, 0, 0, 0)) under TraceZeroSigned(2, 4).
+    assert main(["moments", "--sig", "1,0,0,0", "--r", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["distribution"] == {"-1": "1/4", "0": "1/2", "1": "1/4"}
 
 
 def test_moment_ratio():

@@ -260,8 +260,10 @@ def test_lr_dimension_identity():
                         continue
                     total = 0
                     for a in range(n + 1):
-                        for alpha in partitions_of(a, max_length=d1):
-                            for beta in partitions_of(n - a, max_length=d2):
+                        for alpha in partitions_of(a):
+                            for beta in partitions_of(n - a):
+                                if alpha.length > d1 or beta.length > d2:
+                                    continue
                                 c = _lr_coefficient_ref(nu, alpha, beta)
                                 if c:
                                     total += c * schur_dim(alpha, d1) * schur_dim(beta, d2)
@@ -290,8 +292,8 @@ def _lr_product_ref(alpha: Partition, beta: Partition, max_length: int) -> dict[
     n = alpha.size + beta.size
     out: dict[Partition, int] = {}
     max_part = alpha.part(0) + beta.part(0)
-    for gamma in partitions_of(n, max_length=max_length, max_part=max_part):
-        if not gamma.contains(alpha):
+    for gamma in partitions_of(n):
+        if gamma.length > max_length or gamma.part(0) > max_part or not gamma.contains(alpha):
             continue
         c = _lr_coefficient_ref(gamma, alpha, beta)
         if c:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from reference import brute_force_counts, enumerate_gt_patterns, exact_values, gt_weight
 from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
+from weylchar.cli import main
 from weylchar.combinatorics import Partition, Signature, signature_from_pair
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi
@@ -322,9 +324,9 @@ def test_defect_rate_bounded():
         assert max(scaled) / min(scaled) < 3
 
 
-def test_block_decomposition_json():
-    dec = restrict_to_blocks(S((1, 0)), 1, 1)
-    data = dec.to_json()
+def test_block_decomposition_json(capsys):
+    assert main(["branch", "--op", "restrict", "--sig", "1,0", "--d1", "1", "--d2", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)["components"]
     assert data[0]["multiplicity"] == 1
     assert {"first", "second", "multiplicity"} <= set(data[0])
 
@@ -338,7 +340,9 @@ def test_subpartitions_skip_exactly_the_empty_skew_shapes():
     from weylchar.ucharacters import _subpartitions_bounded
 
     for size in range(11):
-        for nu in partitions_of(size, max_length=6):
+        for nu in partitions_of(size):
+            if nu.length > 6:
+                continue
             for d in range(max(2, nu.length), 7):
                 for d1 in range(1, d):
                     d2 = d - d1
