@@ -508,7 +508,6 @@ def ergodic_sequence(
     mu: Partition,
     u: BlockUnitary,
     n_max: int,
-    weights: TraceWeights | None = None,
     block: int = 0,
     dim_budget: int = ERGODIC_DIM_BUDGET,
 ) -> ErgodicReport:
@@ -521,8 +520,6 @@ def ergodic_sequence(
     """
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
     _check_on_diagram(u, diagram)
-    if weights is None:
-        weights = trace_weights(diagram)
     if n_max > diagram.depth:
         raise ValueError(f"n_max {n_max} beyond diagram depth {diagram.depth}")
     if n_max < u.level:
@@ -543,7 +540,7 @@ def ergodic_sequence(
         levels.append(n)
         dims.append(d)
         values.append(normalized_char(sig, v.blocks[block]))
-    tau = trace_value(u, weights)
+    tau = trace_value(u, trace_weights(diagram))
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)
     rate = None

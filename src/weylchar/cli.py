@@ -83,11 +83,67 @@ def parse_complexes(text: str) -> list[complex]:
     return values
 
 
-def _require(args, *names: str) -> None:
-    """Raise ValueError naming every flag the chosen mode needs but did not get."""
-    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
+_NEEDED = object()
+
+# For each subcommand with modes: how its flags name the chosen mode, and the
+# flags each mode reads, each with its default (_NEEDED: the mode needs it).
+# argparse leaves these flags None when they are not given, so a flag given to
+# a mode that does not read it can be told from one left out.
+_MODE_FLAGS = {
+    "branch": (lambda a: f"--op {a.op}", {
+        "--op tensor": {"sig1": _NEEDED, "sig2": _NEEDED},
+        "--op restrict": {"sig": _NEEDED, "d1": _NEEDED, "d2": _NEEDED},
+    }),
+    "moments": (lambda a: "--sweep" if a.sweep else "", {
+        "--sweep": {"dmax": 5, "entry_bound": 2},
+        "": {"sig": _NEEDED, "r": _NEEDED},
+    }),
+    "poisson": (
+        lambda a: next(m for m in ("--stirling", "--tv-a", "--kstep-k", "--series-n")
+                       if getattr(a, m[2:].replace("-", "_")) is not None),
+        {
+            "--stirling": {},
+            "--tv-a": {"tv_k": 1},
+            "--kstep-k": {"kernel_a": None, "truncation": 60},
+            "--series-n": {"kernel_a": None, "kernel_b": None, "tau": None, "tau_prime": None,
+                           "truncation": 60},
+        },
+    ),
+    "validate-diagram": (lambda a: "--file" if a.file is not None else "--diagram", {
+        "--diagram": {"depth": None},
+        "--file": {},
+    }),
+}
+
+
+def _check_mode(args) -> None:
+    """Give the flags the chosen mode reads their defaults.
+
+    Raises ValueError naming every flag the mode needs but did not get and
+    every flag given that it does not read.
+    """
+    if args.command not in _MODE_FLAGS:
+        return
+    pick, modes = _MODE_FLAGS[args.command]
+    mode = pick(args)
+    reads = modes[mode]
+    problems = []
+    missing = [n for n, value in reads.items() if value is _NEEDED and getattr(args, n) is None]
     if missing:
-        raise ValueError(f"{args.command} needs {', '.join(missing)}")
+        problems.append("needs " + _flags(missing))
+    stray = [n for n in dict.fromkeys(n for flags in modes.values() for n in flags)
+             if n not in reads and getattr(args, n) is not None]
+    if stray:
+        problems.append("does not read " + _flags(stray))
+    if problems:
+        raise ValueError(" ".join(filter(None, (args.command, mode))) + " " + " and ".join(problems))
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
 
 
 def _encode(obj):
@@ -149,7 +205,6 @@ def cmd_branch(args) -> int:
     from weylchar import ucharacters
 
     if args.op == "tensor":
-        _require(args, "sig1", "sig2")
         sig1, sig2 = parse_signature(args.sig1), parse_signature(args.sig2)
         comps = ucharacters.tensor_decompose(sig1, sig2, dim_budget=args.dim_budget)
         report = ucharacters.check_branching_inequalities(comps, (sig1, sig2))
@@ -160,7 +215,6 @@ def cmd_branch(args) -> int:
         }
         emit(payload, f"tensor: {len(comps)} components, inequalities {report.holds}", args.output)
     else:
-        _require(args, "sig", "d1", "d2")
         sig = parse_signature(args.sig)
         dec = ucharacters.restrict_to_blocks(sig, args.d1, args.d2, dim_budget=args.dim_budget)
         report = ucharacters.check_branching_inequalities(dec, sig)
@@ -216,7 +270,6 @@ def cmd_moments(args) -> int:
         emit(payload, f"moment sweep: {checked} identities, {failures} failures", args.output)
         return 0 if failures == 0 else 1
 
-    _require(args, "sig", "r")
     sig = parse_signature(args.sig)
     f = moments.TraceZeroSigned(args.r, sig.d)
     dist = moments.weight_distribution(sig, f)
@@ -375,9 +428,7 @@ def cmd_poisson(args) -> int:
 def cmd_validate_diagram(args) -> int:
     from weylchar import afalgebra
 
-    if args.file:
-        if args.depth is not None:
-            raise ValueError("validate-diagram --file takes no --depth: the file fixes its levels")
+    if args.file is not None:
         with open(args.file) as fh:
             diagram = afalgebra.BratteliDiagram.from_json(json.load(fh))
     else:
@@ -414,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", help="signature")
     p.add_argument("--r", type=int, help="rank of the signed window")
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--entry-bound", type=int, default=2)
+    p.add_argument("--dmax", type=int)
+    p.add_argument("--entry-bound", type=int)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("hciz", help="Monte Carlo unitary integral vs exact value", parents=[common])
@@ -452,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--tv-a", help="rate a_i for the total-variation bound")
     mode.add_argument("--kstep-k", type=int, help="k for the semigroup check")
     mode.add_argument("--series-n", type=int, help="level for the series check")
-    p.add_argument("--tv-k", type=int, default=1)
+    p.add_argument("--tv-k", type=int)
     p.add_argument("--kernel-a", help="kernel rates, comma rationals")
     p.add_argument("--kernel-b", help="conjugate-side rates")
     p.add_argument("--tau", help="trace values 're,im' separated by ';'")
     p.add_argument("--tau-prime", help="conjugate-side trace values")
-    p.add_argument("--truncation", type=positive_int, default=60)
+    p.add_argument("--truncation", type=positive_int)
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("validate-diagram", help="check a Bratteli diagram", parents=[common])
@@ -481,6 +532,7 @@ def main(argv=None) -> int:
         seed = int(seed_env) if seed_env is not None else getattr(args, "seed", 0)
         if hasattr(args, "seed"):
             args.seed = seed
+        _check_mode(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

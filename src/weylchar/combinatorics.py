@@ -151,6 +151,33 @@ def partitions_of(n: int):
     return tuple(Partition(p) for p in rec(n, n))
 
 
+def rows_between(hi: tuple[int, ...], lo: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing row with lo <= row <= hi entrywise, in decreasing lexicographic order.
+
+    hi and lo are non-increasing rows of one length with lo <= hi, such as
+    lam[:k-m] and lam[m:] for a non-increasing lam of length k: the rows nu
+    of a GT jump over a run of m, and the first factors alpha of the
+    branching rule s_lam(x, y) = sum_alpha s_alpha(x) s_{lam/alpha}(y) in m
+    variables y (Macdonald, Symmetric Functions and Hall Polynomials, I.5).
+
+    An odometer, with no recursion per entry: lower the last entry that is
+    above its floor and reset every entry j after it to its largest value
+    min(hi_j, row_{j-1}).  That value is never below lo_j, which is at most
+    hi_j and at most lo_{j-1} <= row_{j-1}.
+    """
+    row = list(hi)
+    while True:
+        yield tuple(row)
+        i = len(row) - 1
+        while i >= 0 and row[i] == lo[i]:
+            i -= 1
+        if i < 0:
+            return
+        row[i] -= 1
+        for j in range(i + 1, len(row)):
+            row[j] = min(hi[j], row[j - 1])
+
+
 def signatures_with_entries(d: int, lo: int, hi: int) -> Iterator[Signature]:
     """All weakly decreasing d-tuples with entries in [lo, hi]."""
     for combo in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d):

@@ -14,14 +14,13 @@ s_lam is symmetric, so coordinates with equal coefficients merge into one
 run of m coordinates, and the runs may be stacked in any order.  The kernel
 jumps over each run in one step instead of walking it one GT row at a time:
 from the row lam of length k to every row nu of length k - m with
-lam_i >= nu_i >= lam_{i+m}, each jump adding c (|lam| - |nu|) to the key and
-carrying the multiplicity s_{lam/nu}(1^m) (the number of GT strips between the
-two rows).  For m >= 3 that is the dual Jacobi-Trudi determinant
-det[C(m, lam'_i - nu'_j - i + j)] (Macdonald, Symmetric Functions and Hall
-Polynomials, I.5), computed with integer Bareiss elimination.  A run of two
-has one middle row mu, whose entries range independently between lam and nu
-(GT interlacing), so its multiplicity is a product of interval lengths and
-needs no determinant; a run of one has multiplicity 1.
+lam_i >= nu_i >= lam_{i+m} (`combinatorics.rows_between`, the walk that also
+gives the first factors of `ucharacters.restrict_to_blocks`), each jump adding
+c (|lam| - |nu|) to the key and carrying the multiplicity s_{lam/nu}(1^m) (the
+number of GT strips between the two rows).  For m >= 2 that is the dual
+Jacobi-Trudi determinant det[C(m, lam'_i - nu'_j - i + j)] (Macdonald,
+Symmetric Functions and Hall Polynomials, I.5), computed with integer Bareiss
+elimination; a run of one has multiplicity 1.
 
 Each jump splits into geometry and weighting.  The geometry of a jump over a
 run of m from row lam, the rows nu with their drops |lam| - |nu| and
@@ -44,7 +43,7 @@ Run order: the longest run goes at the bottom, ties broken by coefficient.
 The bottom run jumps to the empty row with multiplicity s_nu(1^m), and that
 jump is a memo node keyed within a call by its row alone, so a cold call
 computes the long run's determinants once per distinct row, and the top jump
-walks the short runs, which need no determinant when m <= 2.
+walks the short runs, which need no determinant when m = 1.
 
 The sub-result below a row depends only on that row and the runs beneath it,
 so it is memoised in two tiers, with no knob.  A per-call dict, keyed by the
@@ -73,6 +72,7 @@ import functools
 import math
 import threading
 
+from weylchar.combinatorics import rows_between
 from weylchar.errors import InvariantError
 
 # About three times the 1,213 nodes of a full moment sweep, and twice the
@@ -179,11 +179,9 @@ def _table(lam: tuple[int, ...], m: int) -> tuple:
     |lam| - |nu| and each mult is s_{lam/nu}(1^m).  None of it depends on the
     run's coefficient or on the runs below, so every caller shares one table.
     """
-    rows = [_row(nu) for nu in _rows_between(lam[: len(lam) - m], lam[m:])]
+    rows = [_row(nu) for nu in rows_between(lam[: len(lam) - m], lam[m:])]
     if m == 1:
         mults = [1] * len(rows)
-    elif m == 2:
-        mults = [_two_row_strips(lam, nu) for nu in rows]
     else:
         lam_conj = _conjugate(lam, lam[-1], lam[0])
         mults = [_skew_dim(lam, lam_conj, nu, m) for nu in rows]
@@ -207,47 +205,11 @@ def _shared(row: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int
     return _jump(row, runs, _call.nodes)
 
 
-def _rows_between(hi: tuple[int, ...], lo: tuple[int, ...]):
-    """Every non-increasing row nu with lo <= nu <= hi entrywise.
-
-    hi = lam[:k-m] and lo = lam[m:] for a non-increasing lam, so the all-lo row
-    is valid, resetting a suffix to lo keeps a row valid, and only adjacent
-    free entries (lo_i < hi_i) can violate the order; an odometer over the
-    free entries therefore visits each row exactly once.
-    """
-    free = [i for i in range(len(lo)) if lo[i] < hi[i]]
-    row = list(lo)
-    while True:
-        yield tuple(row)
-        for i in reversed(free):
-            if row[i] < hi[i] and (i == 0 or row[i] < row[i - 1]):
-                row[i] += 1
-                break
-            row[i] = lo[i]
-        else:
-            return
-
-
 def _conjugate(row: tuple[int, ...], base: int, top: int) -> tuple[int, ...]:
     """Column lengths 1..top-base of a non-increasing row shifted down by base."""
     ascending = row[::-1]
     n = len(row)
     return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
-
-
-def _two_row_strips(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """s_{lam/nu}(1^2) for len(nu) = len(lam) - 2: the middle rows mu between them.
-
-    mu interlaces both rows, so each entry mu_i ranges independently over
-    max(lam_{i+1}, nu_i) .. min(lam_i, nu_{i-1}), with nu_{-1} = +inf and
-    nu_{k-2} = -inf; lam_0 and lam_{k-1} stand in for the two infinities.
-    """
-    mult = 1
-    for a, b, hi, lo in zip(lam, lam[1:], (lam[0],) + nu, nu + (lam[-1],)):
-        mult *= (a if a < hi else hi) - (b if b > lo else lo) + 1
-    if mult <= 0:
-        raise InvariantError(f"GT jump with {mult} strips: lam={lam}, nu={nu}, m=2")
-    return mult
 
 
 def _skew_dim(lam, lam_conj, nu, m) -> int:

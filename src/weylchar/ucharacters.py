@@ -19,6 +19,7 @@ from weylchar.combinatorics import (
     Partition,
     Signature,
     partitions_of,
+    rows_between,
     signature_from_pair,
     signature_to_pair,
 )
@@ -147,42 +148,16 @@ def _det_shift(sig: Signature) -> tuple[int, Partition]:
     return a, Partition(tuple(e + a for e in sig.entries))
 
 
-def _subpartitions_bounded(nu: Partition, max_length: int, depth: int):
-    """All alpha contained in nu with at most max_length rows and alpha_i >= nu_{i+depth}.
-
-    The lower bound keeps exactly the alpha for which no column of nu/alpha
-    is taller than depth, the only ones whose skew expansion in depth
-    variables is nonempty.
-
-    An odometer visits them in decreasing lexicographic order, with no
-    recursion per row: lower the last entry that is above its floor and reset
-    every entry j after it to its largest value min(nu_j, alpha_{j-1}).  That
-    value is never below the floor nu_{j+depth}, which is at most nu_j and at
-    most nu_{j-1+depth} <= alpha_{j-1}.
-    """
-    rows = nu.parts[:max_length]
-    floors = [nu.part(i + depth) for i in range(len(rows))]
-    alpha = list(rows)
-    while True:
-        yield Partition(tuple(alpha))
-        i = len(alpha) - 1
-        while i >= 0 and alpha[i] == floors[i]:
-            i -= 1
-        if i < 0:
-            return
-        alpha[i] -= 1
-        for j in range(i + 1, len(alpha)):
-            alpha[j] = min(rows[j], alpha[j - 1])
-
-
 def restrict_to_blocks(
     sig: Signature, d1: int, d2: int, dim_budget: int = DIM_BUDGET
 ) -> BlockDecomposition:
     """Full decomposition of sig restricted to the block subgroup U(d1) x U(d2).
 
-    Works through the determinant shift: sig + a is a partition nu, the skew
-    expansions of nu give the polynomial branching, and both factors absorb
-    the shift -a afterwards.
+    By s_lam(x, y) = sum_alpha s_alpha(x) s_{lam/alpha}(y), the first factors
+    s1 are the rows of sig's GT jump over a run of d2 (`rows_between`), exactly
+    the rows with a nonempty skew expansion in d2 variables.  That expansion
+    runs through the determinant shift: sig + a is a partition nu, and each
+    beta of s_{nu/(s1 + a)} gives the second factor beta - a.
     """
     if d1 + d2 != sig.d:
         raise ValueError(f"d1 + d2 = {d1 + d2} must equal d = {sig.d}")
@@ -194,9 +169,9 @@ def restrict_to_blocks(
     a, nu = _det_shift(sig)
     comps: list[tuple[Signature, Signature, int]] = []
     second: dict[Partition, Signature] = {}
-    for alpha in _subpartitions_bounded(nu, d1, d2):
-        s1 = Signature(tuple(alpha.part(i) - a for i in range(d1)))
-        for beta, mult in skew_expand(nu, alpha, d2).items():
+    for row in rows_between(sig.entries[:d1], sig.entries[d2:]):
+        s1 = Signature(row)
+        for beta, mult in skew_expand(nu, Partition(tuple(e + a for e in row)), d2).items():
             s2 = second.get(beta)
             if s2 is None:
                 s2 = second[beta] = Signature(tuple(beta.part(i) - a for i in range(d2)))

@@ -2,8 +2,9 @@
 
 Nothing in `weylchar` calls these: each is the slow, literal form of a result
 the package computes another way.  GT pattern enumeration is the reference
-for the aggregation kernel `gtkernel.group_counts`, the alternant quotient
-for `symfunc.eval_by_gt`, power-sum evaluation for
+for the aggregation kernel `gtkernel.group_counts`, a product of interval
+lengths (`two_row_strips`) for its determinant over a run of two, the
+alternant quotient for `symfunc.eval_by_gt`, power-sum evaluation for
 `moments.hciz_power_sum` and `symfunc.schur_dim`, and the Gaussian rational
 eigenvalues of a quarter-turn spectrum (`exact_values`) for the exact values
 of characters, traces and `det_phi`, which the package computes from powers
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from weylchar.afalgebra import BratteliDiagram
 from weylchar.combinatorics import Partition, Signature, _as_int_tuple
-from weylchar.errors import BudgetExceeded
+from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
 from weylchar.symfunc import exact_det, schur_to_power_sums, weyl_dim
 
@@ -106,6 +107,21 @@ def brute_force_counts(entries, groups, ngroups) -> dict[tuple[int, ...], int]:
             e[g] += w
         out[tuple(e)] = out.get(tuple(e), 0) + 1
     return out
+
+
+def two_row_strips(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """s_{lam/nu}(1^2) for len(nu) = len(lam) - 2: the middle rows mu between them.
+
+    mu interlaces both rows, so each entry mu_i ranges independently over
+    max(lam_{i+1}, nu_i) .. min(lam_i, nu_{i-1}), with nu_{-1} = +inf and
+    nu_{k-2} = -inf; lam_0 and lam_{k-1} stand in for the two infinities.
+    """
+    mult = 1
+    for a, b, hi, lo in zip(lam, lam[1:], (lam[0],) + nu, nu + (lam[-1],)):
+        mult *= (a if a < hi else hi) - (b if b > lo else lo) + 1
+    if mult <= 0:
+        raise InvariantError(f"GT jump with {mult} strips: lam={lam}, nu={nu}, m=2")
+    return mult
 
 
 def bialternant(sig_entries: tuple[int, ...], values) -> object:

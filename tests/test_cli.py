@@ -329,6 +329,29 @@ def test_missing_mode_flag_is_a_usage_error(capsys, argv, missing):
 
 
 @pytest.mark.parametrize(
+    "argv, stray",
+    [
+        pytest.param(["poisson", "--stirling", "4", "--kernel-a", "2", "--tau", "0.5"],
+                     "--kernel-a, --tau", id="stirling-kernel"),
+        pytest.param(["poisson", "--kstep-k", "2", "--tv-k", "5", "--kernel-b", "3"],
+                     "--tv-k, --kernel-b", id="kstep-tv-conjugate"),
+        pytest.param(["branch", "--op", "tensor", "--sig1", "1,0", "--sig2", "1,0", "--d1", "4",
+                      "--sig", "9"], "--sig, --d1", id="tensor-restrict-flags"),
+        pytest.param(["moments", "--sweep", "--sig", "1,0", "--r", "2"], "--sig, --r",
+                     id="sweep-single-flags"),
+        # Given at its default value, a flag the mode does not read is still refused.
+        pytest.param(["poisson", "--stirling", "4", "--truncation", "60"], "--truncation",
+                     id="stirling-default-truncation"),
+    ],
+)
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(capsys, argv, stray):
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f" does not read {stray}\n")
+
+
+@pytest.mark.parametrize(
     "argv, file_data",
     [
         pytest.param(["ergodic", "--u", "0.25,0", "--level", "20"], None, id="ergodic-level"),

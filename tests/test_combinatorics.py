@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from weylchar.combinatorics import (
     Partition,
     Signature,
     partitions_of,
+    rows_between,
     signature_from_pair,
     signature_to_pair,
     signatures_with_entries,
@@ -135,6 +137,24 @@ def test_partitions_of():
     assert [p.parts for p in partitions_of(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert [p.parts for p in partitions_of(0)] == [()]
     assert [p.parts for p in partitions_of(6) if p.length <= 2] == [(6,), (5, 1), (4, 2), (3, 3)]
+
+
+def test_rows_between_is_the_filtered_product():
+    """Every non-increasing row between the bounds, in decreasing lexicographic order."""
+    hi_eq_lo = 0
+    for n in range(5):
+        bounds = list(itertools.combinations_with_replacement(range(2, -2, -1), n))
+        for hi, lo in itertools.product(bounds, repeat=2):
+            if any(l > h for h, l in zip(hi, lo)):
+                continue
+            boxes = itertools.product(*(range(h, l - 1, -1) for h, l in zip(hi, lo)))
+            expected = [t for t in boxes if all(t[i] >= t[i + 1] for i in range(n - 1))]
+            assert list(rows_between(hi, lo)) == expected, (hi, lo)
+            if hi == lo:
+                assert expected == [hi]
+                hi_eq_lo += 1
+    # One empty row, and every non-increasing row of length 1..4 over 4 values.
+    assert hi_eq_lo == 1 + 4 + 10 + 20 + 35
 
 
 def test_signature_json():

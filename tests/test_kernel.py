@@ -3,9 +3,9 @@ import functools
 import itertools
 import random
 
-from reference import brute_force_counts
+from reference import brute_force_counts, two_row_strips
 from weylchar import gtkernel
-from weylchar.combinatorics import Signature, signatures_with_entries
+from weylchar.combinatorics import Signature, rows_between, signatures_with_entries
 from weylchar.moments import TraceZeroSigned
 
 
@@ -122,8 +122,8 @@ def test_two_row_product_matches_jacobi_trudi():
                 continue
             conj = gtkernel._conjugate(lam, lam[-1], lam[0])
             # Every nu with lam_i >= nu_i >= lam_{i+2}; nu = () when d = 2.
-            for nu in gtkernel._rows_between(lam[: d - 2], lam[2:]):
-                product = gtkernel._two_row_strips(lam, nu)
+            for nu in rows_between(lam[: d - 2], lam[2:]):
+                product = two_row_strips(lam, nu)
                 assert product == gtkernel._skew_dim(lam, conj, nu, 2), (lam, nu)
                 checked += 1
                 bottom += nu == ()
@@ -275,12 +275,12 @@ def test_jump_tables_match_the_inline_jump():
         total = sum(lam)
         conj = gtkernel._conjugate(lam, lam[-1], lam[0])
         for m in range(1, d + 1):
-            rows = list(gtkernel._rows_between(lam[: d - m], lam[m:]))
+            rows = list(rows_between(lam[: d - m], lam[m:]))
             drops = [total - sum(nu) for nu in rows]
             if m == 1:
                 mults = [1] * len(rows)
             elif m == 2:
-                mults = [gtkernel._two_row_strips(lam, nu) for nu in rows]
+                mults = [two_row_strips(lam, nu) for nu in rows]
             else:
                 mults = [gtkernel._skew_dim(lam, conj, nu, m) for nu in rows]
             expected = tuple(x for entry in zip(rows, drops, mults) for x in entry)

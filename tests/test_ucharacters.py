@@ -332,12 +332,11 @@ def test_block_decomposition_json(capsys):
 
 
 def test_subpartitions_skip_exactly_the_empty_skew_shapes():
-    """The bounded walk drops only the alpha whose skew expansion is empty."""
+    """The shared walk drops only the alpha whose skew expansion is empty."""
     from itertools import product
 
-    from weylchar.combinatorics import partitions_of
+    from weylchar.combinatorics import partitions_of, rows_between
     from weylchar.symfunc import skew_expand
-    from weylchar.ucharacters import _subpartitions_bounded
 
     for size in range(11):
         for nu in partitions_of(size):
@@ -355,5 +354,25 @@ def test_subpartitions_skip_exactly_the_empty_skew_shapes():
                         if all(t[i] >= t[i + 1] for i in range(len(t) - 1))
                     ]
                     expected = [a for a in unbounded if skew_expand(nu, a, d2)]
-                    got = list(_subpartitions_bounded(nu, d1, d2))
+                    # The rows of the jump over a run of d2 from nu padded to length d.
+                    lam = tuple(nu.part(i) for i in range(d))
+                    got = [P(row) for row in rows_between(lam[:d1], lam[d2:])]
                     assert got == expected, (nu, d1, d2)
+
+
+def test_restriction_second_factors_sum_to_the_jump_multiplicity():
+    """Per first factor alpha: s_{sig/alpha}(1^d2) = sum of mult * dim(s2) over the components."""
+    from weylchar import gtkernel
+
+    checked = 0
+    for sig in (S((2, 1, 0)), S((3, 1, 1, -1)), S((2, 2, 0, -1, -2)), S((1, 0, 0, 0, 0, -1)),
+                S((2, 1, 0, 0, -1, -2))):
+        for d1 in range(1, sig.d):
+            d2 = sig.d - d1
+            per_first: dict = {}
+            for s1, s2, mult in restrict_to_blocks(sig, d1, d2).components:
+                per_first[s1.entries] = per_first.get(s1.entries, 0) + mult * weyl_dim(s2)
+            table = gtkernel._table(sig.entries, d2)
+            assert per_first == dict(zip(table[::3], table[2::3])), (sig, d1)
+            checked += len(per_first)
+    assert checked == 184
