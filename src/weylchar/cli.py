@@ -15,12 +15,10 @@ The one exception is char's trace_exact, [str(re), str(im)], which writes an
 integer as "2".
 
 Each subcommand imports only the modules it calls, so a process pays for no
-other.  Three load numpy: hciz (Haar sampling and the determinant formula),
-ergodic (the fitted decay rate) and char at a spectrum that is not all quarter
-turns when no two eigenvalues lie within 1e-8 of each other (the float
-alternant).  char at quarter turns (evaluated exactly), char at repeated
-eigenvalues, such as a tower-embedded unitary, and every other subcommand run
-without it.
+other.  Two load numpy: hciz (Haar sampling and the determinant formula) and
+ergodic (the fitted decay rate).  Every other subcommand runs without it,
+char included: it is exact at quarter turns, and elsewhere a complex double
+with an "error_bound" on the trace.
 """
 
 from __future__ import annotations
@@ -187,7 +185,10 @@ def cmd_char(args) -> int:
     sig = parse_signature(args.sig)
     u = ucharacters.DiagonalUnitary(parse_rationals(args.u))
     dim = weyl_dim(sig)
-    trace = ucharacters.char_eval(sig, u)
+    if u.quarter_turns() is None:
+        trace, bound = ucharacters.char_float(sig, u)
+    else:
+        trace, bound = ucharacters.char_eval(sig, u), None
     normalized = complex(trace) / dim
     payload = {
         "signature": sig,
@@ -197,6 +198,8 @@ def cmd_char(args) -> int:
     }
     if isinstance(trace, QQi):
         payload["trace_exact"] = [str(trace.re), str(trace.im)]
+    if bound is not None:
+        payload["error_bound"] = bound
     emit(payload, f"char: dim {dim}, normalized {normalized:.6g}", args.output)
     return 0
 

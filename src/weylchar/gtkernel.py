@@ -1,14 +1,16 @@
 """Gelfand-Tsetlin aggregation kernel.
 
 `pairing_counts` is the hot primitive behind weight distributions and exact
-characters, and `group_counts` behind confluent character evaluation.  Both
-count the GT patterns of one irrep by an integer linear functional of the
-pattern's weight w: `pairing_counts` keys each pattern by k = sum_i c_i w_i
-for integer coefficients c_i (c = the diagonal of F gives k = <F, w>; at
-eigenvalues i**q_j, c = q gives the pattern's phase i**k); `group_counts` keys
-it by the group sums e_g = sum(w_i for groups[i] == g), packed into one integer
-Kronecker-style, k = sum_g B^g (e_g - m_g lo) with lo the smallest entry, m_g
-the group size and B = d (hi - lo) + 1 past every digit, and decodes the keys.
+characters.  `group_counts` serves no route of the package: `perfbench`'s
+gate, `benchmarks/bench_gt.py`'s checksums and the tests' GT-sum reference
+`eval_by_gt` call it by name.  Both count the GT patterns of one irrep by an
+integer linear functional of the pattern's weight w: `pairing_counts` keys
+each pattern by k = sum_i c_i w_i for integer coefficients c_i (c = the
+diagonal of F gives k = <F, w>; at eigenvalues i**q_j, c = q gives the
+pattern's phase i**k); `group_counts` keys it by the group sums
+e_g = sum(w_i for groups[i] == g), packed into one integer Kronecker-style,
+k = sum_g B^g (e_g - m_g lo) with lo the smallest entry, m_g the group size
+and B = d (hi - lo) + 1 past every digit, and decodes the keys.
 
 s_lam is symmetric, so coordinates with equal coefficients merge into one
 run of m coordinates, and the runs may be stacked in any order.  The kernel
@@ -29,9 +31,8 @@ so `_table(lam, m)` builds it once, as one flat tuple (nu, drop, mult, nu,
 drop, mult, ...), in a shared `lru_cache` of `NODE_CACHE_SIZE` tables; the
 jump itself only adds c * drop to each key and multiplies the counts by
 mult.  Every caller shares the tables: `pairing_counts` at any coefficients,
-and through it `group_counts` and so `symfunc.eval_by_gt`.  A warm jump
-therefore computes no multiplicity, and the table's own nu tuples key the
-memo nodes below it.  One pass of the `perfbench` `exact_sweep` workload
+and through it `group_counts`.  A warm jump therefore computes no
+multiplicity, and the table's own nu tuples key the memo nodes below it.  One pass of the `perfbench` `exact_sweep` workload
 builds 1,968 tables holding 17,058 rows (4,916 with m = 1, 9,281 with m = 2,
 2,660 with m = 3 and 201 with m >= 4), but only 457 distinct rows, so `_row`
 keeps one shared copy of each (in an `lru_cache` of `NODE_CACHE_SIZE` rows).

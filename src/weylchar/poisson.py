@@ -230,7 +230,7 @@ def chi_tau_tauprime(tau_vals, tauprime_vals=()) -> complex:
     total = 0j
     for v in tuple(tau_vals) + tuple(tauprime_vals):
         v = complex(v)
-        if v.real > 1e-9:
+        if not v.real <= 1e-9:  # a NaN fails it too
             raise ValueError(f"trace of (u - 1) must have nonpositive real part: {v}")
         total += v
     return cmath.exp(total)
@@ -265,7 +265,8 @@ def poisson_series_check(
     taup = tuple(complex(v) for v in tauprime_values)
     if len(tau) != len(a) or len(taup) != len(b):
         raise ValueError("one trace value per rate")
-    if any(abs(v) > 1 + 1e-9 for v in tau + taup):
+    # Written so that a NaN fails it too.
+    if not all(abs(v) <= 1 + 1e-9 for v in tau + taup):
         raise ValueError("trace values must lie in the closed unit disk")
 
     def factor(rate: float, value: complex) -> complex:

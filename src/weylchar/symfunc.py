@@ -1,10 +1,10 @@
 """Symmetric-function kernel, all in exact arithmetic.
 
-Schur evaluation is one routine, `eval_by_gt`: Gelfand-Tsetlin aggregation at
-grouped Fraction, QQi or complex values, which `ucharacters` calls only at
-near-confluent float spectra (exact characters count patterns by phase).
-Power-sum expansions come from symmetric-group characters (Murnaghan-Nakayama
-divided by centralizer orders).
+Weyl dimensions by a product over runs of equal entries, power-sum
+expansions from symmetric-group characters (Murnaghan-Nakayama divided by
+centralizer orders), Littlewood-Richardson expansions by one ballot-tableau
+walk, and determinants over exact fields.  Character values live in
+`ucharacters`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from types import MappingProxyType
 
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded, InvariantError
-from weylchar.gtkernel import group_counts
 
 POWER_SUM_MAX_N = 12
 
@@ -164,7 +163,12 @@ def leading_coeff(lam: Partition) -> Fraction:
 
 
 def exact_det(rows):
-    """Determinant over an exact field (Fraction or QQi) by Gaussian elimination."""
+    """Determinant over an exact field (Fraction or QQi) by Gaussian elimination.
+
+    The complex-double determinant of `ucharacters.char_float` stays apart:
+    it pivots by magnitude, which means nothing over QQi, and carries an
+    error bound.
+    """
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
@@ -184,36 +188,6 @@ def exact_det(rows):
     for i in range(n):
         det = det * m[i][i]
     return det
-
-
-def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
-    """Character value at a (possibly confluent) spectrum via GT aggregation.
-
-    Equal values share a coordinate group; the result is the sum over grouped
-    weights of mult * prod(v**e).  Works for Fraction, QQi and complex values;
-    returns a Fraction when every term is an integer.
-    """
-    distinct: list = []
-    groups: list[int] = []
-    for v in values:
-        for g, w in enumerate(distinct):
-            if w == v:
-                groups.append(g)
-                break
-        else:
-            groups.append(len(distinct))
-            distinct.append(v)
-    counts = group_counts(tuple(sig_entries), tuple(groups), len(distinct))
-    # Integer multiplicities keep complex terms in native float arithmetic;
-    # the Fraction start makes an all-integer sum come back as a Fraction.
-    total = Fraction(0)
-    for exps, mult in counts.items():
-        term = mult
-        for v, e in zip(distinct, exps):
-            if e:
-                term = term * v**e
-        total = total + term
-    return total
 
 
 def _ballot_fillings(

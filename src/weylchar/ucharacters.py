@@ -1,16 +1,19 @@
 """Irreducible characters of U(d) and their branching behaviour.
 
 Evaluation happens at diagonal unitaries (characters are class functions),
-and the spectrum alone picks the route.  At eigenvalues i**q_j a GT pattern
-of weight w contributes i**(sum_j q_j w_j): `gtkernel.pairing_counts` counts
-the patterns by that exponent and `exact.phase_sum` folds the tally.  Other
-spectra are complex doubles: distinct ones go through the Weyl quotient of
-alternants, near-confluent ones through `symfunc.eval_by_gt` at grouped
-values, since the alternant denominator degenerates there.
+and the spectrum alone picks one of two routes.  At eigenvalues i**q_j a GT
+pattern of weight w contributes i**(sum_j q_j w_j): `gtkernel.pairing_counts`
+counts the patterns by that exponent and `exact.phase_sum` folds the tally
+into an exact Gaussian integer.  Every other spectrum goes through
+`char_float`, Koike's universal-character determinant in complex doubles,
+which returns the value with a rigorous error bound.  It has no Vandermonde
+denominator, so close or equal eigenvalues take the same route as distinct
+ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -26,10 +29,7 @@ from weylchar.combinatorics import (
 from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
 from weylchar.exact import phase_sum, quarter_turn, unit_complex
 from weylchar.gtkernel import pairing_counts
-from weylchar.symfunc import eval_by_gt, lr_product, skew_expand, weyl_dim
-
-CONFLUENCE_GAP = 1e-8
-CLUSTER_TOL = 1e-9
+from weylchar.symfunc import lr_product, skew_expand, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class DiagonalUnitary:
         )
         if not angles:
             raise ValueError("need at least one eigenvalue")
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"angles must be finite, got {self.angles}")
         object.__setattr__(self, "angles", angles)
 
     @property
@@ -71,56 +73,166 @@ class DiagonalUnitary:
         return DiagonalUnitary((Fraction(0),) * d)
 
 
-def _cluster(values: tuple[complex, ...]):
-    reps: list[complex] = []
-    groups: list[int] = []
-    for v in values:
-        for g, w in enumerate(reps):
-            if abs(v - w) <= CLUSTER_TOL:
-                groups.append(g)
-                break
-        else:
-            groups.append(len(reps))
-            reps.append(v)
-    return reps, tuple(groups)
-
-
 def char_eval(sig: Signature, u: DiagonalUnitary):
     """Trace of the irrep sig at u.
 
     The input picks the route: when every angle is a quarter turn
     (`u.quarter_turns()`), the GT patterns counted by their power of i and
     folded into an exact Gaussian integer `QQi`; otherwise a complex double,
-    from GT summation whenever two eigenvalues are closer than 1e-8.
+    the universal-character determinant of `char_float`.
     """
     if sig.d != u.d:
         raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
     quarters = u.quarter_turns()
     if quarters is not None:
         return phase_sum(pairing_counts(sig.entries, quarters))
-    values = u.complex_values()
-    # Tower-embedded unitaries repeat eigenvalues exactly; spot that in O(d)
-    # before the O(d^2) pair scan.
-    if len(set(values)) < u.d:
-        gap = 0.0
-    else:
-        gap = min(
-            (abs(values[i] - values[j]) for i in range(u.d) for j in range(i + 1, u.d)),
-            default=float("inf"),
-        )
-    if gap < CONFLUENCE_GAP:
-        reps, groups = _cluster(values)
-        return complex(eval_by_gt(sig.entries, tuple(reps[g] for g in groups)))
-    import numpy as np
+    return char_float(sig, u)[0]
 
-    d = u.d
-    exps = [sig.entries[j] + d - 1 - j for j in range(d)]
-    num = np.linalg.det(np.array([[v**e for e in exps] for v in values], dtype=complex))
-    den = 1.0 + 0j
-    for i in range(d):
-        for j in range(i + 1, d):
-            den *= values[i] - values[j]
-    return num / den
+
+# Unit roundoff of a double.  `exact.unit_complex` gives each eigenvalue to
+# within 16u: the angle 2*pi*t, t in [0, 1) rounded from the given turn, is
+# off by under 12u, and cos and sin each round by under one ulp.
+_U = 2.0**-53
+_X_ERR = 16
+# A complex product rounds by a relative sqrt(5) u at most (Brent, Percival
+# and Zimmermann, Math. Comp. 76, 2007); CPython's quotient, Smith's
+# algorithm, by under 7u + O(u^2).
+_MUL = 3
+_DIV = 8
+
+
+def _gamma(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the error of n stacked roundings."""
+    return n * _U / (1 - n * _U)
+
+
+def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
+    """The trace of sig at u in complex doubles, and a bound on its error.
+
+    Write sig = {mu; lam} with p = l(lam), q = l(mu).  The trace is Koike's
+    universal character (Adv. Math. 74, 1989): the (p+q)-square determinant
+    whose rows i = 1..q are h_{mu_{q+1-i}+i-j}(conj x) and whose rows
+    i = q+1..q+p are h_{lam_{i-q}-i+j}(x), h_k the complete symmetric
+    functions of the eigenvalues x.  Applying omega to that identity in
+    Lambda(x) (x) Lambda(conj x) gives the same character as the
+    (lam_1+mu_1)-square determinant with e_k for h_k and lam', mu' for
+    lam, mu.  Both specialise to U(d), since p + q <= d.  The smaller one is
+    evaluated, the e form on a tie, as e_k is at most C(d, k) where h_k
+    reaches C(d+k-1, k): one series by the per-coordinate recurrence of
+    prod (1 - x t)^-1 or prod (1 + x t), its conjugate for the conj x rows
+    (|x| = 1), then LU with partial pivoting.  There is no Vandermonde
+    denominator, so confluent eigenvalues need no special route.
+
+    The bound holds for the eigenvalues at the exact angles.  The k-th series
+    term is a sum of C(d+k-1, k) (h) or C(d, k) (e) unit monomials, each
+    through at most d + k sums and k products of eigenvalues that err by
+    16u, so it errs by at most that count times expm1((d + k + 19 k) u).  LU
+    gives L U = M + F with |F| <= gamma_{n+11} |L| |U| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 9.3; n sums, one product
+    and one quotient per term), and |L| <= 1 bounds each row of |L| |U| by
+    the column sums of |U| down to that row, an O(n^2) pass.
+    Hadamard's inequality on the rows then gives |det(M + D) - det M| <=
+    prod a_i expm1(sum delta_i / a_i) for row norms ||M_i|| <= a_i and
+    ||D_i|| <= delta_i; the product of the pivots adds its own rounding.
+    """
+    if sig.d != u.d:
+        raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
+    entries = sig.entries
+    d = len(entries)
+    lam = tuple(e for e in entries if e > 0)
+    mu = tuple(-e for e in reversed(entries) if e < 0)
+    p, q = len(lam), len(mu)
+    if p + q == 0:
+        return 1 + 0j, 0.0
+    lam1, mu1 = (lam or (0,))[0], (mu or (0,))[0]
+    # Both forms read the series up to this index; e_k vanishes past d.
+    top = max(lam1 + p, mu1 + q) - 1
+    dual = p + q >= lam1 + mu1
+    if dual:
+        below, above, kmax = _conjugate(lam), _conjugate(mu), min(top, d)
+    else:
+        below, above, kmax = lam, mu, top
+    series = [1 + 0j] + [0j] * kmax
+    if dual:
+        for j, x in enumerate(u.complex_values(), 1):
+            for k in range(min(j, kmax), 0, -1):
+                series[k] += x * series[k - 1]
+        errs = [_scaled(math.comb(d, k), (d + (_MUL + _X_ERR) * k) * _U)
+                for k in range(kmax + 1)]
+    else:
+        for x in u.complex_values():
+            acc = 1 + 0j
+            for k in range(1, kmax + 1):
+                acc = series[k] + x * acc
+                series[k] = acc
+        errs = [_scaled(math.comb(d + k - 1, k), (d + k + (_MUL + _X_ERR) * k) * _U)
+                for k in range(kmax + 1)]
+    nq = len(above)
+    n = nq + len(below)
+    # Every index a row reads lies in -n < k < kmax + n, and the entries
+    # outside 0..kmax are exact zeros, so n zeros pad each end.
+    pad = [0j] * n
+    padded = pad + series + pad
+    conj = [z.conjugate() for z in padded]
+    pad_errs = [0.0] * n + errs + [0.0] * n
+    rows: list[list[complex]] = []
+    row_errs: list[float] = []
+    for r in range(n):
+        if r < nq:  # series terms k0, k0 - 1, ..., conjugated
+            k0 = above[nq - 1 - r] + r + n
+            rows.append(conj[k0:k0 - n:-1])
+            row_errs.append(math.hypot(*pad_errs[k0:k0 - n:-1]))
+        else:  # series terms k0, k0 + 1, ...
+            k0 = below[r - nq] - r + n
+            rows.append(padded[k0:k0 + n])
+            row_errs.append(math.hypot(*pad_errs[k0:k0 + n]))
+    # ||M_r|| is at most the computed norm plus the series error.
+    norms = [math.hypot(*map(abs, row)) + err for row, err in zip(rows, row_errs)]
+    det = 1 + 0j
+    for c in range(n):
+        column = [abs(row[c]) for row in rows[c:]]
+        piv = c + column.index(max(column))
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            norms[c], norms[piv] = norms[piv], norms[c]
+            row_errs[c], row_errs[piv] = row_errs[piv], row_errs[c]
+            det = -det
+        pivot_row = rows[c]
+        pv = pivot_row[c]
+        det *= pv
+        if not pv:  # the column below is zero too: nothing to eliminate
+            continue
+        for row in rows[c + 1:]:
+            m = row[c] / pv
+            if m:
+                for j in range(c + 1, n):
+                    row[j] -= m * pivot_row[j]
+    # |l| <= 1 up to the rounding of the quotient and of the pivot's abs().
+    lu_gamma = _gamma(n + _MUL + _DIV) * (1 + (_DIV + 3) * _U)
+    column_sums = [0.0] * n
+    ratio = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i, n):
+            column_sums[j] += abs(row[j])
+        ratio += (row_errs[i] + lu_gamma * math.hypot(*column_sums)) / norms[i]
+    hadamard = math.prod(norms) * math.expm1(ratio)
+    pivots = _gamma(_MUL * n)
+    # The bound's own float evaluation rounds by a relative 4 n^2 u at most;
+    # a series count past the float range (inf / inf) leaves no bound at all.
+    bound = (hadamard + pivots / (1 - pivots) * abs(det)) * (1 + 2.0**-20)
+    return det, math.inf if math.isnan(bound) else bound
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0])) if parts else ()
+
+
+def _scaled(count: int, factor: float) -> float:
+    """count * factor as a float, inf when count is past the float range."""
+    try:
+        return float(count) * factor
+    except OverflowError:
+        return math.inf
 
 
 def normalized_char(sig: Signature, u: DiagonalUnitary):
@@ -259,16 +371,13 @@ def rational_approx_defect(lam: Partition, mu: Partition, u: DiagonalUnitary) ->
     """|chi_{mu;lam}(u) - (Tr u / d)^{|lam|} (conj Tr u / d)^{|mu|}|.
 
     The deviation decays like 1/d (faster for some pairs); the caller inspects
-    the d-scaling.  The character is exact at quarter turns (`char_eval`) and
-    otherwise the GT sum at float values: the alternant quotient loses every
-    digit on near-confluent float spectra.
+    the d-scaling.  The character is `char_eval`'s: exact at quarter turns,
+    else the universal-character determinant in complex doubles.
     """
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
     d = u.d
     sig = signature_from_pair(lam, mu, d)
-    exact = u.quarter_turns() is not None
-    chi = char_eval(sig, u) if exact else eval_by_gt(sig.entries, u.complex_values())
-    chi = complex(chi / weyl_dim(sig))
+    chi = complex(char_eval(sig, u) / weyl_dim(sig))
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
     return abs(chi - target)

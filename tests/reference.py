@@ -3,12 +3,14 @@
 Nothing in `weylchar` calls these: each is the slow, literal form of a result
 the package computes another way.  GT pattern enumeration is the reference
 for the aggregation kernel `gtkernel.group_counts`, a product of interval
-lengths (`two_row_strips`) for its determinant over a run of two, the
-alternant quotient for `symfunc.eval_by_gt`, power-sum evaluation for
-`moments.hciz_power_sum` and `symfunc.schur_dim`, and the Gaussian rational
-eigenvalues of a quarter-turn spectrum (`exact_values`) for the exact values
-of characters, traces and `det_phi`, which the package computes from powers
-of i.
+lengths (`two_row_strips`) for its determinant over a run of two, the GT sum
+at grouped values (`eval_by_gt`) and the alternant quotient (`bialternant`)
+for the character values of `ucharacters.char_eval`, the same quotient in
+mpmath (`mp_alternant`) for the error bound of `ucharacters.char_float`,
+power-sum evaluation for `moments.hciz_power_sum` and `symfunc.schur_dim`,
+and the Gaussian rational eigenvalues of a quarter-turn spectrum
+(`exact_values`) for the exact values of characters, traces and `det_phi`,
+which the package computes from powers of i.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from weylchar.afalgebra import BratteliDiagram
 from weylchar.combinatorics import Partition, Signature, _as_int_tuple
 from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
+from weylchar.gtkernel import group_counts
 from weylchar.symfunc import exact_det, schur_to_power_sums, weyl_dim
 
 GT_ENUM_MAX_D = 8
@@ -124,11 +127,41 @@ def two_row_strips(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
     return mult
 
 
+def eval_by_gt(sig_entries: tuple[int, ...], values) -> object:
+    """Character value at a (possibly confluent) spectrum via GT aggregation.
+
+    Equal values share a coordinate group; the result is the sum over grouped
+    weights of mult * prod(v**e).  Works for Fraction, QQi and complex values;
+    returns a Fraction when every term is an integer.
+    """
+    distinct: list = []
+    groups: list[int] = []
+    for v in values:
+        for g, w in enumerate(distinct):
+            if w == v:
+                groups.append(g)
+                break
+        else:
+            groups.append(len(distinct))
+            distinct.append(v)
+    counts = group_counts(tuple(sig_entries), tuple(groups), len(distinct))
+    # Integer multiplicities keep complex terms in native float arithmetic;
+    # the Fraction start makes an all-integer sum come back as a Fraction.
+    total = Fraction(0)
+    for exps, mult in counts.items():
+        term = mult
+        for v, e in zip(distinct, exps):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
 def bialternant(sig_entries: tuple[int, ...], values) -> object:
     """det(x_i^(e_j + d - j)) / det(x_i^(d - j)); requires distinct values.
 
-    The alternant quotient, the reference `symfunc.eval_by_gt` is checked
-    against at distinct points.
+    The alternant quotient, which `eval_by_gt` is checked against at
+    distinct points.
     """
     d = len(values)
     exps = [sig_entries[j] + d - 1 - j for j in range(d)]
@@ -138,6 +171,28 @@ def bialternant(sig_entries: tuple[int, ...], values) -> object:
         for j in range(i + 1, d):
             den = den * (values[i] - values[j])
     return num / den
+
+
+def mp_alternant(sig_entries: tuple[int, ...], angles, dps: int = 400) -> complex:
+    """The alternant quotient in mpmath at exp(2 pi i t), t the exact angles in turns.
+
+    At dps digits it resolves spectra far closer than a double can, so it
+    checks the float route's error bound.  mpmath is a test extra: callers
+    skip without it.
+    """
+    import mpmath
+
+    with mpmath.mp.workdps(dps):
+        z = [mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator
+                           if isinstance(t, Fraction) else 2 * mpmath.mpf(t)) for t in angles]
+        d = len(z)
+        exps = [sig_entries[j] + d - 1 - j for j in range(d)]
+        num = mpmath.det(mpmath.matrix([[x**e for e in exps] for x in z]))
+        den = mpmath.mpf(1)
+        for i in range(d):
+            for j in range(i + 1, d):
+                den *= z[i] - z[j]
+        return complex(num / den)
 
 
 # Quarter-turn roots of unity: turn -> exact value.

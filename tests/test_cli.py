@@ -48,6 +48,20 @@ def test_char_trivial(capsys):
     assert payload["normalized"] == [1.0, 0.0]
 
 
+def test_char_float_spectrum_carries_its_error_bound(capsys):
+    code, payload, _ = run_cli(capsys, ["char", "--sig", "1,0,-1", "--u", "37/100,1/10,9/10"])
+    assert code == 0
+    assert "trace_exact" not in payload
+    assert 0 < payload["error_bound"] < 1e-12
+
+
+def test_poisson_series_nan_trace_is_a_usage_error(capsys):
+    code, payload, err = run_cli(
+        capsys, ["poisson", "--series-n", "2", "--kernel-a", "1", "--tau", "nan,0"])
+    assert code == 2 and payload is None
+    assert "unit disk" in err
+
+
 def test_char_malformed_signature(capsys):
     code, _, err = run_cli(capsys, ["char", "--sig", "1,2", "--u", "0,0"])
     assert code == 2
@@ -440,10 +454,12 @@ def test_ergodic_dim_budget_flag(capsys):
     assert payload["dims"][-1] == 2048
 
 
-# README commands that need no numpy: all but the two hciz runs and ergodic.
+# Commands that need no numpy: every README command but the two hciz runs and
+# ergodic, and char at quarter turns and at a float spectrum.
 NUMPY_FREE_COMMANDS = (
     "char --sig 1,0,0,-1 --u 0.25,0,0,0",
     "char --sig 1,0,-1 --u 0,1/4,1/2",
+    "char --sig 1,0,-1 --u 37/100,1/10,9/10",
     "branch --op restrict --sig 1,0,-1 --d1 1 --d2 2",
     "branch --op tensor --sig1 1,0,-1 --sig2 1,0,-1",
     "moments --sig 1,0,0,0 --r 4",

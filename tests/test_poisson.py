@@ -227,6 +227,8 @@ def test_chi_tau_tauprime():
     assert abs(abs(out) - math.exp(-0.1 - 0.5 - 0.3)) < 1e-12
     with pytest.raises(ValueError):
         chi_tau_tauprime([complex(0.2, 0)])
+    with pytest.raises(ValueError):
+        chi_tau_tauprime([complex(math.nan, 0)])
 
 
 def test_poisson_series_identity():
@@ -238,6 +240,12 @@ def test_poisson_series_identity():
     assert rep_ab.passed
     # a = b: modulus equals exp(2 n a Re(tau - 1))
     assert abs(abs(rep_ab.closed) - math.exp(2 * 3 * (tau.real - 1))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", (complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)))
+def test_poisson_series_refuses_non_finite_traces(bad):
+    with pytest.raises(ValueError, match="unit disk"):
+        poisson_series_check([1], [], 2, [bad])
 
 
 def test_poisson_series_trivial_unitary():

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import bialternant, schur_by_power_sums
+from reference import bialternant, eval_by_gt, schur_by_power_sums
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQI_I, QQi
 from weylchar.symfunc import (
-    eval_by_gt,
     leading_coeff,
     lr_product,
     schur_dim,

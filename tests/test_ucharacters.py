@@ -1,21 +1,32 @@
 import cmath
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from reference import brute_force_counts, enumerate_gt_patterns, exact_values, gt_weight
+from reference import (
+    brute_force_counts,
+    enumerate_gt_patterns,
+    eval_by_gt,
+    exact_values,
+    gt_weight,
+    mp_alternant,
+)
 from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
 from weylchar.cli import main
 from weylchar.combinatorics import Partition, Signature, signature_from_pair
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi
-from weylchar.symfunc import eval_by_gt, weyl_dim
+from weylchar.symfunc import weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
     all_signature_pairs,
     char_eval,
+    char_float,
     check_branching_inequalities,
     normalized_char,
     rational_approx_defect,
@@ -59,7 +70,7 @@ def test_char_dimension_mismatch():
 
 
 def test_char_routes_agree():
-    # Alternant quotient against GT aggregation on random spectra.
+    # The float route against GT aggregation on random spectra.
     rng = random.Random(17)
     for _ in range(200):
         d = rng.randint(2, 5)
@@ -67,20 +78,92 @@ def test_char_routes_agree():
         sig = S(entries)
         angles = tuple(Fraction(rng.randint(0, 7), 8) for _ in range(d))
         u = DiagonalUnitary(angles)
-        # Float angles keep the float routes: GT iff angles collide.
+        # Float angles take the float route, also where angles collide.
         numeric = char_eval(sig, DiagonalUnitary(tuple(map(float, angles))))
         exact = char_eval(sig, u) if all(
             a.denominator in (1, 2, 4) for a in angles
         ) else None
         distinct = len(set(angles)) == d
         if distinct:
-            # force the GT route through clustering with equal tolerance
-            from weylchar.symfunc import eval_by_gt
-
             gt = eval_by_gt(sig.entries, u.complex_values())
             assert abs(numeric - gt) < 1e-9 * max(1.0, abs(gt))
         if exact is not None:
             assert abs(numeric - complex(exact)) < 1e-9 * max(1.0, abs(complex(exact)))
+
+
+def _signatures(max_d: int, bound: int):
+    return st.integers(1, max_d).flatmap(
+        lambda d: st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
+    ).map(lambda xs: S(tuple(sorted(xs, reverse=True))))
+
+
+def _dual_form(sig) -> bool:
+    """Whether char_float takes the e form: l(lam) + l(mu) >= lam_1 + mu_1."""
+    lam = [e for e in sig.entries if e > 0]
+    mu = [-e for e in sig.entries if e < 0]
+    return len(lam) + len(mu) >= max(lam, default=0) + max(mu, default=0)
+
+
+@pytest.mark.parametrize("dual", (False, True))
+@given(sig=_signatures(7, 4), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_float_route_matches_the_phase_count_within_its_bound(dual, sig, data):
+    assume(_dual_form(sig) == dual)
+    turns = data.draw(st.lists(st.integers(0, 3), min_size=sig.d, max_size=sig.d))
+    exact = char_eval(sig, DiagonalUnitary(tuple(Fraction(k, 4) for k in turns)))
+    value, bound = char_float(sig, DiagonalUnitary(tuple(k / 4 for k in turns)))
+    assert abs(value - complex(exact)) <= bound, (sig, turns)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_float_bound_covers_mpmath_at_near_confluent_spectra(k):
+    sig = S((4, 3, 2, 1, 0, -1, -2))
+    u = DiagonalUnitary(tuple(0.1 + j * 10.0**-k for j in range(7)))
+    pytest.importorskip("mpmath")
+    value, bound = char_float(sig, u)
+    assert abs(value - mp_alternant(sig.entries, u.angles)) <= bound
+    assert bound <= 1e-6 * weyl_dim(sig)
+
+
+def test_char_near_confluent_cli_is_within_its_bound(capsys):
+    # The alternant quotient printed 5.04e37 here.
+    u = ",".join(f"{j}/10000000" for j in range(7))
+    assert main(["char", "--sig", "4,3,2,1,0,-1,-2", "--u", u]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "trace_exact" not in payload
+    normalized = complex(*payload["normalized"])
+    assert abs(normalized - (1 + 1.3195e-5j)) < 1e-8
+    pytest.importorskip("mpmath")
+    ref = mp_alternant((4, 3, 2, 1, 0, -1, -2), [Fraction(j, 10**7) for j in range(7)])
+    assert abs(normalized - ref / payload["dim"]) <= payload["error_bound"] / payload["dim"]
+
+
+@given(sig=_signatures(8, 3), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_float_normalized_character_is_at_most_one_within_its_bound(sig, data):
+    start = data.draw(st.floats(0, 1, exclude_max=True))
+    spacing = data.draw(st.sampled_from((0.0, 1e-12, 1e-7, 1e-3, 0.1)))
+    jitter = data.draw(st.lists(st.floats(0, 1), min_size=sig.d, max_size=sig.d))
+    u = DiagonalUnitary(tuple(start + spacing * j * (1 + t) for j, t in enumerate(jitter)))
+    value, bound = char_float(sig, u)
+    dim = weyl_dim(sig)
+    assert abs(value) / dim <= 1 + bound / dim
+
+
+def test_float_route_at_d_4096_is_finite_and_within_its_bound():
+    d = 4096
+    sig = signature_from_pair(P((1, 1)), P((2, 1)), d)
+    half = (Fraction(1, 4),) * (d // 2) + (Fraction(0),) * (d // 2)
+    exact = complex(char_eval(sig, DiagonalUnitary(half)))
+    value, bound = char_float(sig, DiagonalUnitary(tuple(map(float, half))))
+    assert cmath.isfinite(value) and math.isfinite(bound)
+    assert abs(value - exact) <= bound
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_diagonal_unitary_refuses_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiagonalUnitary((bad, 0.1, 0.2))
 
 
 def _assert_phase_count_is_exact(sig, u):
@@ -278,9 +361,6 @@ def test_defect_examples():
 
 def _rational_approx_defect_gt_ref(lam, mu, u):
     """rational_approx_defect on a float spectrum, written out: the GT sum at its values."""
-    from weylchar.combinatorics import signature_from_pair
-    from weylchar.symfunc import eval_by_gt
-
     d = u.d
     sig = signature_from_pair(lam, mu, d)
     chi = complex(eval_by_gt(sig.entries, u.complex_values())) / weyl_dim(sig)
@@ -290,9 +370,10 @@ def _rational_approx_defect_gt_ref(lam, mu, u):
 
 
 def test_defect_float_route_is_the_gt_sum():
-    # Float spectra keep the GT sum, bit for bit, also where eigenvalues sit
-    # close together: there the alternant quotient of char_eval is off by
-    # up to 1e67 (d = 8, spacing 1e-7 turns).
+    # On float spectra the defect's character comes from char_float, also
+    # where eigenvalues sit close together (an alternant quotient is off by up
+    # to 1e67 there: d = 8, spacing 1e-7 turns); it stays within its bound of
+    # the GT sum.
     rng = random.Random(31)
     pairs = [((1,), ()), ((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((2, 1), (1,))]
     spacings = (None, None, 1e-3, 1e-5, 1e-7)
@@ -311,7 +392,10 @@ def test_defect_float_route_is_the_gt_sum():
             angles[1:] = [rng.choice(angles) for _ in range(d - 1)]
         u = DiagonalUnitary(tuple(angles))
         defect = rational_approx_defect(lam, mu, u)
-        assert defect == _rational_approx_defect_gt_ref(lam, mu, u), (lam, mu, angles)
+        sig = signature_from_pair(lam, mu, d)
+        bound = char_float(sig, u)[1] / weyl_dim(sig)
+        reference = _rational_approx_defect_gt_ref(lam, mu, u)
+        assert abs(defect - reference) <= bound + 1e-15, (lam, mu, angles)
         assert defect <= 2
 
 
