@@ -17,7 +17,7 @@ from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, sign
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi, phase_sum, quarter_turn, unit_complex
 from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
-from weylchar.ucharacters import DiagonalUnitary, normalized_char
+from weylchar.ucharacters import DiagonalUnitary, char_eval
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -26,13 +26,22 @@ def _as_matrix(rows) -> Matrix:
     return tuple(_as_int_tuple(row) for row in rows)
 
 
-def _mat_vec(m: Matrix, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
 def _mat_t_vec(m: Matrix, v):
-    ncols = len(m[0])
-    return tuple(sum(m[i][j] * v[i] for i in range(len(m))) for j in range(ncols))
+    """M^T v, skipping zero entries; ValueError unless v has one entry per row of M."""
+    if len(v) != len(m):
+        raise ValueError(f"vector of length {len(v)} against a matrix with {len(m)} rows")
+    out = [0] * len(m[0])
+    for row, x in zip(m, v):
+        if x:
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += a * x
+    return tuple(out)
+
+
+def _check_length(n: int, vec, nblocks: int, what: str):
+    if len(vec) != nblocks:
+        raise ValueError(f"level {n}: {what} has {len(vec)} entries, the level has {nblocks} blocks")
 
 
 @dataclass(frozen=True)
@@ -107,28 +116,34 @@ class DiagramReport:
         }
 
 
-def _or_rows(masks: list[int], row: tuple[int, ...]) -> int:
+def _or_rows(masks: list[int], support: tuple[int, ...]) -> int:
     """Zero pattern of one row of M @ P: the OR of the rows of P that M's row hits."""
     out = 0
-    for k, v in enumerate(row):
-        if v:
-            out |= masks[k]
+    for k in support:
+        out |= masks[k]
     return out
 
 
 def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
     """Dimension compatibility, zero rows, and a positivity probe of products."""
     errors = []
+    # Per matrix, per row: the columns holding a nonzero entry.
+    supports = [
+        [tuple(j for j, v in enumerate(row) if v) for row in m] for m in diagram.mults
+    ]
     for n, m in enumerate(diagram.mults):
-        expected = _mat_vec(m, diagram.levels[n])
+        dims = diagram.levels[n]
+        expected = tuple(
+            sum(row[j] * dims[j] for j in supp) for row, supp in zip(m, supports[n])
+        )
         if expected != diagram.levels[n + 1]:
             errors.append(
                 f"level {n + 1} dims {diagram.levels[n + 1]} != M_{n} d_{n} = {expected}"
             )
-        for i, row in enumerate(m):
-            if all(v == 0 for v in row):
+        for i, supp in enumerate(supports[n]):
+            if not supp:
                 errors.append(f"matrix {n} row {i} is zero")
-        if any(v < 0 for row in m for v in row):
+        if min(map(min, m)) < 0:
             errors.append(f"matrix {n} has negative entries")
     min_dims = tuple(min(lv) for lv in diagram.levels)
     primitive = None
@@ -140,16 +155,17 @@ def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
         # positive entries reaches it: the products are tracked as zero
         # patterns, each row a bitmask over the level-n blocks.
         depth = diagram.depth
+        row_masks = [[sum(1 << j for j in supp) for supp in rows] for rows in supports]
         first_window: dict[int, int] = {}
         for n in range(depth):
             full = (1 << len(diagram.levels[n])) - 1
-            prod = [sum(1 << j for j, v in enumerate(row) if v) for row in diagram.mults[n]]
+            prod = row_masks[n]
             for m in range(n + 1, depth + 1):
                 if all(row == full for row in prod):
                     first_window[n] = m - n
                     break
                 if m < depth:
-                    prod = [_or_rows(prod, row) for row in diagram.mults[m]]
+                    prod = [_or_rows(prod, supp) for supp in supports[m]]
         if not first_window:
             primitive = False
         else:
@@ -246,25 +262,31 @@ class TraceWeights:
     """Per level, the trace of a minimal projection in each block.
 
     Normalized (sum of weight * dim = 1 per level) and exactly compatible with
-    the diagram: t_n = M_n^T t_{n+1}.
+    the diagram: t_n = M_n^T t_{n+1}.  Both are checked over the integers:
+    every weight is scaled by L, the lcm of all their denominators, so a
+    level must sum to L and the integer vectors must intertwine M^T.
     """
 
     diagram: BratteliDiagram
     weights: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        w = tuple(tuple(Fraction(x) for x in lv) for lv in self.weights)
+        w = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in lv) for lv in self.weights
+        )
         if len(w) != len(self.diagram.levels):
             raise ValueError("need one weight vector per level")
         for n, (tw, dims) in enumerate(zip(w, self.diagram.levels)):
-            if len(tw) != len(dims):
-                raise ValueError(f"level {n}: weight length mismatch")
-            if any(x < 0 for x in tw):
+            _check_length(n, tw, len(dims), "weight vector")
+        lcm = math.lcm(*(x.denominator for lv in w for x in lv))
+        scaled = [tuple(x.numerator * (lcm // x.denominator) for x in lv) for lv in w]
+        for n, (xs, dims) in enumerate(zip(scaled, self.diagram.levels)):
+            if any(x < 0 for x in xs):
                 raise ValueError(f"level {n}: negative weight")
-            if sum(x * d for x, d in zip(tw, dims)) != 1:
+            if sum(x * d for x, d in zip(xs, dims)) != lcm:
                 raise ValueError(f"level {n}: weights not normalized")
         for n, m in enumerate(self.diagram.mults):
-            if _mat_t_vec(m, w[n + 1]) != w[n]:
+            if _mat_t_vec(m, scaled[n + 1]) != scaled[n]:
                 raise ValueError(f"compatibility fails between levels {n} and {n + 1}")
         object.__setattr__(self, "weights", w)
 
@@ -272,7 +294,9 @@ class TraceWeights:
         return self.weights[n]
 
 
-def _backward_weights(diagram: BratteliDiagram, boundary: tuple[Fraction, ...]):
+def _backward_weights(diagram: BratteliDiagram, boundary, what: str):
+    """Every level's vector from the deepest one by v_n = M_n^T v_{n+1}."""
+    _check_length(diagram.depth, boundary, len(diagram.levels[-1]), what)
     out = [tuple(boundary)]
     for m in reversed(diagram.mults):
         out.append(_mat_t_vec(m, out[-1]))
@@ -289,7 +313,10 @@ def trace_weights(diagram: BratteliDiagram, boundary=None) -> TraceWeights:
     effros-shen diagrams take their convergent ratio (1/q_n on the first
     block, 0 on the second) and every other diagram the uniform one.  Deeper
     diagrams give better approximations of the true trace of the infinite
-    limit; compatibility below the boundary is exact regardless.
+    limit; compatibility below the boundary is exact regardless.  The
+    substitution is linear, so every level shares the boundary's common
+    denominator D: it runs on the integers D * boundary, and each weight
+    becomes a Fraction over D once, at the end.
     """
     dims = diagram.levels[-1]
     nb = len(dims)
@@ -302,12 +329,19 @@ def trace_weights(diagram: BratteliDiagram, boundary=None) -> TraceWeights:
         total = sum(dims)
         vec = tuple(Fraction(1, total) for _ in range(nb))
     elif isinstance(boundary, int):
+        if not 0 <= boundary < nb:
+            raise ValueError(
+                f"boundary block {boundary} outside the deepest level's blocks 0..{nb - 1}"
+            )
         vec = tuple(
             Fraction(1, dims[i]) if i == boundary else Fraction(0) for i in range(nb)
         )
     else:
         vec = tuple(Fraction(x) for x in boundary)
-    return TraceWeights(diagram, _backward_weights(diagram, vec))
+    denom = math.lcm(*(x.denominator for x in vec))
+    scaled = tuple(x.numerator * (denom // x.denominator) for x in vec)
+    levels = _backward_weights(diagram, scaled, "boundary")
+    return TraceWeights(diagram, tuple(tuple(Fraction(x, denom) for x in lv) for lv in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +359,8 @@ class K0Hom:
         v = tuple(_as_int_tuple(lv) for lv in self.vectors)
         if len(v) != len(self.diagram.levels):
             raise ValueError("need one vector per level")
+        for n, (vec, dims) in enumerate(zip(v, self.diagram.levels)):
+            _check_length(n, vec, len(dims), "K0 vector")
         for n, m in enumerate(self.diagram.mults):
             if _mat_t_vec(m, v[n + 1]) != v[n]:
                 raise ValueError(f"K0 compatibility fails between levels {n} and {n + 1}")
@@ -336,7 +372,7 @@ class K0Hom:
 
     @staticmethod
     def from_deepest(diagram: BratteliDiagram, vector) -> "K0Hom":
-        return K0Hom(diagram, _backward_weights(diagram, _as_int_tuple(vector)))
+        return K0Hom(diagram, _backward_weights(diagram, _as_int_tuple(vector), "K0 vector"))
 
     def level(self, n: int) -> tuple[int, ...]:
         return self.vectors[n]
@@ -345,28 +381,51 @@ class K0Hom:
         return all(all(x == 0 for x in lv) for lv in self.vectors)
 
 
-def _integer_preimage(m: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The integer x with M^T x = target, or None when the rational one is not integral.
+def _adjugate(m: Matrix) -> tuple[int, Matrix]:
+    """det(M^T) and the integer adjugate of M^T, whose cofactors come from `exact_det`.
 
-    Cramer's rule over `exact_det`.  M must be square and nonsingular: then
-    the rational solution is unique, so a non-integral one proves that no
-    integer lift exists.  Any other step raises ValueError.
+    M must be square and nonsingular; any other step raises ValueError.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError(f"continuation step {m} is not square")
     a = [[Fraction(m[i][j]) for i in range(n)] for j in range(n)]
-    det = exact_det(a)
+    det = int(exact_det(a))
     if det == 0:
         raise ValueError(f"continuation step {m} is singular")
+    # adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j and column i.
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j)
+            * int(exact_det([row[:i] + row[i + 1 :] for r, row in enumerate(a) if r != j]))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return det, adj
+
+
+def _lift(det: int, adj: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """adj @ target / det when every entry divides exactly, else None."""
+    if len(target) != len(adj):
+        raise ValueError(f"vector of length {len(target)} against a {len(adj)}-block step")
     lifted = []
-    for k in range(n):
-        a_k = [row[:k] + [Fraction(t)] + row[k + 1 :] for row, t in zip(a, target)]
-        x = exact_det(a_k) / det
-        if x.denominator != 1:
+    for row in adj:
+        q, r = divmod(sum(a * t for a, t in zip(row, target) if a), det)
+        if r:
             return None
-        lifted.append(int(x))
+        lifted.append(q)
     return tuple(lifted)
+
+
+def _integer_preimage(m: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The integer x with M^T x = target, or None when the rational one is not integral.
+
+    x = adj(M^T) target / det(M^T).  M must be square and nonsingular: then
+    the rational solution is unique, so a nonzero remainder proves that no
+    integer lift exists.  Any other step raises ValueError.
+    """
+    return _lift(*_adjugate(m), target)
 
 
 def k0_extension_obstruction(hom: K0Hom, extra_levels: int = 12) -> int | None:
@@ -375,17 +434,22 @@ def k0_extension_obstruction(hom: K0Hom, extra_levels: int = 12) -> int | None:
     Lifts the deepest vector through `extra_levels` steps of the diagram's
     periodic continuation, each an exact solve of M^T x = v over Z (square,
     nonsingular steps only), so a reported step is a proof that the
-    functional does not extend that far.  The CAR tower obstructs every
-    nonzero vector (repeated halving), while unimodular steps (effros-shen)
-    obstruct nothing.
+    functional does not extend that far.  Each distinct step matrix gets its
+    determinant and integer adjugate once per call; a step is then an
+    integer mat-vec and a division by the determinant, whose nonzero
+    remainder is the proof.  The CAR tower obstructs every nonzero vector
+    (repeated halving), while unimodular steps (effros-shen) obstruct nothing.
     """
     tail = hom.diagram.continuation
     if tail is None:
         raise ValueError("diagram has no continuation data")
+    adjugates: dict[int, tuple[int, Matrix]] = {}
     current = hom.vectors[-1]
     for k in range(extra_levels):
-        m = tail[k % len(tail)]
-        lifted = _integer_preimage(m, current)
+        i = k % len(tail)
+        if i not in adjugates:
+            adjugates[i] = _adjugate(tail[i])
+        lifted = _lift(*adjugates[i], current)
         if lifted is None:
             return k + 1
         current = lifted
@@ -535,11 +599,12 @@ def ergodic_sequence(
         if lam.length + mu.length > d:
             raise ValueError(f"pair does not fit at level {n}: d = {d}")
         sig = signature_from_pair(lam, mu, d)
-        if weyl_dim(sig) > dim_budget:
+        dim = weyl_dim(sig)
+        if dim > dim_budget:
             raise BudgetExceeded("character dimension exceeds budget")
         levels.append(n)
         dims.append(d)
-        values.append(normalized_char(sig, v.blocks[block]))
+        values.append(char_eval(sig, v.blocks[block]) / dim)
     tau = trace_value(u, trace_weights(diagram))
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)

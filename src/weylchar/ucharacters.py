@@ -43,8 +43,11 @@ class DiagonalUnitary:
     angles: tuple
 
     def __post_init__(self):
+        # A Fraction already in [0, 1) is kept as it is: embeddings re-wrap
+        # every angle of every block at each level.
         angles = tuple(
-            Fraction(a) % 1 if isinstance(a, (int, Rational)) else float(a) % 1.0
+            a if type(a) is Fraction and 0 <= a.numerator < a.denominator
+            else Fraction(a) % 1 if isinstance(a, (int, Rational)) else float(a) % 1.0
             for a in self.angles
         )
         if not angles:

@@ -10,7 +10,10 @@ mpmath (`mp_alternant`) for the error bound of `ucharacters.char_float`,
 power-sum evaluation for `moments.hciz_power_sum` and `symfunc.schur_dim`,
 and the Gaussian rational eigenvalues of a quarter-turn spectrum
 (`exact_values`) for the exact values of characters, traces and `det_phi`,
-which the package computes from powers of i.
+which the package computes from powers of i.  The Bratteli layer's integer
+arithmetic is checked against the Fraction backward substitution
+(`fraction_trace_weights`) and the dense primitivity probe over every matrix
+entry (`dense_validate_diagram`) that it replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from weylchar.afalgebra import BratteliDiagram
+from weylchar.afalgebra import BratteliDiagram, DiagramReport
 from weylchar.combinatorics import Partition, Signature, _as_int_tuple
 from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
@@ -259,3 +262,68 @@ def uhf_product_diagram(factors: tuple[int, ...], depth: int) -> BratteliDiagram
         tuple(levels), tuple(mults), f"product:{','.join(map(str, factors))}",
         None, simple_known=False,
     )
+
+
+def fraction_trace_weights(diagram: BratteliDiagram, boundary) -> tuple[tuple[Fraction, ...], ...]:
+    """Per-level weights by Fraction backward substitution t_n = M_n^T t_{n+1}.
+
+    `boundary` is "uniform", a block index or a tuple, read as `trace_weights`
+    reads it; the diagram's default boundary is not handled here.
+    """
+    dims = diagram.levels[-1]
+    if boundary == "uniform":
+        vec = tuple(Fraction(1, sum(dims)) for _ in dims)
+    elif isinstance(boundary, int):
+        vec = tuple(Fraction(int(i == boundary), d) for i, d in enumerate(dims))
+    else:
+        vec = tuple(Fraction(x) for x in boundary)
+    out = [vec]
+    for m in reversed(diagram.mults):
+        t = out[-1]
+        out.append(tuple(sum((m[i][j] * t[i] for i in range(len(m))), Fraction(0))
+                         for j in range(len(m[0]))))
+    return tuple(reversed(out))
+
+
+def dense_validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
+    """`validate_diagram` with the primitivity probe ORing over every matrix entry."""
+    errors = []
+    for n, m in enumerate(diagram.mults):
+        dims = diagram.levels[n]
+        expected = tuple(sum(row[j] * dims[j] for j in range(len(dims))) for row in m)
+        if expected != diagram.levels[n + 1]:
+            errors.append(
+                f"level {n + 1} dims {diagram.levels[n + 1]} != M_{n} d_{n} = {expected}"
+            )
+        for i, row in enumerate(m):
+            if all(v == 0 for v in row):
+                errors.append(f"matrix {n} row {i} is zero")
+        if any(v < 0 for row in m for v in row):
+            errors.append(f"matrix {n} has negative entries")
+    min_dims = tuple(min(lv) for lv in diagram.levels)
+    primitive = None
+    if not errors and diagram.mults:
+        depth = diagram.depth
+        first_window = {}
+        for n in range(depth):
+            full = (1 << len(diagram.levels[n])) - 1
+            prod = [sum(1 << j for j, v in enumerate(row) if v) for row in diagram.mults[n]]
+            for m in range(n + 1, depth + 1):
+                if all(row == full for row in prod):
+                    first_window[n] = m - n
+                    break
+                if m < depth:
+                    rows = []
+                    for row in diagram.mults[m]:
+                        mask = 0
+                        for k, v in enumerate(row):
+                            if v:
+                                mask |= prod[k]
+                        rows.append(mask)
+                    prod = rows
+        if not first_window:
+            primitive = False
+        else:
+            window = max(first_window.values())
+            primitive = all(n in first_window for n in range(depth) if n + window <= depth)
+    return DiagramReport(not errors, tuple(errors), min_dims, primitive, diagram.simple_known)

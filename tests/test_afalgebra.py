@@ -1,8 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from reference import exact_unit, exact_values, uhf_product_diagram
+from reference import (
+    dense_validate_diagram,
+    exact_unit,
+    exact_values,
+    fraction_trace_weights,
+    uhf_product_diagram,
+)
 from weylchar.afalgebra import (
     BlockUnitary,
     BratteliDiagram,
@@ -130,6 +137,103 @@ def test_trace_weights_validation():
         TraceWeights(car, ((F(1),), (F(1),), (F(1),)))  # not normalized/compatible
 
 
+def test_trace_weights_boundary_block_out_of_range():
+    gicar = preset_diagram("gicar", depth=3)
+    for block in (5, 4, -1):
+        with pytest.raises(ValueError, match=r"blocks 0\.\.3"):
+            trace_weights(gicar, boundary=block)
+
+
+def test_trace_weights_boundary_of_wrong_length():
+    gicar = preset_diagram("gicar", depth=3)
+    for boundary in ((F(1, 8),) * 3, (F(1, 8),) * 5):
+        with pytest.raises(ValueError, match=rf"level 3: boundary has {len(boundary)} entries"):
+            trace_weights(gicar, boundary=boundary)
+
+
+def _random_diagram(rng, consistent=True):
+    """Non-negative integer steps on 1-5 blocks, depth 1-12, built through BratteliDiagram."""
+    nb = rng.randint(1, 5)
+    levels = [tuple(rng.randint(1, 3) for _ in range(nb))]
+    mults = []
+    for _ in range(rng.randint(1, 12)):
+        nout = rng.randint(1, 5)
+        m = [[0 if rng.random() < 0.5 else rng.randint(1, 3) for _ in range(nb)]
+             for _ in range(nout)]
+        for row in m:
+            if not any(row):
+                row[rng.randrange(nb)] = 1
+        mults.append(tuple(map(tuple, m)))
+        levels.append(tuple(sum(v * d for v, d in zip(row, levels[-1])) for row in m))
+        nb = nout
+    if not consistent:
+        kind = rng.choice(("dims", "zero row", "negative"))
+        n = rng.randrange(len(mults))
+        m = [list(row) for row in mults[n]]
+        if kind == "dims":
+            levels[n + 1] = tuple(d + 1 for d in levels[n + 1])
+        elif kind == "zero row":
+            m[rng.randrange(len(m))] = [0] * len(m[0])
+        else:
+            m[rng.randrange(len(m))][rng.randrange(len(m[0]))] = -1
+        mults[n] = tuple(map(tuple, m))
+    return BratteliDiagram(tuple(levels), tuple(mults))
+
+
+def test_trace_weights_match_fraction_substitution():
+    import random
+
+    rng = random.Random(23)
+    for _ in range(150):
+        diagram = _random_diagram(rng)
+        dims = diagram.levels[-1]
+        # A tuple boundary holding floats: 0.0 off the first block.
+        floats = tuple(F(1, dims[0]) if i == 0 else 0.0 for i in range(len(dims)))
+        boundaries = ["uniform", *range(len(dims)), floats]
+        for boundary in boundaries:
+            expected = fraction_trace_weights(diagram, boundary)
+            assert trace_weights(diagram, boundary).weights == expected, (diagram, boundary)
+    # A nonzero float that is exact in binary.
+    car = preset_diagram("car", depth=6)
+    assert trace_weights(car, (0.5**6,)).weights == fraction_trace_weights(car, (0.5**6,))
+
+
+def test_validate_diagram_matches_dense_probe():
+    import random
+
+    rng = random.Random(29)
+    outcomes = set()
+    for k in range(300):
+        diagram = _random_diagram(rng, consistent=k % 3 != 0)
+        report = validate_diagram(diagram).to_json()
+        assert report == dense_validate_diagram(diagram).to_json(), diagram
+        outcomes.add((report["valid"], report["primitive_within_depth"]))
+    assert outcomes == {(True, True), (True, False), (False, None)}
+
+
+def test_trace_weights_refuse_one_entry_off_by_one_over_the_common_denominator():
+    gicar = preset_diagram("gicar", depth=3)
+    weights = trace_weights(gicar, (F(1, 4), F(1, 6), F(1, 12), F(0))).weights
+    lcm = math.lcm(*(x.denominator for lv in weights for x in lv))
+    assert len({x.denominator for lv in weights for x in lv}) > 1 and lcm == 12
+    for n, lv in enumerate(weights):
+        for i in range(len(lv)):
+            for delta in (F(1, lcm), F(-1, lcm)):
+                bad = list(map(list, weights))
+                bad[n][i] += delta
+                with pytest.raises(ValueError):
+                    TraceWeights(gicar, tuple(map(tuple, bad)))
+
+
+def test_trace_weights_refuse_compatible_weights_that_are_not_normalized():
+    es = preset_diagram("effros-shen", depth=6)
+    doubled = tuple(tuple(2 * x for x in lv) for lv in trace_weights(es).weights)
+    with pytest.raises(ValueError, match="level 0: weights not normalized"):
+        TraceWeights(es, doubled)
+    with pytest.raises(ValueError, match="negative weight"):
+        TraceWeights(es, tuple(tuple(-x for x in lv) for lv in doubled))
+
+
 def test_k0_car_rejects_nonzero():
     car = preset_diagram("car")
     assert k0_extension_obstruction(K0Hom.from_deepest(car, (0,))) is None
@@ -195,10 +299,40 @@ def test_integer_preimage_matches_gauss_jordan():
     assert outcomes == {True, False}
 
 
+def test_k0_uhf_lifts_match_gauss_jordan_steps():
+    for depth in (5, 6):
+        diagram = preset_diagram("uhf:2,3", depth=depth)
+        for v in (0, 1, 2, 3, 6**3, 2**7 * 3**2, 6**12, -(6**12), 5 * 6**4):
+            expected, current = None, (v,)
+            for k in range(24):
+                current = _square_preimage_ref(diagram.continuation[k % 2], current)
+                if current is None:
+                    expected = k + 1
+                    break
+            hom = K0Hom.from_deepest(diagram, (v,))
+            assert k0_extension_obstruction(hom, 24) == expected, (depth, v)
+
+
+def test_k0_refuses_vectors_of_the_wrong_length():
+    gicar = preset_diagram("gicar", depth=3)
+    with pytest.raises(ValueError, match="level 3: K0 vector has 5 entries, the level has 4 blocks"):
+        K0Hom.from_deepest(gicar, (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="level 3: K0 vector has 3 entries, the level has 4 blocks"):
+        K0Hom.from_deepest(gicar, (1, 2, 3))
+    es = preset_diagram("effros-shen")
+    with pytest.raises(ValueError, match="K0 vector has 3 entries, the level has 2 blocks"):
+        K0Hom.from_deepest(es, (1, 0, 7))
+    good = K0Hom.from_deepest(gicar, (1, 2, 3, 4)).vectors
+    for bad in (good[:2] + ((1, 2),) + good[3:], good[:1] + (good[1] + (0,),) + good[2:]):
+        with pytest.raises(ValueError, match="level [12]: K0 vector has"):
+            K0Hom(gicar, bad)
+
+
 def test_k0_rejects_non_square_and_singular_steps():
     levels = ((1,), (1, 1))
     mults = (((1,), (1,)),)
-    for step in (((1, 1), (1, 1), (1, 0)), ((1, 1), (2, 2))):
+    # Not square, singular, and a 1-block step under the 2-block deepest level.
+    for step in (((1, 1), (1, 1), (1, 0)), ((1, 1), (2, 2)), ((2,),)):
         diagram = BratteliDiagram(levels, mults, "test", (step,))
         hom = K0Hom.from_deepest(diagram, (1, 1))
         with pytest.raises(ValueError):
