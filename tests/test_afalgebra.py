@@ -28,6 +28,7 @@ from weylchar.afalgebra import (
     trace_weights,
     validate_diagram,
     _integer_preimage,
+    _mat_t_vec,
 )
 from weylchar.combinatorics import Partition
 from weylchar.exact import QQi
@@ -326,6 +327,14 @@ def test_k0_refuses_vectors_of_the_wrong_length():
     for bad in (good[:2] + ((1, 2),) + good[3:], good[:1] + (good[1] + (0,),) + good[2:]):
         with pytest.raises(ValueError, match="level [12]: K0 vector has"):
             K0Hom(gicar, bad)
+
+
+def test_mat_t_vec_refuses_a_vector_of_the_wrong_length():
+    m = ((1, 0), (2, 1), (0, 3))
+    assert _mat_t_vec(m, (1, 0, 2)) == (1, 6)
+    for v in ((1, 0), (1, 0, 2, 5)):
+        with pytest.raises(ValueError, match=f"length {len(v)} against a matrix with 3 rows"):
+            _mat_t_vec(m, v)
 
 
 def test_k0_rejects_non_square_and_singular_steps():
