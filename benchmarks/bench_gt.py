@@ -17,12 +17,17 @@ d in {2^4, ..., 2^10} along the CAR tower, for five pairs {mu; lam} at three
 spectra of two interleaved quarter turns, timed cold and then warm (best of
 three each), with a checksum over the repr of every value; the pinned values
 were computed by evaluating the Schur polynomial at Gaussian rational
-eigenvalues, the route the phase count replaced.  Exits 1 unless every
-checksum matches.
+eigenvalues, the route the phase count replaced.  Then a curve of
+`weyl_dim` against d in {4, 8, 16, 64, 256, 1024} on 100 seeded signatures
+with entries in [-4, 4] per d, and on the all-distinct staircase
+(d-1, ..., 1, 0) for d up to 256, each point the best of three runs, with a
+checksum over every dimension pinned with the accumulate-and-perm pair loop
+that the current one replaced.  Exits 1 unless every checksum matches.
 Usage: python3 benchmarks/bench_gt.py
 """
 
 import hashlib
+import random
 import sys
 import time
 from fractions import Fraction
@@ -32,9 +37,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylchar import gtkernel
-from weylchar.combinatorics import Partition, signature_from_pair, signatures_with_entries
+from weylchar.combinatorics import (
+    Partition,
+    Signature,
+    signature_from_pair,
+    signatures_with_entries,
+)
 from weylchar.gtkernel import group_counts
 from weylchar.moments import TraceZeroSigned, weight_distribution
+from weylchar.symfunc import weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, char_eval
 
 
@@ -110,6 +121,35 @@ def car_characters(d):
     return out
 
 
+# d -> checksum of the Weyl dimensions of `dim_signatures(d)`.
+DIM_CURVE = {
+    4: "35671ee38513f636",
+    8: "e4b6d26ae9e1ddee",
+    16: "e62abd01cbb6779b",
+    64: "00128392f623efcb",
+    256: "a24900400fb7244a",
+    1024: "9550c33cb7bff936",
+}
+
+# d -> checksum of the Weyl dimension of the staircase (d-1, ..., 1, 0).
+STAIRCASE_CURVE = {
+    4: "1af302cbcb594c73",
+    16: "1eb499756009d9f8",
+    64: "8795182bb3109c2a",
+    256: "468c0627b95438f3",
+}
+
+
+def dim_signatures(d, count=100):
+    rng = random.Random(d)
+    return [Signature(tuple(sorted((rng.randint(-4, 4) for _ in range(d)), reverse=True)))
+            for _ in range(count)]
+
+
+def dims_of(sigs):
+    return [weyl_dim(sig) for sig in sigs]
+
+
 def moment_pairs(d):
     out = []
     for sig in signatures_with_entries(d, -2, 2):
@@ -169,6 +209,25 @@ def main():
         if digest != expected:
             print(f"d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
             ok = False
+    print("weyl_dim, best of three:")
+    for label, curve, signatures in (
+        ("100 seeded, entries in [-4, 4]", DIM_CURVE, dim_signatures),
+        ("staircase", STAIRCASE_CURVE, lambda d: [Signature(tuple(range(d - 1, -1, -1)))]),
+    ):
+        for d, expected in curve.items():
+            sigs = signatures(d)
+            best, dims = float("inf"), None
+            for _ in range(3):
+                start = time.perf_counter()
+                dims = dims_of(sigs)
+                best = min(best, time.perf_counter() - start)
+            # hex, since a staircase dimension has more digits than str() converts.
+            digest = hashlib.sha256(",".join(map(hex, dims)).encode()).hexdigest()[:16]
+            print(f"  {label} d={d:4d}: {best / len(sigs) * 1e6:9.1f} us a call  (checksum {digest})")
+            if digest != expected:
+                print(f"weyl_dim {label} d={d}: checksum {digest} != expected {expected}",
+                      file=sys.stderr)
+                ok = False
     return 0 if ok else 1
 
 

@@ -8,6 +8,7 @@ irreps.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
@@ -15,6 +16,8 @@ from typing import Iterator
 
 def _as_int_tuple(xs) -> tuple[int, ...]:
     xs = tuple(xs)  # an iterator would be spent by the conversion before the check
+    if set(map(type, xs)) <= {int}:  # exact ints, the common case, need no conversion
+        return xs
     out = tuple(int(x) for x in xs)
     if any(x != y for x, y in zip(out, xs)):
         raise ValueError(f"non-integer entries: {xs!r}")
@@ -31,7 +34,7 @@ class Partition:
         parts = _as_int_tuple(self.parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in partition: {parts}")
@@ -85,7 +88,7 @@ class Signature:
         entries = _as_int_tuple(self.entries)
         if not entries:
             raise ValueError("signature must have length d >= 1")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
+        if any(map(operator.lt, entries, entries[1:])):
             raise ValueError(f"entries not weakly decreasing: {entries}")
         object.__setattr__(self, "entries", entries)
 

@@ -68,7 +68,6 @@ the two copies are equal.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import math
 import threading
@@ -92,8 +91,11 @@ def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[in
     """
     if len(coeffs) != len(entries):
         raise ValueError("coeffs must give every coordinate a coefficient")
+    sizes: dict[int, int] = {}
+    for c in coeffs:
+        sizes[c] = sizes.get(c, 0) + 1
     # Bottom first: the longest run, ties broken by coefficient.
-    runs = sorted(collections.Counter(coeffs).items(), key=lambda run: (-run[1], run[0]))
+    runs = sorted(sizes.items(), key=lambda run: (-run[1], run[0]))
     return _counts(tuple(entries), tuple(runs))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,8 @@ from typing import TYPE_CHECKING
 from weylchar.combinatorics import Signature, partitions_of
 from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import (
+    power_sum_weights,
     schur_dim,
-    schur_to_power_sums,
     sym_group_dim,
     weyl_dim,
 )
@@ -222,20 +223,20 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
     pa = [sum(x**j for x in xa) for j in range(n + 1)]
     pb = [sum(x**j for x in xb) for j in range(n + 1)]
     partitions = partitions_of(n)
-    pa_ct = {ct: math.prod(pa[j] for j in ct.parts) for ct in partitions}
-    pb_ct = {ct: math.prod(pb[j] for j in ct.parts) for ct in partitions}
+    pa_ct = [math.prod(pa[j] for j in ct.parts) for ct in partitions]
+    pb_ct = [math.prod(pb[j] for j in ct.parts) for ct in partitions]
     # n! s_lam(D A) = sum over cycle types ct of (n! chi^lam(ct) / z_ct) p_ct(D A),
-    # an integer; the lam terms add over the lcm of the s_lam(1_d).
+    # an integer dot product with `power_sum_weights(lam)`, which lists the
+    # cycle types in the order of `partitions_of(n)`; the lam terms add over
+    # the lcm of the s_lam(1_d).
     fact = math.factorial(n)
     terms = []
     for lam in partitions:
         if lam.length > d:
             continue
-        na = nb = 0
-        for ct, c in schur_to_power_sums(lam).items():
-            weight = c.numerator * (fact // c.denominator)
-            na += weight * pa_ct[ct]
-            nb += weight * pb_ct[ct]
+        weights = power_sum_weights(lam)
+        na = sum(map(operator.mul, weights, pa_ct))
+        nb = sum(map(operator.mul, weights, pb_ct))
         terms.append((sym_group_dim(lam) * na * nb, schur_dim(lam, d)))
     common = math.lcm(*(dim for _, dim in terms))
     numerator = sum(num * (common // dim) for num, dim in terms)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from types import MappingProxyType
 
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded, InvariantError
@@ -43,24 +41,36 @@ def dim_of_runs(runs: list[tuple[int, int]]) -> int:
     gap c, fix one element of the shorter run; the factors along the longer
     run (length n) then form the ratio of falling factorials
     perm(hi + c, n) / perm(hi, n), hi the largest index distance, which
-    telescopes to min(c, n) factors on each side.  The cost grows with the
+    telescopes to min(c, n) factors on each side.  When min(c, n) = 1, as for
+    most pairs at small d, the factors are hi + c and hi + c - max(c, n)
+    themselves, appended with no `math.perm` call.  The cost grows with the
     number of run pairs times the shorter run, not with d^2, so a signature
     such as {mu; lam} at d = 2^64, whose zeros form one run, costs what it
     costs at small d.
     """
-    starts = list(itertools.accumulate((n for _, n in runs), initial=0))
     num: list[int] = []
     den: list[int] = []
-    for a, (va, na) in enumerate(runs):
+    for a in range(len(runs)):
+        va, na = runs[a]
+        gap = na  # index distance from the start of run a to the start of run b
         for b in range(a + 1, len(runs)):
             vb, nb = runs[b]
             c = va - vb
-            n = max(na, nb)
+            n, m, lo = (nb, na, gap + nb - na) if na < nb else (na, nb, gap)
+            gap += nb
             k, big = (c, n) if c < n else (n, c)
-            lo = starts[b] - starts[a] + max(nb - na, 0)
-            for hi in range(lo, lo + min(na, nb)):
-                num.append(math.perm(hi + c, k))
-                den.append(math.perm(hi + c - big, k))
+            if k == 1:  # perm(x, 1) = x: the factors are consecutive integers
+                top = lo + c
+                if m == 1:
+                    num.append(top)
+                    den.append(top - big)
+                else:
+                    num.extend(range(top, top + m))
+                    den.extend(range(top - big, top - big + m))
+            else:
+                for hi in range(lo, lo + m):
+                    num.append(math.perm(hi + c, k))
+                    den.append(math.perm(hi + c - big, k))
     dim, rem = divmod(_product(num), _product(den))
     if rem:
         raise InvariantError("Weyl product did not divide evenly")
@@ -136,24 +146,36 @@ def _centralizer_order(rho: Partition) -> int:
 
 
 @cache
-def schur_to_power_sums(lam: Partition) -> Mapping[Partition, Fraction]:
-    """s_lam = sum of coeffs[rho] * p_rho, coeffs[rho] = chi^lam(rho)/z_rho.
+def power_sum_weights(lam: Partition) -> tuple[int, ...]:
+    """n! chi^lam(rho) / z_rho for each rho in `partitions_of(n)`, n = |lam|, in that order.
 
-    Only the cycle types rho of |lam| with a nonzero character appear.  The
-    mapping is cached and shared by every caller, so it is read-only.
+    n! / z_rho is the size of the class of cycle type rho, so each weight is
+    an integer, and s_lam = (1/n!) sum_rho weight_rho p_rho.  A caller pairs
+    the weights with values listed in the same order, so the sum is an
+    integer dot product.
     """
     lam = Partition(tuple(lam))
     n = lam.size
     if n > POWER_SUM_MAX_N:
         raise BudgetExceeded(f"power-sum expansion bound exceeded: |lam| = {n} > {POWER_SUM_MAX_N}")
-    if n == 0:
-        return MappingProxyType({EMPTY: Fraction(1)})
-    coeffs: dict[Partition, Fraction] = {}
-    for rho in partitions_of(n):
-        chi = sym_group_character(lam.parts, rho.parts)
-        if chi:
-            coeffs[rho] = Fraction(chi, _centralizer_order(rho))
-    return MappingProxyType(coeffs)
+    fact = math.factorial(n)
+    return tuple(
+        sym_group_character(lam.parts, rho.parts) * (fact // _centralizer_order(rho))
+        for rho in partitions_of(n)
+    )
+
+
+def schur_to_power_sums(lam: Partition) -> dict[Partition, Fraction]:
+    """s_lam = sum of coeffs[rho] * p_rho, coeffs[rho] = chi^lam(rho)/z_rho.
+
+    Only the cycle types rho of |lam| with a nonzero character appear.  The
+    coefficients are the cached `power_sum_weights` over n!, so each call
+    returns a new dict.
+    """
+    weights = power_sum_weights(lam)
+    n = sum(lam)
+    fact = math.factorial(n)
+    return {rho: Fraction(w, fact) for rho, w in zip(partitions_of(n), weights) if w}
 
 
 def leading_coeff(lam: Partition) -> Fraction:
@@ -203,9 +225,10 @@ def _ballot_fillings(
     expansion {beta: c^nu_{alpha,beta}} over the contents within the caps.
     Each cell's right and upper neighbours come earlier in the reading order,
     so their indices (-1 outside the skew shape) are laid out once and the
-    walk reads both bounds from one flat filling.  Leaves are tallied by
-    content tuple, and one Partition is built per distinct content at the
-    end, not one per leaf.  The walk keeps no recursion per cell, so shapes
+    walk reads both bounds from one flat filling.  Leaves are tallied by the
+    tuple of counts as it stands, and one Partition, which drops the trailing
+    zeros (the only zeros a ballot content can have), is built per distinct
+    content at the end, not one per leaf.  The walk keeps no recursion per cell, so shapes
     of thousands of cells fill too.
     """
     right: list[int] = []
@@ -228,8 +251,8 @@ def _ballot_fillings(
     idx = v = 0
     while idx >= 0:
         if idx == ncells:
-            content = tuple(c for c in counts[1:] if c)
-            found[content] = found.get(content, 0) + 1
+            key = tuple(counts)
+            found[key] = found.get(key, 0) + 1
         else:
             if not v:
                 v = fill[upper[idx]] + 1 if upper[idx] >= 0 else 1
@@ -251,7 +274,7 @@ def _ballot_fillings(
             v = fill[idx]
             counts[v] -= 1
             v += 1
-    return {Partition(content): n for content, n in found.items()}
+    return {Partition(key[1:]): n for key, n in found.items()}
 
 
 def skew_expand(nu: Partition, alpha: Partition, max_length: int) -> dict[Partition, int]:

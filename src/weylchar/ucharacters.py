@@ -52,7 +52,9 @@ class DiagonalUnitary:
         )
         if not angles:
             raise ValueError("need at least one eigenvalue")
-        if not all(map(math.isfinite, angles)):
+        # A Fraction is always finite, and float(inf) % 1.0 is nan, so only a
+        # float angle can fail: checking the Fractions would convert each to float.
+        if not all(math.isfinite(a) for a in angles if type(a) is float):
             raise ValueError(f"angles must be finite, got {self.angles}")
         object.__setattr__(self, "angles", angles)
 

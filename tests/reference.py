@@ -8,9 +8,12 @@ at grouped values (`eval_by_gt`) and the alternant quotient (`bialternant`)
 for the character values of `ucharacters.char_eval`, the same quotient in
 mpmath (`mp_alternant`) for the error bound of `ucharacters.char_float`,
 power-sum evaluation for `moments.hciz_power_sum` and `symfunc.schur_dim`,
-and the Gaussian rational eigenvalues of a quarter-turn spectrum
-(`exact_values`) for the exact values of characters, traces and `det_phi`,
-which the package computes from powers of i.  The Bratteli layer's integer
+the Fraction power-sum table (`fraction_power_sum_coeffs`) and the partition
+sum that read its weights (`fraction_weight_hciz_power_sum`) for the integer
+weights of `symfunc.power_sum_weights` and `hciz_power_sum`, and the
+Gaussian rational eigenvalues of a quarter-turn spectrum (`exact_values`) for
+the exact values of characters, traces and `det_phi`, which the package
+computes from powers of i.  The Bratteli layer's integer
 arithmetic is checked against the Fraction backward substitution
 (`fraction_trace_weights`) and the dense primitivity probe over every matrix
 entry (`dense_validate_diagram`) that it replaced.
@@ -19,16 +22,24 @@ entry (`dense_validate_diagram`) that it replaced.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from weylchar.afalgebra import BratteliDiagram, DiagramReport
-from weylchar.combinatorics import Partition, Signature, _as_int_tuple
+from weylchar.combinatorics import Partition, Signature, _as_int_tuple, partitions_of
 from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
 from weylchar.gtkernel import group_counts
-from weylchar.symfunc import exact_det, schur_to_power_sums, weyl_dim
+from weylchar.symfunc import (
+    exact_det,
+    schur_dim,
+    schur_to_power_sums,
+    sym_group_character,
+    sym_group_dim,
+    weyl_dim,
+)
 
 GT_ENUM_MAX_D = 8
 GT_ENUM_MAX_PATTERNS = 10**6
@@ -245,6 +256,57 @@ def schur_by_power_sums(lam: Partition, values) -> Fraction:
     """s_lam at the given values, through the power-sum expansion."""
     p = {r: sum(v**r for v in values) for r in range(1, lam.size + 1)}
     return power_sum_value(schur_to_power_sums(lam), p)
+
+
+def fraction_power_sum_coeffs(lam: Partition) -> dict[Partition, Fraction]:
+    """{rho: chi^lam(rho) / z_rho} over the rho of |lam| with a nonzero character.
+
+    The Fraction table, in the order of `partitions_of`, that `symfunc`
+    cached before it cached the integer weights n! chi^lam(rho) / z_rho.
+    """
+    coeffs = {}
+    for rho in partitions_of(lam.size):
+        chi = sym_group_character(lam.parts, rho.parts)
+        if chi:
+            z = 1
+            for r in set(rho.parts):
+                m = rho.parts.count(r)
+                z *= r**m * math.factorial(m)
+            coeffs[rho] = Fraction(chi, z)
+    return coeffs
+
+
+def fraction_weight_hciz_power_sum(a, b, n: int) -> Fraction:
+    """`moments.hciz_power_sum` with the weights read from the Fraction table.
+
+    The loop that the integer dot product replaced: each weight is
+    c.numerator * (n! // c.denominator) for c in `fraction_power_sum_coeffs`.
+    """
+    d = a.d
+    scaled = []
+    for spec in (a, b):
+        scale = math.lcm(*(v.denominator for v in spec.eigenvalues))
+        scaled.append((scale, [v.numerator * (scale // v.denominator) for v in spec.eigenvalues]))
+    (scale_a, xa), (scale_b, xb) = scaled
+    pa = [sum(x**j for x in xa) for j in range(n + 1)]
+    pb = [sum(x**j for x in xb) for j in range(n + 1)]
+    partitions = partitions_of(n)
+    pa_ct = {ct: math.prod(pa[j] for j in ct.parts) for ct in partitions}
+    pb_ct = {ct: math.prod(pb[j] for j in ct.parts) for ct in partitions}
+    fact = math.factorial(n)
+    terms = []
+    for lam in partitions:
+        if lam.length > d:
+            continue
+        na = nb = 0
+        for ct, c in fraction_power_sum_coeffs(lam).items():
+            weight = c.numerator * (fact // c.denominator)
+            na += weight * pa_ct[ct]
+            nb += weight * pb_ct[ct]
+        terms.append((sym_group_dim(lam) * na * nb, schur_dim(lam, d)))
+    common = math.lcm(*(dim for _, dim in terms))
+    numerator = sum(num * (common // dim) for num, dim in terms)
+    return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)
 
 
 def uhf_product_diagram(factors: tuple[int, ...], depth: int) -> BratteliDiagram:

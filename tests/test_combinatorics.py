@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,18 +29,48 @@ def test_partition_normalizes_trailing_zeros():
     assert Partition((2, 2)).length == 2
 
 
+@pytest.mark.parametrize("make", (lambda xs: Partition(xs).parts, lambda xs: Signature(xs).entries))
+def test_constructors_accept_integral_entries_as_ints(make):
+    # Exact ints pass through as they are; anything else equal to an int is
+    # converted, and a generator is read once.
+    for given in ((3, 1, 1), (True, True, False), (np.int64(2), np.int64(1)), (2.0, 1.0),
+                  (x for x in (4, 2)), [3, 0]):
+        entries = make(given)
+        assert all(type(e) is int for e in entries), entries
+    assert make((True, True, False))[:2] == (1, 1)
+    assert make((np.int64(2), np.int64(1))) == (2, 1)
+    assert make((2.0, 1.0)) == (2, 1)
+    assert make(x for x in (4, 2)) == (4, 2)
+    assert Signature((3, 0, -2)).entries == (3, 0, -2)
+
+
 def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((1, -1))
+    for bad, message in (
+        ((1.5,), "non-integer entries: (1.5,)"),
+        (("1",), "non-integer entries: ('1',)"),
+        ((2, 1.5), "non-integer entries: (2, 1.5)"),
+        ((1, 2), "parts not weakly decreasing: (1, 2)"),
+        ((3, 1, 2, 0), "parts not weakly decreasing: (3, 1, 2)"),
+        ((1, -1), "negative part in partition: (1, -1)"),
+        ((-2,), "negative part in partition: (-2,)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Partition(bad)
+        assert str(err.value) == message, bad
 
 
 def test_signature_rejects_increasing():
-    with pytest.raises(ValueError):
-        Signature((1, 2))
-    with pytest.raises(ValueError):
-        Signature(())
+    for bad, message in (
+        ((1.5, 0), "non-integer entries: (1.5, 0)"),
+        (("1",), "non-integer entries: ('1',)"),
+        ((1, 2), "entries not weakly decreasing: (1, 2)"),
+        ((0, -1, 0), "entries not weakly decreasing: (0, -1, 0)"),
+        ((), "signature must have length d >= 1"),
+        ((x for x in ()), "signature must have length d >= 1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Signature(bad)
+        assert str(err.value) == message, bad
 
 
 def test_signature_from_pair_examples():

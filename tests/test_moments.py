@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import brute_force_counts, power_sum_value
+from reference import brute_force_counts, fraction_weight_hciz_power_sum, power_sum_value
 from weylchar import moments
 from weylchar.cli import main
 from weylchar.combinatorics import Signature, signatures_with_entries
@@ -631,6 +631,18 @@ def test_hciz_power_sum_matches_fraction_reference():
     assert hciz_power_sum(zero, HermitianSpectrum((1, 2, 3)), 3) == 0
     with pytest.raises(ValueError):
         hciz_power_sum(zero, zero, -1)
+
+
+def test_hciz_power_sum_matches_the_fraction_weight_loop():
+    # Every n up to the power-sum bound at every d <= 7, so the lam with more
+    # than d rows are cut off for every n > d.
+    rng = random.Random(24)
+    for d in range(1, 8):
+        for n in range(0, 13):
+            a, b = (HermitianSpectrum(tuple(F(rng.randint(-4, 4), rng.randint(1, 4))
+                                            for _ in range(d))) for _ in range(2))
+            new, ref = hciz_power_sum(a, b, n), fraction_weight_hciz_power_sum(a, b, n)
+            assert new == ref and repr(new) == repr(ref), (a, b, n)
 
 
 def _weight_distribution_ref(sig, f):

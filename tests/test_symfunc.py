@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import bialternant, eval_by_gt, schur_by_power_sums
+from reference import bialternant, eval_by_gt, fraction_power_sum_coeffs, schur_by_power_sums
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQI_I, QQi
@@ -74,6 +74,14 @@ def test_power_sum_expansions_table():
         assert _coeffs(shape) == expected, shape
 
 
+def test_power_sum_expansions_match_the_fraction_table():
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            got, ref = schur_to_power_sums(lam), fraction_power_sum_coeffs(lam)
+            assert list(got.items()) == list(ref.items()), lam
+            assert all(type(c) is Fraction for c in got.values())
+
+
 def test_power_sum_trivial():
     assert _coeffs((1,)) == {(1,): Fraction(1)}
 
@@ -119,6 +127,30 @@ def _weyl_pair_product(entries):
     return num // den
 
 
+def _hook_content(lam, d):
+    """s_lam(1_d) = prod over the cells of lam of (d + content) / hook."""
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= d + j - i
+            den *= row - j + conj[j] - i - 1
+    assert num % den == 0
+    return num // den
+
+
+def _run_structured(rng, max_d):
+    """A signature of runs of 1..40 equal entries whose values drop by 1 to 9."""
+    entries = []
+    value = rng.randint(-20, 20)
+    while True:
+        n = rng.randint(1, 40)
+        if entries and (len(entries) + n > max_d or rng.random() < 0.2):
+            return tuple(entries)
+        entries += [value] * min(n, max_d)
+        value -= rng.choice((1, 2, 3, 5, 9))
+
+
 def test_weyl_dim_matches_pair_product():
     rng = random.Random(17)
     cases = []
@@ -127,19 +159,22 @@ def test_weyl_dim_matches_pair_product():
         cases.append(tuple(sorted((rng.randint(-4, 4) for _ in range(d)), reverse=True)))
     cases.append(tuple(sorted(rng.sample(range(-100, 100), 64), reverse=True)))
     cases.append((2, 1) + (0,) * 60 + (-1, -2))
+    # Long runs and value gaps of 2 or more take the math.perm branch of every pair.
+    cases.append((5,) * 40 + (0,) * 40)
+    cases.append((9,) * 3 + (2,) * 50 + (-7,) * 20)
+    cases += [_run_structured(rng, 120) for _ in range(200)]
+    assert max(map(len, cases)) <= 120
     for entries in cases:
-        assert weyl_dim(Signature(entries)) == _weyl_pair_product(entries), entries
+        dim = weyl_dim(Signature(entries))
+        assert dim == _weyl_pair_product(entries), entries
+        lam = tuple(e - entries[-1] for e in entries)
+        assert schur_dim(P(lam), len(entries)) == _hook_content(P(lam).parts, len(entries)) == dim
 
 
 def test_weyl_dim_hook_content_at_d_4096():
     d = 4096
-    lam, conj = (2, 1), (2, 1)
-    num = den = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            num *= d + j - i
-            den *= row - j + conj[j] - i - 1
-    assert weyl_dim(Signature(lam + (0,) * (d - 2))) == num // den == d * (d * d - 1) // 3
+    lam = (2, 1)
+    assert weyl_dim(Signature(lam + (0,) * (d - 2))) == _hook_content(lam, d) == d * (d * d - 1) // 3
 
 
 def test_schur_eval_examples():
