@@ -161,7 +161,9 @@ def test_float_route_at_d_4096_is_finite_and_within_its_bound():
     assert abs(value - exact) <= bound
 
 
-@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, np.float64("inf")))
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, -math.inf, pytest.param(np.float64("inf"), id="numpy-inf"))
+)
 def test_diagonal_unitary_refuses_non_finite_angles(bad):
     with pytest.raises(ValueError, match="finite"):
         DiagonalUnitary((bad, 0.1, 0.2))
@@ -171,14 +173,14 @@ def test_diagonal_unitary_refuses_non_finite_angles(bad):
 
 
 def test_diagonal_unitary_keeps_its_angles():
-    given = (Fraction(1, 4), Fraction(5, 4), Fraction(-1, 3), 3, True, 0.25, -0.75, 1.5,
-             np.float64(0.125), Fraction(0))
+    raw = (Fraction(1, 4), Fraction(5, 4), Fraction(-1, 3), 3, True, 0.25, -0.75, 1.5,
+           np.float64(0.125), Fraction(0))
     kept = (Fraction(1, 4), Fraction(1, 4), Fraction(2, 3), Fraction(0), Fraction(0), 0.25,
             0.25, 0.5, 0.125, Fraction(0))
-    angles = DiagonalUnitary(given).angles
+    angles = DiagonalUnitary(raw).angles
     assert angles == kept
     assert [type(a) for a in angles] == [type(a) for a in kept]
-    assert DiagonalUnitary(given[:1]).angles[0] is given[0]
+    assert DiagonalUnitary(raw[:1]).angles[0] is raw[0]
 
 
 def _assert_phase_count_is_exact(sig, u):
