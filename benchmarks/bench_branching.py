@@ -22,12 +22,12 @@ Usage: python3 benchmarks/bench_branching.py
 import hashlib
 import random
 import sys
-import time
 from pathlib import Path
 
 # Import the package from this checkout's src/, whether or not it is installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from timing import best_of
 from weylchar.combinatorics import Signature
 from weylchar.ucharacters import restrict_to_blocks, tensor_decompose
 
@@ -98,23 +98,13 @@ CURVES = (
 )
 
 
-def timed(run, cases, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run(cases)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def main():
     ok = True
     for label, knob, points, make_cases, run, expected in CURVES:
         digest = hashlib.sha256()
         for point in points:
             cases = make_cases(point)
-            best, results = timed(run, cases)
+            best, results = best_of(lambda: run(cases))
             for value in results:
                 digest.update(repr(value).encode() + b"\n")
             ncomps = sum(len(value) for value in results)

@@ -17,12 +17,12 @@ Usage: python3 benchmarks/bench_bratteli.py
 
 import hashlib
 import sys
-import time
 from pathlib import Path
 
 # Import the package from this checkout's src/, whether or not it is installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from timing import best_of
 from weylchar.afalgebra import (
     K0Hom,
     k0_extension_obstruction,
@@ -41,29 +41,19 @@ CURVES = (
 EXPECTED = "f31f5332d3b35452"
 
 
-def timed(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def main():
     digest = hashlib.sha256()
     for name, depths, k0_vector in CURVES:
         for depth in depths:
             diagram = preset_diagram(name, depth=depth)
-            t_tw, weights = timed(lambda: trace_weights(diagram))
-            t_val, report = timed(lambda: validate_diagram(diagram))
+            t_tw, weights = best_of(lambda: trace_weights(diagram))
+            t_val, report = best_of(lambda: validate_diagram(diagram))
             results = [weights.weights, report.to_json()]
             line = (f"{name:>12} depth={depth:<4}: trace_weights {t_tw * 1000:8.2f} ms  "
                     f"validate_diagram {t_val * 1000:8.2f} ms")
             if k0_vector is not None:
                 hom = K0Hom.from_deepest(diagram, k0_vector)
-                t_k0, step = timed(lambda: k0_extension_obstruction(hom, K0_STEPS))
+                t_k0, step = best_of(lambda: k0_extension_obstruction(hom, K0_STEPS))
                 results.append(step)
                 line += f"  k0 {t_k0 * 1000:8.2f} ms (obstruction {step})"
             for value in results:

@@ -29,13 +29,13 @@ Usage: python3 benchmarks/bench_gt.py
 import hashlib
 import random
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 # Import the package from this checkout's src/, whether or not it is installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from timing import best_of
 from weylchar import gtkernel
 from weylchar.combinatorics import (
     Partition,
@@ -159,27 +159,16 @@ def moment_pairs(d):
     return out
 
 
-def cold_best(workload, repeats=3):
+def clear_kernel_caches():
+    gtkernel._shared.cache_clear()
+    gtkernel._table.cache_clear()
+
+
+def cold_best(workload):
     """(best seconds, nodes built, tables built, result) over cold repetitions."""
-    best = float("inf")
-    for _ in range(repeats):
-        gtkernel._shared.cache_clear()
-        gtkernel._table.cache_clear()
-        start = time.perf_counter()
-        result = workload()
-        best = min(best, time.perf_counter() - start)
+    best, result = best_of(workload, reset=clear_kernel_caches)
     nodes, tables = gtkernel._shared.cache_info().misses, gtkernel._table.cache_info().misses
     return best, nodes, tables, result
-
-
-def warm_best(workload, repeats=3):
-    """Best seconds over repetitions that keep the kernel caches."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def main():
@@ -202,7 +191,7 @@ def main():
     print("char_eval at quarter-turn CAR-tower spectra, cold then warm:")
     for d, expected in CHAR_CURVE.items():
         cold, _, _, values = cold_best(lambda: car_characters(d))
-        warm = warm_best(lambda: car_characters(d))
+        warm, _ = best_of(lambda: car_characters(d))
         digest = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
         print(f"  d={d:4d}: {len(values)} calls {cold * 1000:8.1f} ms cold "
               f"{warm * 1000:8.1f} ms warm  (checksum {digest})")
@@ -216,11 +205,7 @@ def main():
     ):
         for d, expected in curve.items():
             sigs = signatures(d)
-            best, dims = float("inf"), None
-            for _ in range(3):
-                start = time.perf_counter()
-                dims = dims_of(sigs)
-                best = min(best, time.perf_counter() - start)
+            best, dims = best_of(lambda: dims_of(sigs))
             # hex, since a staircase dimension has more digits than str() converts.
             digest = hashlib.sha256(",".join(map(hex, dims)).encode()).hexdigest()[:16]
             print(f"  {label} d={d:4d}: {best / len(sigs) * 1e6:9.1f} us a call  (checksum {digest})")

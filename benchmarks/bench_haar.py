@@ -15,13 +15,13 @@ Usage: python3 benchmarks/bench_haar.py
 import hashlib
 import random
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 # Import the package from this checkout's src/, whether or not it is installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from timing import best_of
 from weylchar import moments
 from weylchar.moments import HermitianSpectrum, center, hciz_monte_carlo
 
@@ -43,16 +43,6 @@ def spectra(d):
     return one(), one()
 
 
-def timed(call, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def main():
     nchunks = (max(SAMPLES) + moments.MC_CHUNK - 1) // moments.MC_CHUNK
     print(f"hciz_monte_carlo: {moments._mc_workers(nchunks)} worker threads "
@@ -61,7 +51,7 @@ def main():
     for d in DS:
         a, b = spectra(d)
         for samples in SAMPLES:
-            best, rep = timed(lambda: hciz_monte_carlo(a, b, N, samples, seed=d))
+            best, rep = best_of(lambda: hciz_monte_carlo(a, b, N, samples, seed=d))
             for value in (rep.estimate.real, rep.estimate.imag, rep.stderr):
                 digest.update(value.hex().encode() + b"\n")
             print(f"hciz_monte_carlo d={d} samples={samples:<7}: {best * 1000:9.2f} ms  "

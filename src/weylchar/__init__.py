@@ -2,12 +2,15 @@
 
 Subpackages by topic:
 
-- ``combinatorics``: partitions, signatures, Gelfand-Tsetlin patterns.
-- ``symfunc``: Schur polynomials, power-sum expansions, Littlewood-Richardson.
+- ``combinatorics``: partitions, signatures, conjugates, branching rows.
+- ``exact``: Gaussian rationals, quarter-turn phases, common denominators.
+- ``gtkernel``: Gelfand-Tsetlin pattern counts by a linear functional of the weight.
+- ``symfunc``: Weyl dimensions, power-sum expansions, Littlewood-Richardson.
 - ``ucharacters``: irreducible U(d) characters, tensor/restriction branching.
 - ``moments``: weight distributions of one-parameter subgroups, HCIZ moments.
 - ``afalgebra``: Bratteli diagrams, traces, K0 determinants, limit characters.
 - ``poisson``: product-Poisson kernels and tail estimates.
+- ``errors``: budget and broken-invariant exceptions, and the dimension budgets.
 - ``cli``: scripting front end (``weylchar`` entry point).
 """
 

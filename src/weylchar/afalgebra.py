@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
-from weylchar.exact import QQi, phase_sum, quarter_turn, unit_complex
+from weylchar.exact import QQi, common_denominator, phase_sum, quarter_turn, unit_complex
 from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, char_eval
 
@@ -338,8 +338,7 @@ def trace_weights(diagram: BratteliDiagram, boundary=None) -> TraceWeights:
         )
     else:
         vec = tuple(Fraction(x) for x in boundary)
-    denom = math.lcm(*(x.denominator for x in vec))
-    scaled = tuple(x.numerator * (denom // x.denominator) for x in vec)
+    denom, scaled = common_denominator(vec)
     levels = _backward_weights(diagram, scaled, "boundary")
     return TraceWeights(diagram, tuple(tuple(Fraction(x, denom) for x in lv) for lv in levels))
 
@@ -406,7 +405,11 @@ def _adjugate(m: Matrix) -> tuple[int, Matrix]:
 
 
 def _lift(det: int, adj: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
-    """adj @ target / det when every entry divides exactly, else None."""
+    """adj @ target / det when every entry divides exactly, else None.
+
+    With (det, adj) = `_adjugate(M)` that is the unique rational x with
+    M^T x = target, so a nonzero remainder proves no integer lift exists.
+    """
     if len(target) != len(adj):
         raise ValueError(f"vector of length {len(target)} against a {len(adj)}-block step")
     lifted = []
@@ -416,16 +419,6 @@ def _lift(det: int, adj: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | N
             return None
         lifted.append(q)
     return tuple(lifted)
-
-
-def _integer_preimage(m: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The integer x with M^T x = target, or None when the rational one is not integral.
-
-    x = adj(M^T) target / det(M^T).  M must be square and nonsingular: then
-    the rational solution is unique, so a nonzero remainder proves that no
-    integer lift exists.  Any other step raises ValueError.
-    """
-    return _lift(*_adjugate(m), target)
 
 
 def k0_extension_obstruction(hom: K0Hom, extra_levels: int = 12) -> int | None:

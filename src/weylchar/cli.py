@@ -189,7 +189,11 @@ def cmd_char(args) -> int:
         trace, bound = ucharacters.char_float(sig, u)
     else:
         trace, bound = ucharacters.char_eval(sig, u), None
-    normalized = complex(trace) / dim
+    z = complex(trace)
+    try:
+        normalized = z / dim
+    except OverflowError:  # dim is past the float range: divide exactly
+        normalized = complex(Fraction(z.real) / dim, Fraction(z.imag) / dim)
     payload = {
         "signature": sig,
         "dim": dim,

@@ -7,6 +7,7 @@ irreps.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -62,11 +63,7 @@ class Partition:
         return self.parts[i] if i < len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
-        )
+        return Partition(conjugate(self.parts))
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(other.length))
@@ -76,6 +73,18 @@ class Partition:
 
 
 EMPTY = Partition()
+
+
+def conjugate(row: tuple[int, ...], base: int = 0, top: int | None = None) -> tuple[int, ...]:
+    """Column lengths 1..top-base of a non-increasing row shifted down by base.
+
+    With the defaults (top = row[0], or base for an empty row), the conjugate partition.
+    """
+    if top is None:
+        top = row[0] if row else base
+    ascending = row[::-1]
+    n = len(row)
+    return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
 
 
 @dataclass(frozen=True)
@@ -95,15 +104,6 @@ class Signature:
     @property
     def d(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def shifted(self, a: int) -> "Signature":
         return Signature(tuple(e + a for e in self.entries))

@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic, and rationals scaled to integers.
 
 Spectra whose angles are quarter turns (eigenvalues in {1, i, -1, -i}) stay in
 Q(i), so character values and trace functionals can be compared exactly.
@@ -7,6 +7,7 @@ Q(i), so character values and trace functionals can be compared exactly.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -39,15 +40,6 @@ class QQi:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-QQi.of(other))
-
-    def __rsub__(self, other):
-        return QQi.of(other) + (-self)
-
     def __mul__(self, other):
         o = QQi.of(other)
         return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
@@ -60,9 +52,6 @@ class QQi:
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return self * QQi(o.re / n, -o.im / n)
-
-    def __rtruediv__(self, other):
-        return QQi.of(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -105,6 +94,13 @@ class QQi:
 
 QQI_ONE = QQi(Fraction(1), Fraction(0))
 QQI_I = QQi(Fraction(0), Fraction(1))
+
+
+def common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """(D, D * values) for exact rationals: D the lcm of their denominators, D * values as ints."""
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def quarter_turn(turn) -> int | None:

@@ -67,12 +67,11 @@ the two copies are equal.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import threading
 
-from weylchar.combinatorics import rows_between
+from weylchar.combinatorics import conjugate, rows_between
 from weylchar.errors import InvariantError
 
 # About three times the 1,213 nodes of a full moment sweep, and twice the
@@ -186,7 +185,7 @@ def _table(lam: tuple[int, ...], m: int) -> tuple:
     if m == 1:
         mults = [1] * len(rows)
     else:
-        lam_conj = _conjugate(lam, lam[-1], lam[0])
+        lam_conj = conjugate(lam, lam[-1], lam[0])
         mults = [_skew_dim(lam, lam_conj, nu, m) for nu in rows]
     total = sum(lam)
     return tuple([x for nu, mult in zip(rows, mults) for x in (nu, total - sum(nu), mult)])
@@ -208,13 +207,6 @@ def _shared(row: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int
     return _jump(row, runs, _call.nodes)
 
 
-def _conjugate(row: tuple[int, ...], base: int, top: int) -> tuple[int, ...]:
-    """Column lengths 1..top-base of a non-increasing row shifted down by base."""
-    ascending = row[::-1]
-    n = len(row)
-    return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
-
-
 def _skew_dim(lam, lam_conj, nu, m) -> int:
     """s_{lam/nu}(1^m) for lam shifted to end at 0 and nu padded with zeros.
 
@@ -223,7 +215,7 @@ def _skew_dim(lam, lam_conj, nu, m) -> int:
     det[C(m, lam'_i - nu'_j - i + j)] over i, j in a..b, and a one-column piece
     of height h is C(m, h).
     """
-    nu_conj = _conjugate(nu, lam[-1], lam[0])
+    nu_conj = conjugate(nu, lam[-1], lam[0])
     width = len(lam_conj)
     mult = 1
     j = 0

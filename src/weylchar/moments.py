@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from weylchar.combinatorics import Signature, partitions_of
+from weylchar.exact import common_denominator
 from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import (
     power_sum_weights,
@@ -96,30 +97,20 @@ def center(b: HermitianSpectrum) -> HermitianSpectrum:
 
 @dataclass(frozen=True)
 class TraceZeroSigned:
-    """F = sum of +E_ii over the first r/2 slots minus the next r/2, zero elsewhere.
-
-    `offset` shifts the signed window inside the d coordinates so the same
-    type serves block-diagonal placements; the spectrum (and hence every
-    moment formula) does not depend on it.
-    """
+    """F = sum of +E_ii over the first r/2 slots minus the next r/2, zero elsewhere."""
 
     r: int
     d: int
-    offset: int = 0
 
     def __post_init__(self):
         if self.r % 2 != 0 or self.r < 2:
             raise ValueError("r must be even and at least 2")
-        if self.offset < 0 or self.offset + self.r > self.d:
-            raise ValueError(f"signed window [{self.offset}, {self.offset + self.r}) "
-                             f"does not fit in d = {self.d}")
+        if self.r > self.d:
+            raise ValueError(f"signed window [0, {self.r}) does not fit in d = {self.d}")
 
     def diagonal(self) -> tuple[int, ...]:
-        out = [0] * self.d
-        for i in range(self.r // 2):
-            out[self.offset + i] = 1
-            out[self.offset + self.r // 2 + i] = -1
-        return tuple(out)
+        half = self.r // 2
+        return (1,) * half + (-1,) * half + (0,) * (self.d - self.r)
 
     def groups(self) -> tuple[int, ...]:
         """Coordinate groups: 0 for +1 slots, 1 for -1 slots, 2 for zeros."""
@@ -130,46 +121,41 @@ class TraceZeroSigned:
 class WeightDistribution:
     """Finitely supported exact probability distribution on the integers.
 
-    Held as integer masses over one common denominator.  `from_counts` builds
-    it from integer counts and their total directly; `probs`, the masses as
-    `Fraction`s, is then derived on first use.
+    The mass at k is counts[k] / total, both reduced by their gcd so that
+    equal masses compare equal; `from_probs` takes `Fraction` masses.
     """
 
-    probs: dict[int, Fraction]
+    counts: dict[int, int]
+    total: int
 
     def __post_init__(self):
-        probs = {int(k): Fraction(v) for k, v in self.probs.items() if v != 0}
-        # Every mass as an integer over the common denominator of the masses.
-        den = math.lcm(*(v.denominator for v in probs.values()))
-        self._set_scaled({k: v.numerator * (den // v.denominator) for k, v in probs.items()}, den)
-        object.__setattr__(self, "probs", probs)
+        counts, total = self.counts, self.total
+        if not all(counts.values()):  # zero masses drop out
+            counts = {k: c for k, c in counts.items() if c}
+        if min(counts.values(), default=0) < 0:
+            raise ValueError("negative mass")
+        if total < 1 or sum(counts.values()) != total:
+            raise ValueError("masses must sum to 1")
+        g = math.gcd(total, *counts.values())
+        # Copied either way, so the caller's dict is not shared.
+        counts = {k: c // g for k, c in counts.items()} if g > 1 else dict(counts)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total // g)
 
     @classmethod
-    def from_counts(cls, counts: dict[int, int], total: int) -> "WeightDistribution":
-        """The distribution with mass counts[k] / total at k; the counts must sum to total."""
-        dist = object.__new__(cls)
-        dist._set_scaled({k: c for k, c in counts.items() if c}, total)
-        return dist
+    def from_probs(cls, probs: dict[int, Fraction]) -> "WeightDistribution":
+        """The distribution with mass probs[k] at k; the masses must sum to 1."""
+        total, counts = common_denominator(probs.values())
+        return cls(dict(zip(probs, counts)), total)
 
-    def _set_scaled(self, scaled: dict[int, int], den: int) -> None:
-        if any(c < 0 for c in scaled.values()):
-            raise ValueError("negative mass")
-        if den < 1 or sum(scaled.values()) != den:
-            raise ValueError("masses must sum to 1")
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_den", den)
-
-    def __getattr__(self, name: str):
-        # Only reached for a `probs` that `from_counts` left to its first reader.
-        if name != "probs":
-            raise AttributeError(name)
-        probs = {k: Fraction(c, self._den) for k, c in self._scaled.items()}
-        object.__setattr__(self, "probs", probs)
-        return probs
+    @property
+    def probs(self) -> dict[int, Fraction]:
+        """The masses as `Fraction`s."""
+        return {k: Fraction(c, self.total) for k, c in self.counts.items()}
 
     def moment(self, p: int) -> Fraction:
         """p-th moment sum k^p M(k); zero for odd p on symmetric distributions."""
-        return Fraction(sum(k**p * c for k, c in self._scaled.items()), self._den)
+        return Fraction(sum(k**p * c for k, c in self.counts.items()), self.total)
 
     def moment_ratio(self) -> Fraction | None:
         """<k^4>/<k^2>^2, the tightness diagnostic; None for the point mass at 0."""
@@ -179,16 +165,16 @@ class WeightDistribution:
         return self.moment(4) / (m2 * m2)
 
     def is_symmetric(self) -> bool:
-        return all(self.probs.get(-k, Fraction(0)) == v for k, v in self.probs.items())
+        return all(self.counts.get(-k, 0) == c for k, c in self.counts.items())
 
     def convolve(self, other: "WeightDistribution") -> "WeightDistribution":
         """Distribution of the sum of independent weights, as in a product of characters."""
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self.probs.items():
-            for k2, v2 in other.probs.items():
+        out: dict[int, int] = {}
+        for k1, c1 in self.counts.items():
+            for k2, c2 in other.counts.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return WeightDistribution(out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return WeightDistribution(out, self.total * other.total)
 
 
 def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistribution:
@@ -198,13 +184,7 @@ def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistributio
     tally = pairing_counts(sig.entries, f.diagonal())
     # The Weyl dimension, not the tally's total: the sum-to-one check then
     # tests the kernel's pattern count against it.
-    return WeightDistribution.from_counts(tally, weyl_dim(sig))
-
-
-def _integer_scaling(spec: HermitianSpectrum) -> tuple[int, tuple[int, ...]]:
-    """(D, D * spectrum) with D the lcm of the eigenvalue denominators."""
-    scale = math.lcm(*(v.denominator for v in spec.eigenvalues))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in spec.eigenvalues)
+    return WeightDistribution(tally, weyl_dim(sig))
 
 
 def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fraction:
@@ -218,8 +198,8 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = a.d
-    scale_a, xa = _integer_scaling(a)
-    scale_b, xb = _integer_scaling(b)
+    scale_a, xa = common_denominator(a.eigenvalues)
+    scale_b, xb = common_denominator(b.eigenvalues)
     pa = [sum(x**j for x in xa) for j in range(n + 1)]
     pb = [sum(x**j for x in xb) for j in range(n + 1)]
     partitions = partitions_of(n)
@@ -270,7 +250,7 @@ def _j4(sum2: int, sum4: int, scale: int, d: int, r: int) -> tuple[int, int]:
 
 def J_closed(b: HermitianSpectrum, r: int, n: int) -> Fraction:
     """Closed form of the partition sum for n in {2, 4}; requires Tr B = 0."""
-    scale, x = _integer_scaling(b)
+    scale, x = common_denominator(b.eigenvalues)
     if sum(x) != 0:
         raise ValueError("closed forms assume a centered spectrum; call center() first")
     d = b.d

@@ -188,41 +188,46 @@ class StirlingReport:
     relative_deviation: float
 
 
-def stirling_identity(t, max_terms: int = 200) -> StirlingReport:
+def stirling_identity(t) -> StirlingReport:
     """Absolute consecutive-difference series against its closed form.
 
     sum_{n>=1} |t^{n-1}/(n-1)! - t^n/n!| telescopes to -1 + 2 t^[t]/[t]!; the
-    report carries the partial sum, the closed form (exact when t is rational),
-    the series tail t^N/N! left after N terms, e^{-t} times the closed form
-    (the vanishing damped quantity), and the single Poisson mass
-    e^{-t} t^[t]/[t]!, which behaves like 1/sqrt(2 pi t) for large t.  The
-    closed form grows like e^t, so deviations are reported relative to it.
+    report carries the partial sum over N = max(200, ceil(2t) + 10) terms,
+    the closed form (exact when t is rational), the series tail t^N/N! left
+    after N terms (N >= 2t + 10 keeps it negligible against the closed form,
+    about e^t), e^{-t} times the closed form (the vanishing damped quantity),
+    and the single Poisson mass e^{-t} t^[t]/[t]!, which behaves like
+    1/sqrt(2 pi t) for large t.  Deviations are reported relative to the
+    closed form.  A t whose series terms overflow a double (from about
+    t = 707.42 on) raises ValueError.
     """
     tf = float(t)
-    if tf <= 0:
-        raise ValueError("t > 0 required")
-    if max_terms < 2 * tf + 10:
-        raise ValueError("max_terms too small for the tail to telescope cleanly")
+    if not 0 < tf < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    n_terms = max(200, math.ceil(2 * tf) + 10)
+    partial = 0.0
+    term_prev = 1.0  # t^0/0!
+    for n in range(1, n_terms + 1):
+        term = term_prev * tf / n  # t^n/n!
+        if term == math.inf:
+            # Checked before the closed form, whose exact powers grow with t.
+            raise ValueError(f"t = {t} is out of range: the terms t^n/n! overflow a double")
+        partial += abs(term_prev - term)
+        term_prev = term
     floor_t = math.floor(tf)
     if isinstance(t, (int, Rational)) and not isinstance(t, bool):
         tq = Fraction(t)
         closed: object = -1 + 2 * tq**floor_t / math.factorial(floor_t)
     else:
         closed = -1.0 + 2.0 * math.exp(floor_t * math.log(tf) - math.lgamma(floor_t + 1))
-    partial = 0.0
-    term_prev = 1.0  # t^0/0!
-    for n in range(1, max_terms + 1):
-        term = term_prev * tf / n  # t^n/n!
-        partial += abs(term_prev - term)
-        term_prev = term
-    # Beyond n = max_terms >= t the differences are positive and telescope,
-    # so the exact remainder is t^N/N!.
-    tail = math.exp(max_terms * math.log(tf) - math.lgamma(max_terms + 1))
+    # Beyond n = N >= t the differences are positive and telescope, so the
+    # exact remainder is t^N/N!.
+    tail = math.exp(n_terms * math.log(tf) - math.lgamma(n_terms + 1))
     closed_f = float(closed)
     damped = math.exp(-tf) * closed_f
     peak = poisson_mass(tf, floor_t)
     rel = abs(partial - closed_f) / max(1.0, abs(closed_f))
-    return StirlingReport(tf, closed, partial, damped, peak, max_terms, tail, rel)
+    return StirlingReport(tf, closed, partial, damped, peak, n_terms, tail, rel)
 
 
 def chi_tau_tauprime(tau_vals, tauprime_vals=()) -> complex:

@@ -21,6 +21,7 @@ from numbers import Rational
 from weylchar.combinatorics import (
     Partition,
     Signature,
+    conjugate,
     partitions_of,
     rows_between,
     signature_from_pair,
@@ -154,7 +155,7 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     top = max(lam1 + p, mu1 + q) - 1
     dual = p + q >= lam1 + mu1
     if dual:
-        below, above, kmax = _conjugate(lam), _conjugate(mu), min(top, d)
+        below, above, kmax = conjugate(lam), conjugate(mu), min(top, d)
     else:
         below, above, kmax = lam, mu, top
     series = [1 + 0j] + [0j] * kmax
@@ -228,10 +229,6 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     return det, math.inf if math.isnan(bound) else bound
 
 
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0])) if parts else ()
-
-
 def _scaled(count: int, factor: float) -> float:
     """count * factor as a float, inf when count is past the float range."""
     try:
@@ -255,8 +252,10 @@ class BlockDecomposition:
     components: tuple[tuple[Signature, Signature, int], ...]
 
     def total_dim(self) -> int:
-        dims = {s: weyl_dim(s) for s in {s for comp in self.components for s in comp[:2]}}
-        return sum(m * dims[s1] * dims[s2] for s1, s2, m in self.components)
+        # Keyed by entries: a tuple hashes in C, a dataclass through Python.
+        sigs = {s.entries: s for comp in self.components for s in comp[:2]}
+        dims = {entries: weyl_dim(s) for entries, s in sigs.items()}
+        return sum(m * dims[s1.entries] * dims[s2.entries] for s1, s2, m in self.components)
 
 
 def _det_shift(sig: Signature) -> tuple[int, Partition]:
@@ -285,13 +284,13 @@ def restrict_to_blocks(
         raise BudgetExceeded(f"irrep dimension {dim} exceeds budget {dim_budget}")
     a, nu = _det_shift(sig)
     comps: list[tuple[Signature, Signature, int]] = []
-    second: dict[Partition, Signature] = {}
+    second: dict[tuple[int, ...], Signature] = {}
     for row in rows_between(sig.entries[:d1], sig.entries[d2:]):
         s1 = Signature(row)
         for beta, mult in skew_expand(nu, Partition(tuple(e + a for e in row)), d2).items():
-            s2 = second.get(beta)
+            s2 = second.get(beta.parts)
             if s2 is None:
-                s2 = second[beta] = Signature(tuple(beta.part(i) - a for i in range(d2)))
+                s2 = second[beta.parts] = Signature(tuple(beta.part(i) - a for i in range(d2)))
             comps.append((s1, s2, mult))
     comps.sort(key=lambda c: (c[0].entries, c[1].entries))
     out = BlockDecomposition(sig, d1, d2, tuple(comps))

@@ -27,7 +27,8 @@ from weylchar.afalgebra import (
     trace_value,
     trace_weights,
     validate_diagram,
-    _integer_preimage,
+    _adjugate,
+    _lift,
     _mat_t_vec,
 )
 from weylchar.combinatorics import Partition
@@ -294,7 +295,7 @@ def test_integer_preimage_matches_gauss_jordan():
             target = tuple(sum(m[i][j] * x[i] for i in range(n)) for j in range(n))
         else:
             target = tuple(rng.randint(-9, 9) for _ in range(n))
-        lifted = _integer_preimage(m, target)
+        lifted = _lift(*_adjugate(m), target)
         assert lifted == _square_preimage_ref(m, target), (m, target)
         outcomes.add(lifted is None)
     assert outcomes == {True, False}
@@ -771,3 +772,45 @@ def test_value_path_matches_per_type_branches():
     # Both the exact and the float side of every function ran.
     assert types["det_phi_turn"] == {Fraction, float}
     assert all(types[fn] == {QQi, complex} for fn in ("trace_value", "det_phi", "limit"))
+
+
+def _car_unitary(level, angles):
+    return BlockUnitary(level, (DiagonalUnitary(angles),))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: BratteliDiagram(((1,), (2,)), ()), "one multiplicity matrix per level step"),
+        (lambda: BratteliDiagram(((1,), (2,)), (((2, 1),),)), "matrix 0 has the wrong shape"),
+        (lambda: preset_diagram("effros-shen:1,0"), "continued-fraction terms must be positive"),
+        (lambda: preset_diagram("uhf:1,2"), "uhf factors must be integers >= 2"),
+        (lambda: TraceWeights(preset_diagram("car", depth=2), ((F(1),),)),
+         "one weight vector per level"),
+        # Each level is normalized and levels 0 and 1 agree; level 1 is not M^T of level 2.
+        (lambda: TraceWeights(preset_diagram("gicar", depth=2),
+                              ((F(1),), (F(1), F(0)), (F(1, 4), F(1, 4), F(1, 4)))),
+         "compatibility fails between levels 1 and 2"),
+        (lambda: K0Hom(preset_diagram("car", depth=2), ((0,),)), "one vector per level"),
+        (lambda: k0_extension_obstruction(K0Hom.zero(preset_diagram("gicar", depth=2))),
+         "no continuation data"),
+        (lambda: embed(_car_unitary(5, (0, 0)), preset_diagram("car", depth=2), 2),
+         "level 5 outside diagram depth 2"),
+        (lambda: embed(_car_unitary(1, (0,)), preset_diagram("car", depth=2), 2),
+         "block sizes (1,) != level dims (2,)"),
+        (lambda: embed(_car_unitary(1, (0, 0)), preset_diagram("car", depth=2), 0),
+         "target level 0 out of range [1, 2]"),
+        (lambda: LimitCharacterSpec(None, ((trace_weights(preset_diagram("car", depth=2)), -1),)),
+         "trace powers must be nonnegative"),
+        (lambda: ergodic_sequence(preset_diagram("car", depth=3), P((1,)), P(()),
+                                  _car_unitary(1, (0, 0)), 4),
+         "n_max 4 beyond diagram depth 3"),
+        (lambda: ergodic_sequence(preset_diagram("car", depth=3), P((1, 1)), P((1,)),
+                                  _car_unitary(1, (0, 0)), 2),
+         "pair does not fit at level 1: d = 2"),
+    ],
+)
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -567,3 +567,17 @@ def test_encoder_writes_a_qqi_field_of_a_dataclass_as_re_im():
 def test_encoder_refuses_an_unknown_type():
     with pytest.raises(TypeError, match="object has no JSON form"):
         json.dumps({"x": object()}, default=_encode)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["hciz", "--d", "3", "--a", "1,-1", "--b", "1,-1", "--samples", "1000"],
+         "spectrum length must match --d"),
+        (["ergodic", "--u", "1/4", "--level", "1"], "block 0 at level 1 has size 2"),
+    ],
+)
+def test_input_refusals_exit_2(capsys, argv, fragment):
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert fragment in err

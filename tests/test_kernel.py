@@ -3,9 +3,11 @@ import functools
 import itertools
 import random
 
+import pytest
+
 from reference import brute_force_counts, two_row_strips
 from weylchar import gtkernel
-from weylchar.combinatorics import Signature, rows_between, signatures_with_entries
+from weylchar.combinatorics import Signature, conjugate, rows_between, signatures_with_entries
 from weylchar.moments import TraceZeroSigned
 
 
@@ -120,7 +122,7 @@ def test_two_row_product_matches_jacobi_trudi():
         for lam in itertools.product(range(3, -4, -1), repeat=d):
             if any(lam[i] < lam[i + 1] for i in range(d - 1)):
                 continue
-            conj = gtkernel._conjugate(lam, lam[-1], lam[0])
+            conj = conjugate(lam, lam[-1], lam[0])
             # Every nu with lam_i >= nu_i >= lam_{i+2}; nu = () when d = 2.
             for nu in rows_between(lam[: d - 2], lam[2:]):
                 product = two_row_strips(lam, nu)
@@ -273,7 +275,7 @@ def test_jump_tables_match_the_inline_jump():
     for lam in _seeded_rows(1717, 150):
         d = len(lam)
         total = sum(lam)
-        conj = gtkernel._conjugate(lam, lam[-1], lam[0])
+        conj = conjugate(lam, lam[-1], lam[0])
         for m in range(1, d + 1):
             rows = list(rows_between(lam[: d - m], lam[m:]))
             drops = [total - sum(nu) for nu in rows]
@@ -318,3 +320,17 @@ def test_jump_tables_stay_within_their_bound():
     assert info.maxsize == gtkernel.NODE_CACHE_SIZE
     assert 0 < info.currsize <= info.maxsize
     assert info.hits > 0
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: gtkernel.pairing_counts((1, 0), (1,)), "coeffs must give every coordinate"),
+        (lambda: gtkernel.group_counts((1, 0), (0,), 1), "groups must assign every coordinate"),
+        (lambda: gtkernel.group_counts((1, 0), (0, 2), 2), "group index out of range"),
+    ],
+)
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from reference import brute_force_counts, fraction_weight_hciz_power_sum, power_
 from weylchar import moments
 from weylchar.cli import main
 from weylchar.combinatorics import Signature, signatures_with_entries
+from weylchar.gtkernel import pairing_counts
 from weylchar.moments import (
     MC_BATCH,
     MC_CHUNK,
@@ -61,14 +63,10 @@ def test_trace_zero_signed_validation():
     assert f.diagonal() == (1, 1, -1, -1, 0, 0)
     assert sum(f.diagonal()) == 0
     assert sum(v * v for v in f.diagonal()) == f.r
-    shifted = TraceZeroSigned(2, 6, offset=3)
-    assert shifted.diagonal() == (0, 0, 0, 1, -1, 0)
     with pytest.raises(ValueError):
         TraceZeroSigned(3, 6)
     with pytest.raises(ValueError):
         TraceZeroSigned(4, 3)
-    with pytest.raises(ValueError):
-        TraceZeroSigned(4, 6, offset=4)
 
 
 def test_weight_distribution_examples():
@@ -85,11 +83,13 @@ def test_weight_distribution_examples():
     assert weight_distribution(S((0, 0, 0, 0)), TraceZeroSigned(4, 4)).probs == {0: F(1)}
 
 
-def test_weight_distribution_offset_invariance():
+def test_pairing_counts_permutation_invariance():
+    # s_lam is symmetric, so the tally does not depend on where F's signed
+    # slots sit among the coordinates.
     sig = S((2, 1, 0, -1))
-    base = weight_distribution(sig, TraceZeroSigned(2, 4))
-    moved = weight_distribution(sig, TraceZeroSigned(2, 4, offset=2))
-    assert base.probs == moved.probs
+    base = pairing_counts(sig.entries, TraceZeroSigned(2, 4).diagonal())
+    for coeffs in set(itertools.permutations((1, -1, 0, 0))):
+        assert pairing_counts(sig.entries, coeffs) == base, coeffs
 
 
 def test_weight_distribution_matches_literal_enumeration():
@@ -111,23 +111,26 @@ def test_weight_distribution_symmetric_sweep():
             for r in range(2, d + 1, 2):
                 dist = weight_distribution(sig, TraceZeroSigned(r, d))
                 assert dist.is_symmetric(), (sig, r)
+    assert not WeightDistribution({1: 1, -1: 2}, 3).is_symmetric()
 
 
 def test_moment_examples():
-    pm = WeightDistribution({1: F(1, 2), -1: F(1, 2)})
+    pm = WeightDistribution.from_probs({1: F(1, 2), -1: F(1, 2)})
     assert pm.moment(2) == 1
     assert pm.moment(3) == 0
-    assert WeightDistribution({0: F(1)}).moment(2) == 0
+    assert WeightDistribution.from_probs({0: F(1)}).moment(2) == 0
 
 
 def test_distribution_from_counts_matches_the_fraction_form():
-    counts = WeightDistribution.from_counts({2: 1, 0: 4, -2: 1, 5: 0}, 6)
-    masses = WeightDistribution({2: F(1, 6), 0: F(2, 3), -2: F(1, 6)})
+    counts = WeightDistribution({2: 1, 0: 4, -2: 1, 5: 0}, 6)
+    masses = WeightDistribution.from_probs({2: F(1, 6), 0: F(2, 3), -2: F(1, 6)})
     assert counts.probs == masses.probs and counts == masses
+    # Counts over a total that shares a factor with them compare equal too.
+    assert WeightDistribution({1: 2, -1: 2}, 4) == WeightDistribution.from_probs({1: F(1, 2), -1: F(1, 2)})
     assert [counts.moment(p) for p in range(5)] == [masses.moment(p) for p in range(5)]
     for bad, total in (({1: 2}, 3), ({1: 3, 2: -1}, 2), ({}, 0)):
         with pytest.raises(ValueError):
-            WeightDistribution.from_counts(bad, total)
+            WeightDistribution(bad, total)
 
 
 def test_J_series_examples():
@@ -196,8 +199,8 @@ def test_estimate_check_examples():
 
 
 def test_product_moment_identity_examples():
-    pm = WeightDistribution({1: F(1, 2), -1: F(1, 2)})
-    point = WeightDistribution({0: F(1)})
+    pm = WeightDistribution.from_probs({1: F(1, 2), -1: F(1, 2)})
+    point = WeightDistribution.from_probs({0: F(1)})
     assert pm.convolve(point).probs == pm.probs
     conv = pm.convolve(pm)
     assert conv.probs == {2: F(1, 4), 0: F(1, 2), -2: F(1, 4)}
@@ -214,7 +217,7 @@ def _sym_dists(draw):
         probs[k] = probs.get(k, F(0)) + m
         probs[-k] = probs.get(-k, F(0)) + m
     total = sum(probs.values())
-    return WeightDistribution({k: v / total for k, v in probs.items()})
+    return WeightDistribution.from_probs({k: v / total for k, v in probs.items()})
 
 
 @given(st.lists(_sym_dists(), min_size=2, max_size=4))
@@ -300,9 +303,9 @@ def test_distribution_json(capsys):
 
 
 def test_moment_ratio():
-    dist = WeightDistribution({1: F(1, 2), -1: F(1, 2)})
+    dist = WeightDistribution.from_probs({1: F(1, 2), -1: F(1, 2)})
     assert dist.moment_ratio() == 1
-    assert WeightDistribution({0: F(1)}).moment_ratio() is None
+    assert WeightDistribution.from_probs({0: F(1)}).moment_ratio() is None
 
 
 def test_monte_carlo_sample_floor():
@@ -450,11 +453,6 @@ def test_multiblock_distribution_is_convolution():
         dist1 = weight_distribution(sig1, f1)
         dist2 = weight_distribution(sig2, f2)
         conv = dist1.convolve(dist2)
-        # Same computation through a single ambient window per block.
-        amb1 = weight_distribution(
-            S(sig1.entries), TraceZeroSigned(r1, d1, offset=0)
-        )
-        assert amb1.probs == dist1.probs
         assert conv.moment(2) == dist1.moment(2) + dist2.moment(2)
         assert conv.moment(4) == (
             dist1.moment(4) + dist2.moment(4) + 6 * dist1.moment(2) * dist2.moment(2)
@@ -580,7 +578,7 @@ def test_closed_forms_match_fraction_reference():
     for sig in sigs:
         d = sig.d
         for r in range(2, d + 1, 2):
-            f = TraceZeroSigned(r, d, offset=rng.randint(0, d - r))
+            f = TraceZeroSigned(r, d)
             for new, ref in ((moment2_closed(sig, f), _moment2_closed_ref(sig, f)),
                              (moment4_closed(sig, f), _moment4_closed_ref(sig, f))):
                 assert new == ref and repr(new) == repr(ref), (sig, r)
@@ -593,7 +591,7 @@ def test_closed_forms_match_fraction_reference():
     assert estimates > 100
     # d = 2, 3 have a second moment but no fourth.
     for sig in (S((2, -1)), S((3, 1, -4))):
-        f = TraceZeroSigned(2, sig.d, offset=sig.d - 2)
+        f = TraceZeroSigned(2, sig.d)
         assert repr(moment2_closed(sig, f)) == repr(_moment2_closed_ref(sig, f))
         with pytest.raises(ValueError):
             moment4_closed(sig, f)
@@ -657,7 +655,7 @@ def _weight_distribution_ref(sig, f):
     for (plus, minus, _zero), mult in counts.items():
         k = plus - minus
         masses[k] = masses.get(k, Fraction(0)) + Fraction(mult, dim)
-    return WeightDistribution(masses)
+    return WeightDistribution.from_probs(masses)
 
 
 def _moment_ref(dist, p):
@@ -667,7 +665,7 @@ def _moment_ref(dist, p):
 
 def _assert_same_moments(dist, ref_probs):
     for p in range(7):
-        new, ref = dist.moment(p), _moment_ref(WeightDistribution(ref_probs), p)
+        new, ref = dist.moment(p), _moment_ref(WeightDistribution.from_probs(ref_probs), p)
         assert new == ref and repr(new) == repr(ref), (ref_probs, p)
 
 
@@ -692,21 +690,47 @@ def test_moment_over_unequal_denominators():
         weights = [F(rng.randint(1, 30), rng.randint(1, 40)) for _ in support]
         total = sum(weights)
         probs = {k: w / total for k, w in zip(support, weights)}
-        _assert_same_moments(WeightDistribution(probs), probs)
+        _assert_same_moments(WeightDistribution.from_probs(probs), probs)
     probs = {-3: F(1, 6), 0: F(1, 4), 2: F(7, 12)}
-    dist = WeightDistribution(probs)
+    dist = WeightDistribution.from_probs(probs)
     assert dist.moment(1) == F(2, 3) and dist.moment(0) == 1
     _assert_same_moments(dist, probs)
     # Zero masses drop out; a denominator-1 mass keeps its own scale.
-    assert WeightDistribution({5: F(1), 2: F(0)}).moment(3) == 125
+    assert WeightDistribution.from_probs({5: F(1), 2: F(0)}).moment(3) == 125
 
 
 def test_distribution_constructor_errors():
     with pytest.raises(ValueError, match="negative mass"):
-        WeightDistribution({0: F(3, 2), 1: F(-1, 2)})
+        WeightDistribution.from_probs({0: F(3, 2), 1: F(-1, 2)})
     with pytest.raises(ValueError, match="masses must sum to 1"):
-        WeightDistribution({0: F(1, 3), 1: F(1, 2)})
+        WeightDistribution.from_probs({0: F(1, 3), 1: F(1, 2)})
     with pytest.raises(ValueError, match="masses must sum to 1"):
-        WeightDistribution({0: F(2, 3), 1: F(1, 2)})
+        WeightDistribution.from_probs({0: F(2, 3), 1: F(1, 2)})
     with pytest.raises(ValueError, match="masses must sum to 1"):
-        WeightDistribution({})
+        WeightDistribution.from_probs({})
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: HermitianSpectrum(()), "spectrum must be nonempty"),
+        (lambda: HermitianSpectrum((1,)) + rho(2), "spectra of different sizes"),
+        (lambda: rho(0), "d must be positive"),
+        (lambda: weight_distribution(S((1, 0)), TraceZeroSigned(2, 4)),
+         "F lives on d = 4, signature on d = 2"),
+        (lambda: hciz_power_sum(rho(2), rho(3), 2), "spectra must have equal size"),
+        (lambda: J_series(rho(3), TraceZeroSigned(2, 4), 2), "B and F must share d"),
+        (lambda: J_closed(HermitianSpectrum((0,)), 2, 2), "n = 2 needs d >= 2"),
+        (lambda: moment2_closed(S((1,)), TraceZeroSigned(2, 2)), "d >= 2 required"),
+        (lambda: estimate_check(S((1, 0, 0)), TraceZeroSigned(2, 3)), "d >= 4 required"),
+        (lambda: hciz_monte_carlo(rho(2), rho(3), 2, 1000, 0), "spectra must share d"),
+        (lambda: hciz_monte_carlo(rho(2), rho(2), 2, 1000, 0, mode="log"), "unknown mode 'log'"),
+        (lambda: hciz_exponential_exact(rho(2), rho(3)), "spectra must share d"),
+        (lambda: hciz_exponential_exact(HermitianSpectrum((1, 1)), rho(2)),
+         "needs simple spectra"),
+    ],
+)
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

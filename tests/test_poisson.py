@@ -1,10 +1,13 @@
 import cmath
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from weylchar.cli import main
 from weylchar.poisson import (
     LatticeDistribution,
     PoissonKernelParams,
@@ -204,16 +207,42 @@ def test_stirling_identity_values():
     assert abs(r4.damped - math.exp(-4) * 61 / 3) < 1e-12
     r1 = stirling_identity(F(1))
     assert r1.closed_form == 1
-    r100 = stirling_identity(F(100), max_terms=300)
+    r100 = stirling_identity(F(100))
     asym = 1 / math.sqrt(2 * math.pi * 100)
     assert abs(r100.peak_mass - asym) < 0.1 * asym
     with pytest.raises(ValueError):
         stirling_identity(0)
 
 
+def test_stirling_terms_follow_t_and_overflow_is_refused(capsys):
+    # N = max(200, ceil(2t) + 10): t <= 95 keeps the 200 terms it always had.
+    assert [stirling_identity(t).terms for t in (F(1, 2), 95, F(191, 2), 96, 100)] == [
+        200, 200, 201, 202, 210]
+    assert main(["poisson", "--stirling", "96"]) == 0
+    assert json.loads(capsys.readouterr().out)["stirling"]["terms"] == 202
+    # From t = 707.42 on, t^n/n! overflows a double; the series would read NaN.
+    for t in (F(70743, 100), 708, 714, 715, 10**6, 1e300):
+        with pytest.raises(ValueError, match="out of range"):
+            stirling_identity(t)
+    assert math.isfinite(stirling_identity(F(70742, 100)).relative_deviation)
+    assert main(["poisson", "--stirling", "708"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    for t in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            stirling_identity(t)
+
+
+def test_stirling_reports_match_the_fixed_term_count():
+    # sha256 of repr(report), pinned when every t ran a fixed 200 terms.
+    pinned = [(F(1, 2), "27d9048fe7b27e99"), (F(4), "1bd2d7ff4d19b270"),
+              (F(90), "2c98f725c6613b96"), (0.5, "c74d58ab3c913d1e"), (90.0, "80f28d1330e93e45")]
+    for t, digest in pinned:
+        assert hashlib.sha256(repr(stirling_identity(t)).encode()).hexdigest()[:16] == digest, t
+
+
 def test_stirling_partial_sums_converge():
     for t in (0.5, 1.0, 4.0, 10.0, 100.0):
-        rep = stirling_identity(t, max_terms=300)
+        rep = stirling_identity(t)
         assert rep.relative_deviation <= 1e-10, t
 
 
@@ -299,3 +328,20 @@ def test_lattice_distribution_invariants():
     assert total + row.tail_bound >= 1 - 1e-9
     with pytest.raises(ValueError):
         LatticeDistribution({(0,): 0.5}, 0.0)  # huge missing mass, tiny bound
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: LatticeDistribution({(0,): -0.5, (1,): 1.5}, 0.0), "negative mass"),
+        (lambda: LatticeDistribution({(0,): 0.7, (1,): 0.7}, 0.0), "exceeds 1"),
+        (lambda: tv_bound(0, 1), "rate must be positive"),
+        (lambda: poisson_series_check((1,), (), 1, [0.5, 0.5]), "one trace value per rate"),
+        (lambda: binomial_reexpansion_check((1,), 1, 2, [0.5, 0.5]), "one trace value per rate"),
+        (lambda: binomial_reexpansion_check((1,), 2, 2, [0.5]), "need 0 < n < m"),
+    ],
+)
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

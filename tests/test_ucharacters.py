@@ -477,3 +477,37 @@ def test_restriction_second_factors_sum_to_the_jump_multiplicity():
             assert per_first == dict(zip(table[::3], table[2::3])), (sig, d1)
             checked += len(per_first)
     assert checked == 184
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: DiagonalUnitary(()), "need at least one eigenvalue"),
+        (lambda: char_float(Signature((1, 0)), DiagonalUnitary((0.1,))),
+         "dimension mismatch: signature d=2, unitary d=1"),
+        (lambda: restrict_to_blocks(Signature((1, 0, 0)), 1, 1), "d1 + d2 = 2 must equal d = 3"),
+        (lambda: restrict_to_blocks(Signature((1, 0, 0)), 0, 3), "both blocks must be nonempty"),
+        (lambda: tensor_decompose(Signature((1, 0)), Signature((1, 0, 0))),
+         "tensor factors must live on the same U(d)"),
+    ],
+)
+def test_input_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_char_float_bound_is_infinite_past_the_float_range(capsys):
+    # At d = 5000 the series counts C(d + k - 1, k) of (200, 0, ..., 0) pass
+    # the float range: the bound is infinite, never NaN, and the value finite.
+    d = 5000
+    entries = (200,) + (0,) * (d - 1)
+    angles = tuple(0.1 + k * 1e-3 for k in range(d))
+    value, bound = char_float(Signature(entries), DiagonalUnitary(angles))
+    assert bound == math.inf
+    assert cmath.isfinite(value)
+    argv = ["char", "--sig", ",".join(map(str, entries)), "--u", ",".join(map(repr, angles))]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error_bound"] == math.inf
+    assert all(math.isfinite(x) for x in payload["normalized"])
