@@ -17,7 +17,7 @@ from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, sign
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi, common_denominator, phase_sum, quarter_turn, unit_complex
 from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
-from weylchar.ucharacters import DiagonalUnitary, char_eval
+from weylchar.ucharacters import DiagonalUnitary, normalized_char
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -290,9 +290,6 @@ class TraceWeights:
                 raise ValueError(f"compatibility fails between levels {n} and {n + 1}")
         object.__setattr__(self, "weights", w)
 
-    def level(self, n: int) -> tuple[Fraction, ...]:
-        return self.weights[n]
-
 
 def _backward_weights(diagram: BratteliDiagram, boundary, what: str):
     """Every level's vector from the deepest one by v_n = M_n^T v_{n+1}."""
@@ -372,9 +369,6 @@ class K0Hom:
     @staticmethod
     def from_deepest(diagram: BratteliDiagram, vector) -> "K0Hom":
         return K0Hom(diagram, _backward_weights(diagram, _as_int_tuple(vector), "K0 vector"))
-
-    def level(self, n: int) -> tuple[int, ...]:
-        return self.vectors[n]
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in lv) for lv in self.vectors)
@@ -529,7 +523,7 @@ def trace_value(u: BlockUnitary, tw: TraceWeights):
     _check_on_diagram(u, tw.diagram)
     quarters = [b.quarter_turns() for b in u.blocks]
     if any(q is None for q in quarters):
-        sums = [sum(b.complex_values()) for b in u.blocks]
+        sums = [b.trace() for b in u.blocks]
     else:
         sums = [phase_sum(Counter(q)) for q in quarters]
     return sum(w * v for w, v in zip(tw.weights[u.level], sums))
@@ -597,7 +591,7 @@ def ergodic_sequence(
             raise BudgetExceeded("character dimension exceeds budget")
         levels.append(n)
         dims.append(d)
-        values.append(char_eval(sig, v.blocks[block]) / dim)
+        values.append(normalized_char(sig, v.blocks[block]))
     tau = trace_value(u, trace_weights(diagram))
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)

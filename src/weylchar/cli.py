@@ -189,11 +189,7 @@ def cmd_char(args) -> int:
         trace, bound = ucharacters.char_float(sig, u)
     else:
         trace, bound = ucharacters.char_eval(sig, u), None
-    z = complex(trace)
-    try:
-        normalized = z / dim
-    except OverflowError:  # dim is past the float range: divide exactly
-        normalized = complex(Fraction(z.real) / dim, Fraction(z.imag) / dim)
+    normalized = ucharacters.over_dim(complex(trace), dim)
     payload = {
         "signature": sig,
         "dim": dim,
@@ -338,12 +334,14 @@ def cmd_hciz(args) -> int:
     )
     if a.d != d or b.d != d:
         raise ValueError("spectrum length must match --d")
-    report = moments.hciz_monte_carlo(a, b, args.n, args.samples, args.seed, mode=args.mode)
+    # The exact side first: it refuses a budget or spectrum it cannot take
+    # before any sampling.
     if args.mode == "power":
         exact = moments.hciz_power_sum(a, b, args.n)
         exact_c = complex(float(exact))
     else:
         exact = exact_c = complex(moments.hciz_exponential_exact(a, b))
+    report = moments.hciz_monte_carlo(a, b, args.n, args.samples, args.seed, mode=args.mode)
     dev = float(abs(report.estimate - exact_c))
     passed = bool(dev <= 3 * report.stderr + 1e-12)
     payload = {

@@ -105,13 +105,6 @@ class Signature:
     def d(self) -> int:
         return len(self.entries)
 
-    def shifted(self, a: int) -> "Signature":
-        return Signature(tuple(e + a for e in self.entries))
-
-    def negated(self) -> "Signature":
-        """Contragredient signature: negate and reverse."""
-        return Signature(tuple(-e for e in reversed(self.entries)))
-
     def to_json(self) -> dict:
         return {"d": self.d, "entries": list(self.entries)}
 

@@ -70,24 +70,6 @@ class HermitianSpectrum:
     def trace(self, p: int = 1) -> Fraction:
         return sum((v**p for v in self.eigenvalues), Fraction(0))
 
-    def __add__(self, other: "HermitianSpectrum") -> "HermitianSpectrum":
-        if self.d != other.d:
-            raise ValueError("spectra of different sizes")
-        return HermitianSpectrum(
-            tuple(a + b for a, b in zip(self.eigenvalues, other.eigenvalues))
-        )
-
-    @staticmethod
-    def from_signature(sig: Signature) -> "HermitianSpectrum":
-        return HermitianSpectrum(tuple(Fraction(e) for e in sig.entries))
-
-
-def rho(d: int) -> HermitianSpectrum:
-    """The staircase ((d-1)/2, (d-3)/2, ..., -(d-1)/2); Tr = 0, Tr^2 = d(d^2-1)/12."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return HermitianSpectrum(tuple(Fraction(d - 1 - 2 * i, 2) for i in range(d)))
-
 
 def center(b: HermitianSpectrum) -> HermitianSpectrum:
     """Traceless shift b - (Tr b / d) 1_d; idempotent."""
@@ -164,9 +146,6 @@ class WeightDistribution:
             return None
         return self.moment(4) / (m2 * m2)
 
-    def is_symmetric(self) -> bool:
-        return all(self.counts.get(-k, 0) == c for k, c in self.counts.items())
-
     def convolve(self, other: "WeightDistribution") -> "WeightDistribution":
         """Distribution of the sum of independent weights, as in a product of characters."""
         out: dict[int, int] = {}
@@ -195,8 +174,7 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
     """
     if a.d != b.d:
         raise ValueError("spectra must have equal size")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_nonnegative_int("n", n)
     d = a.d
     scale_a, xa = common_denominator(a.eigenvalues)
     scale_b, xb = common_denominator(b.eigenvalues)
@@ -223,13 +201,6 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
     return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)
 
 
-def J_series(b: HermitianSpectrum, f: TraceZeroSigned, n: int) -> Fraction:
-    """Partition sum for B against the signed projector spectrum of F."""
-    if b.d != f.d:
-        raise ValueError("B and F must share d")
-    return hciz_power_sum(HermitianSpectrum(f.diagonal()), b, n)
-
-
 def _j4(sum2: int, sum4: int, scale: int, d: int, r: int) -> tuple[int, int]:
     """The n = 4 closed form of a centred spectrum X / scale, X integer.
 
@@ -248,31 +219,17 @@ def _j4(sum2: int, sum4: int, scale: int, d: int, r: int) -> tuple[int, int]:
     )
 
 
-def J_closed(b: HermitianSpectrum, r: int, n: int) -> Fraction:
-    """Closed form of the partition sum for n in {2, 4}; requires Tr B = 0."""
-    scale, x = common_denominator(b.eigenvalues)
-    if sum(x) != 0:
-        raise ValueError("closed forms assume a centered spectrum; call center() first")
-    d = b.d
-    if n == 2:
-        if d < 2:
-            raise ValueError("n = 2 needs d >= 2")
-        return Fraction(r * sum(v * v for v in x), (d * d - 1) * scale * scale)
-    if n == 4:
-        if d < 4:
-            raise ValueError("n = 4 needs d >= 4")
-        return Fraction(*_j4(sum(v**2 for v in x), sum(v**4 for v in x), scale, d, r))
-    raise ValueError(f"no closed form for n = {n}")
-
-
 def _closed_moments(sig: Signature, r: int) -> tuple[int, int, int, int]:
     """Numerator and denominator of the second and of the fourth moment closed form.
 
-    With L the centred signature, X = 2d (rho + L) has the integer entries
+    Let rho be the staircase spectrum ((d-1)/2, (d-3)/2, ..., -(d-1)/2), L the
+    centred signature, and J_n(B) the partition sum `hciz_power_sum` of F's
+    diagonal against a centred spectrum B: r Tr B^2 / (d^2-1) at n = 2, and
+    `_j4` at n = 4.  X = 2d (rho + L) has the integer entries
     X_i = d (d - 1 - 2i) + 2 (d lam_i - |lam|), and 2d rho has the power sums
     d^3 (d^2-1)/3 and d^5 (d^2-1)(3d^2-7)/15.  Then
     m2 = r (Tr (rho + L)^2 - Tr rho^2) / (d^2-1) and
-    m4 = J4(rho + L) - 6 m2 J2(rho) - J4(rho) with J2(rho) = rd/12.
+    m4 = J_4(rho + L) - 6 m2 J_2(rho) - J_4(rho), with J_2(rho) = rd/12.
     The fourth-moment denominator is 0 below d = 4, where m4 is undefined.
     """
     d = sig.d
@@ -288,7 +245,7 @@ def _closed_moments(sig: Signature, r: int) -> tuple[int, int, int, int]:
     rho4 = d2 * d2 * d * (d2 - 1) * (3 * d2 - 7) // 15
     top, den = _j4(sum2, sum4, 2 * d, d, r)
     base, _ = _j4(rho2, rho4, 2 * d, d, r)
-    # 6 m2 J2(rho) = r^2 (sum2 - rho2) / (8 d (d^2-1)), and den = 16 d^6 (d^2-1)(d^2-4)(d^2-9).
+    # 6 m2 J_2(rho) = r^2 (sum2 - rho2) / (8 d (d^2-1)), and den = 16 d^6 (d^2-1)(d^2-4)(d^2-9).
     cross = 2 * r * r * d2 * d2 * d * (d2 - 4) * (d2 - 9) * (sum2 - rho2)
     return r * (sum2 - rho2), 4 * d2 * (d2 - 1), top - base - cross, den
 
@@ -377,14 +334,6 @@ def _haar_from_normals(normals: np.ndarray) -> np.ndarray:
     del r, diag
     q *= phases[:, None, :]
     return q
-
-
-def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar-distributed unitaries via QR with R-diagonal phase fix.
-
-    The sampler that `hciz_monte_carlo` runs MC_BATCH samples at a time.
-    """
-    return _haar_from_normals(_normals(d, count, rng))
 
 
 def require_nonnegative_int(name: str, value) -> None:

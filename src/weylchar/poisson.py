@@ -55,21 +55,6 @@ class PoissonKernelParams:
         return tuple(float(x) for x in self.a)
 
 
-def kernel(params: PoissonKernelParams, x, y) -> float:
-    """Transition mass p_a(x, y): product of Poisson masses at the increments.
-
-    Zero whenever any coordinate decreases; rows sum to 1.
-    """
-    if len(x) != params.m or len(y) != params.m:
-        raise ValueError("points must have the kernel's dimension")
-    out = 1.0
-    for ai, xi, yi in zip(params.floats(), x, y):
-        if yi < xi:
-            return 0.0
-        out *= poisson_mass(ai, yi - xi)
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeDistribution:
     """Truncated distribution on nonnegative integer tuples with a tail bound.

@@ -178,12 +178,6 @@ def schur_to_power_sums(lam: Partition) -> dict[Partition, Fraction]:
     return {rho: Fraction(w, fact) for rho, w in zip(partitions_of(n), weights) if w}
 
 
-def leading_coeff(lam: Partition) -> Fraction:
-    """Coefficient of p_1^n in s_lam: sym_group_dim(lam) / n!."""
-    lam = Partition(tuple(lam))
-    return Fraction(sym_group_dim(lam), math.factorial(lam.size))
-
-
 def exact_det(rows):
     """Determinant over an exact field (Fraction or QQi) by Gaussian elimination.
 

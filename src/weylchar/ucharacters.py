@@ -8,7 +8,9 @@ into an exact Gaussian integer.  Every other spectrum goes through
 `char_float`, Koike's universal-character determinant in complex doubles,
 which returns the value with a rigorous error bound.  It has no Vandermonde
 denominator, so close or equal eigenvalues take the same route as distinct
-ones.
+ones.  `over_dim` is the one division of a trace by a Weyl dimension, for
+`normalized_char` and the CLI's `char`: exact for a Gaussian rational, and
+exact before rounding where the dimension is past the float range.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from weylchar.combinatorics import (
     Partition,
     Signature,
     conjugate,
-    partitions_of,
     rows_between,
-    signature_from_pair,
     signature_to_pair,
 )
 from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
@@ -239,7 +239,19 @@ def _scaled(count: int, factor: float) -> float:
 
 def normalized_char(sig: Signature, u: DiagonalUnitary):
     """char_eval divided by the Weyl dimension; modulus at most 1."""
-    return char_eval(sig, u) / weyl_dim(sig)
+    return over_dim(char_eval(sig, u), weyl_dim(sig))
+
+
+def over_dim(trace, dim: int):
+    """trace / dim, the one division of a trace by a dimension.
+
+    A Gaussian rational stays exact.  A complex double is divided exactly,
+    then rounded, when dim is past the float range.
+    """
+    try:
+        return trace / dim
+    except OverflowError:
+        return complex(Fraction(trace.real) / dim, Fraction(trace.imag) / dim)
 
 
 @dataclass(frozen=True)
@@ -369,31 +381,3 @@ def check_branching_inequalities(decomposition, source) -> BranchingReport:
         if not ok:
             failures.append(f"tensor component {s3}")
     return BranchingReport("tensor", not failures, checked, tuple(failures))
-
-
-def rational_approx_defect(lam: Partition, mu: Partition, u: DiagonalUnitary) -> float:
-    """|chi_{mu;lam}(u) - (Tr u / d)^{|lam|} (conj Tr u / d)^{|mu|}|.
-
-    The deviation decays like 1/d (faster for some pairs); the caller inspects
-    the d-scaling.  The character is `char_eval`'s: exact at quarter turns,
-    else the universal-character determinant in complex doubles.
-    """
-    lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
-    d = u.d
-    sig = signature_from_pair(lam, mu, d)
-    chi = complex(char_eval(sig, u) / weyl_dim(sig))
-    tr = u.trace()
-    target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
-    return abs(chi - target)
-
-
-def all_signature_pairs(d: int, max_size: int):
-    """All {mu; lam} signatures on U(d) with |lam|, |mu| <= max_size."""
-    out = []
-    for p in range(max_size + 1):
-        for q in range(max_size + 1):
-            for lam in partitions_of(p):
-                for mu in partitions_of(q):
-                    if lam.length + mu.length <= d:
-                        out.append(signature_from_pair(lam, mu, d))
-    return out

@@ -17,6 +17,13 @@ computes from powers of i.  The Bratteli layer's integer
 arithmetic is checked against the Fraction backward substitution
 (`fraction_trace_weights`) and the dense primitivity probe over every matrix
 entry (`dense_validate_diagram`) that it replaced.
+
+The rest are fixtures that several test files share.  The staircase
+spectrum `rho`, `spectrum_sum` and the Fraction closed form of the partition
+sum at n = 2 and 4 (`J_closed_ref`) build the references of the closed-form
+moments.  `all_signature_pairs` lists every {mu; lam} signature up to a size,
+and `rational_approx_defect` is the distance of a normalized character from
+its limit, the product of trace powers.
 """
 
 from __future__ import annotations
@@ -28,10 +35,17 @@ from fractions import Fraction
 from typing import Iterator
 
 from weylchar.afalgebra import BratteliDiagram, DiagramReport
-from weylchar.combinatorics import Partition, Signature, _as_int_tuple, partitions_of
+from weylchar.combinatorics import (
+    Partition,
+    Signature,
+    _as_int_tuple,
+    partitions_of,
+    signature_from_pair,
+)
 from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
 from weylchar.gtkernel import group_counts
+from weylchar.moments import HermitianSpectrum
 from weylchar.symfunc import (
     exact_det,
     schur_dim,
@@ -40,6 +54,7 @@ from weylchar.symfunc import (
     sym_group_dim,
     weyl_dim,
 )
+from weylchar.ucharacters import normalized_char
 
 GT_ENUM_MAX_D = 8
 GT_ENUM_MAX_PATTERNS = 10**6
@@ -389,3 +404,68 @@ def dense_validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
             window = max(first_window.values())
             primitive = all(n in first_window for n in range(depth) if n + window <= depth)
     return DiagramReport(not errors, tuple(errors), min_dims, primitive, diagram.simple_known)
+
+
+def rho(d: int) -> HermitianSpectrum:
+    """The staircase ((d-1)/2, (d-3)/2, ..., -(d-1)/2); Tr = 0, Tr^2 = d(d^2-1)/12."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    return HermitianSpectrum(tuple(Fraction(d - 1 - 2 * i, 2) for i in range(d)))
+
+
+def spectrum_sum(a: HermitianSpectrum, b: HermitianSpectrum) -> HermitianSpectrum:
+    """The spectrum of diag(a) + diag(b)."""
+    if a.d != b.d:
+        raise ValueError("spectra of different sizes")
+    return HermitianSpectrum(tuple(x + y for x, y in zip(a.eigenvalues, b.eigenvalues)))
+
+
+def J_closed_ref(b: HermitianSpectrum, r: int, n: int) -> Fraction:
+    """Closed form of the partition sum of the signed window (r slots) against B, n in {2, 4}.
+
+    B must be centred.  The partition sum itself is
+    `hciz_power_sum(HermitianSpectrum(TraceZeroSigned(r, d).diagonal()), b, n)`.
+    """
+    if b.trace() != 0:
+        raise ValueError("closed forms assume a centered spectrum; call center() first")
+    d = b.d
+    if n == 2:
+        if d < 2:
+            raise ValueError("n = 2 needs d >= 2")
+        return Fraction(r) * b.trace(2) / (d * d - 1)
+    if n == 4:
+        if d < 4:
+            raise ValueError("n = 4 needs d >= 4")
+        d2 = d * d
+        t2, t4 = b.trace(2), b.trace(4)
+        lead = Fraction(3 * r) * ((d2 * d2 - 6 * d2 + 18) * r - 2 * d * (2 * d2 - 3))
+        lead /= d2 * (d2 - 1) * (d2 - 4) * (d2 - 9)
+        sub = Fraction(6 * r) * ((2 * d2 - 3) * r - d * (d2 + 1))
+        sub /= d * (d2 - 1) * (d2 - 4) * (d2 - 9)
+        return lead * t2 * t2 - sub * t4
+    raise ValueError(f"no closed form for n = {n}")
+
+
+def all_signature_pairs(d: int, max_size: int) -> list[Signature]:
+    """All {mu; lam} signatures on U(d) with |lam|, |mu| <= max_size."""
+    out = []
+    for p in range(max_size + 1):
+        for q in range(max_size + 1):
+            for lam in partitions_of(p):
+                for mu in partitions_of(q):
+                    if lam.length + mu.length <= d:
+                        out.append(signature_from_pair(lam, mu, d))
+    return out
+
+
+def rational_approx_defect(lam: Partition, mu: Partition, u) -> float:
+    """|chi_{mu;lam}(u) / dim - (Tr u / d)^{|lam|} (conj Tr u / d)^{|mu|}|.
+
+    The deviation of the normalized character from its limit decays like 1/d
+    (faster for some pairs).
+    """
+    d = u.d
+    sig = signature_from_pair(lam, mu, d)
+    tr = u.trace()
+    target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
+    return abs(complex(normalized_char(sig, u)) - target)

@@ -105,21 +105,21 @@ def test_trace_weights_car():
     car = preset_diagram("car")
     tw = trace_weights(car)
     for n in range(len(car.levels)):
-        assert tw.level(n) == (F(1, 2**n),)
+        assert tw.weights[n] == (F(1, 2**n),)
 
 
 def test_trace_weights_single_block_power():
     d = preset_diagram("uhf:3", depth=5)
     tw = trace_weights(d)
     for n in range(6):
-        assert tw.level(n) == (F(1, 3**n),)
+        assert tw.weights[n] == (F(1, 3**n),)
 
 
 def test_trace_weights_effros_shen_convergents():
     es = preset_diagram("effros-shen")
     tw = trace_weights(es)
     # Fibonacci convergents: weights at level 1 are consecutive convergent errors.
-    t1 = tw.level(1)
+    t1 = tw.weights[1]
     assert t1[0] + t1[1] == 1
     golden = (5**0.5 - 1) / 2
     assert abs(float(t1[0]) - golden) < 1e-3
@@ -129,8 +129,8 @@ def test_trace_weights_product_extremes():
     d = uhf_product_diagram((2, 3), depth=4)
     first = trace_weights(d, boundary=0)
     second = trace_weights(d, boundary=1)
-    assert first.level(2) == (F(1, 4), F(0))
-    assert second.level(2) == (F(0), F(1, 9))
+    assert first.weights[2] == (F(1, 4), F(0))
+    assert second.weights[2] == (F(0), F(1, 9))
 
 
 def test_trace_weights_validation():
@@ -436,7 +436,7 @@ def test_det_phi_minimal_projection():
     es = preset_diagram("effros-shen")
     hom = K0Hom.from_deepest(es, (2, -1))
     level = 3  # dims (3, 2)
-    phi = hom.level(level)
+    phi = hom.vectors[level]
     angles = (F(1, 4),) + (F(0),) * 2
     u = BlockUnitary(level, (DiagonalUnitary(angles), DiagonalUnitary.identity(2)))
     assert det_phi_turn(u, hom) == (phi[0] * F(1, 4)) % 1

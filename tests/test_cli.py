@@ -521,6 +521,25 @@ def test_hciz_rejects_negative_n(capsys):
     assert "n must be a nonnegative integer, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "extra, code, fragment",
+    [
+        (["--mode", "exp", "--a", "1,1,0,0", "--b", "1,0,-1,2"], 2, "needs simple spectra"),
+        (["--n", "13"], 3, "power-sum expansion bound exceeded: |lam| = 13 > 12"),
+    ],
+)
+def test_hciz_refuses_before_sampling(capsys, monkeypatch, extra, code, fragment):
+    from weylchar import moments
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact side refused")
+
+    monkeypatch.setattr(moments, "hciz_monte_carlo", no_sampling)
+    got, payload, err = run_cli(capsys, ["hciz", "--d", "4", "--samples", "400000"] + extra)
+    assert got == code and payload is None
+    assert fragment in err
+
+
 HCIZ_FIXED = ["hciz", "--d", "2", "--a", "1,-1", "--b", "1,-1"]
 
 

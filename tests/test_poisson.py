@@ -15,7 +15,6 @@ from weylchar.poisson import (
     binomial_reexpansion_check,
     chi_tau_tauprime,
     embedded_trace_values,
-    kernel,
     kernel_row,
     kstep_semigroup_check,
     poisson_mass,
@@ -30,20 +29,18 @@ F = Fraction
 
 def test_kernel_examples():
     p1 = PoissonKernelParams((1,))
-    assert abs(kernel(p1, (0,), (0,)) - math.exp(-1)) < 1e-15
-    assert kernel(p1, (2,), (1,)) == 0.0
+    assert abs(kernel_row(p1, 1, 5).mass((0,)) - math.exp(-1)) < 1e-15
     p12 = PoissonKernelParams((1, 2))
-    assert abs(kernel(p12, (0, 0), (1, 0)) - math.exp(-3)) < 1e-15
+    assert abs(kernel_row(p12, 1, 5).mass((1, 0)) - math.exp(-3)) < 1e-15
 
 
 def test_kernel_rows_sum_to_one():
     for rates in ((1,), (F(1, 2), 2), (1, 1, F(3, 2))):
         params = PoissonKernelParams(rates)
-        import itertools
-
+        row = kernel_row(params, 1, 24)
         total = 0.0
         for y in itertools.product(range(25), repeat=params.m):
-            total += kernel(params, (0,) * params.m, y)
+            total += row.mass(y)
         assert abs(total - 1) < 1e-8
 
 
@@ -52,8 +49,6 @@ def test_kernel_validation():
         PoissonKernelParams(())
     with pytest.raises(ValueError):
         PoissonKernelParams((0,))
-    with pytest.raises(ValueError):
-        kernel(PoissonKernelParams((1,)), (0, 0), (0,))
 
 
 def test_kstep_semigroup():

@@ -10,12 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    all_signature_pairs,
     brute_force_counts,
     enumerate_gt_patterns,
     eval_by_gt,
     exact_values,
     gt_weight,
     mp_alternant,
+    rational_approx_defect,
 )
 from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
 from weylchar.cli import main
@@ -25,12 +27,10 @@ from weylchar.exact import QQi
 from weylchar.symfunc import weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
-    all_signature_pairs,
     char_eval,
     char_float,
     check_branching_inequalities,
     normalized_char,
-    rational_approx_defect,
     restrict_to_blocks,
     tensor_decompose,
 )
@@ -377,7 +377,7 @@ def test_defect_examples():
 
 
 def _rational_approx_defect_gt_ref(lam, mu, u):
-    """rational_approx_defect on a float spectrum, written out: the GT sum at its values."""
+    """rational_approx_defect on a float spectrum with the GT sum at its values as the character."""
     d = u.d
     sig = signature_from_pair(lam, mu, d)
     chi = complex(eval_by_gt(sig.entries, u.complex_values())) / weyl_dim(sig)
@@ -500,14 +500,20 @@ def test_input_refusals(call, fragment):
 def test_char_float_bound_is_infinite_past_the_float_range(capsys):
     # At d = 5000 the series counts C(d + k - 1, k) of (200, 0, ..., 0) pass
     # the float range: the bound is infinite, never NaN, and the value finite.
+    # So does the dimension, which the normalized value divides exactly.
     d = 5000
     entries = (200,) + (0,) * (d - 1)
     angles = tuple(0.1 + k * 1e-3 for k in range(d))
     value, bound = char_float(Signature(entries), DiagonalUnitary(angles))
     assert bound == math.inf
     assert cmath.isfinite(value)
+    with pytest.raises(OverflowError):
+        float(weyl_dim(Signature(entries)))
+    normalized = normalized_char(Signature(entries), DiagonalUnitary(angles))
+    assert cmath.isfinite(normalized) and abs(normalized) <= 1
     argv = ["char", "--sig", ",".join(map(str, entries)), "--u", ",".join(map(repr, angles))]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["error_bound"] == math.inf
     assert all(math.isfinite(x) for x in payload["normalized"])
+    assert math.hypot(*payload["normalized"]) <= 1
