@@ -42,34 +42,37 @@ parallel tuples (rows, drops, mults) of shared rows by 0.85 MB.
 
 Run order: the longest run goes at the bottom, ties broken by coefficient.
 The bottom run jumps to the empty row with multiplicity s_nu(1^m), and that
-jump is a memo node keyed within a call by its row alone, so a cold call
-computes the long run's determinants once per distinct row, and the top jump
-walks the short runs, which need no determinant when m = 1.
+jump is a memo node, so a cold call computes the long run's determinants once
+per distinct row, and the top jump walks the short runs, which need no
+determinant when m = 1.
 
 The sub-result below a row depends only on that row and the runs beneath it,
-so it is memoised in two tiers, with no knob.  A per-call dict, keyed by the
-row (the row's length fixes the runs beneath it), holds every node the call
-builds and is freed on return, so one call never builds a node twice however
-many it needs.  A shared `lru_cache` of `NODE_CACHE_SIZE` nodes, keyed by
-(row, runs below), serves reuse across calls; a node it misses is built on
-the calling thread's per-call dict and kept there, so its
-`cache_info().misses` counts the nodes built.  The top jump's result is not a
-node: the dict a call returns is always fresh and cached dicts never escape;
-jumps only read them.  A node holds one entry per key of the patterns below
-its row, at most the dimension of that row's irrep.  A weight-distribution
-sweep over every signature with entries in [-2, 2] at d = 4..7, every even
-r, builds 1,213 nodes, whose dicts, keys and values take 0.55 MB
-(`sys.getsizeof`); one `exact_sweep` pass builds 2,510.  The shared caches
-hold only tuples, or dicts that are never written after they are built, so
-concurrent calls may share them; two threads may both build one entry, and
-the two copies are equal.
+so one memo, `_memo`, holds it, with no knob.  It maps the runs below a row
+to a dict from row to that row's counts: the row alone is no key across
+calls, since rows of one length sit above different runs under different
+coefficient orders, and a flat (row, runs) key would build a tuple on every
+lookup.  `_jump` stores a node when the node is complete, so a call that
+raises leaves no partial node.  The memo grows as a call needs, so one call
+never builds a node twice; a call that ends with more than `NODE_CACHE_SIZE`
+nodes in the memo empties it, so between calls it holds at most that many.
+The top jump's result is not a node: the dict a call returns is always
+fresh, and the nodes never escape; jumps only read them.  A node holds one
+entry per key of the patterns below its row, at most the dimension of that
+row's irrep.  A weight-distribution sweep over every signature with entries
+in [-2, 2] at d = 4..7, every even r, builds 1,213 nodes (and the empty
+row's), whose dicts, keys and values take 0.55 MB (`sys.getsizeof`); one
+`exact_sweep` pass builds 2,510, so neither reaches the bound.  Concurrent
+calls share the memo and the caches: the tables and rows are tuples, a node
+is stored by one dict assignment and never written after, the bound is
+checked on a copy of the memo's values, and emptying the memo only drops its
+references to dicts that other calls may still read.  Two threads may both
+build one node, and the two copies are equal.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 from weylchar.combinatorics import conjugate, rows_between
 from weylchar.errors import InvariantError
@@ -77,6 +80,9 @@ from weylchar.errors import InvariantError
 # About three times the 1,213 nodes of a full moment sweep, and twice the
 # 1,968 jump tables of an `exact_sweep` pass (457 distinct rows; see above).
 NODE_CACHE_SIZE = 4096
+
+# The node memo: runs below a row -> {row: counts below it}.
+_memo: dict[tuple[tuple[int, int], ...], dict[tuple[int, ...], dict[int, int]]] = {}
 
 
 def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[int, int]:
@@ -139,33 +145,33 @@ def group_counts(
 
 def _counts(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """Pattern counts below row lam for runs (coefficient, length), bottom first, in any order."""
-    if not runs:
-        return {0: 1}
-    # The per-call memo tier, keyed by row; the empty row carries the empty pattern.
-    _call.nodes = {(): {0: 1}}
     try:
-        return _jump(lam, runs, _call.nodes)
+        return _jump(lam, runs)
     finally:
-        del _call.nodes
+        # The bound holds between calls, so one call never builds a node twice.
+        # `list` copies the values in one step, while other calls may add to the memo.
+        if sum(map(len, list(_memo.values()))) > NODE_CACHE_SIZE:
+            _memo.clear()
 
 
-def _jump(
-    lam: tuple[int, ...], runs: tuple[tuple[int, int], ...], nodes: dict
-) -> dict[int, int]:
+def _jump(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """Counts by key of the GT patterns below row lam, whose runs (bottom first) are `runs`.
 
     Jumps over the top run through its cached table and reads the rows below
-    from the memo: the call's own `nodes`, else the shared tier.  It never
+    from the memo, building and storing the nodes it misses.  It never
     mutates a dict that the memo holds.
     """
+    if not runs:
+        return {0: 1}
     c, m = runs[-1]
     below = runs[:-1]
+    nodes = _memo.setdefault(below, {})
     table = iter(_table(lam, m))
     out: dict[int, int] = {}
     for nu, drop, mult in zip(table, table, table):
         node = nodes.get(nu)
         if node is None:
-            node = nodes[nu] = _shared(nu, below)
+            node = nodes[nu] = _jump(nu, below)
         shift = c * drop
         for k, n in node.items():
             k += shift
@@ -195,16 +201,6 @@ def _table(lam: tuple[int, ...], m: int) -> tuple:
 def _row(row: tuple[int, ...]) -> tuple[int, ...]:
     """One shared copy of each row: the tables list each distinct row many times."""
     return row
-
-
-# The calling thread's per-call tier, set by `_counts` for the length of one call.
-_call = threading.local()
-
-
-@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
-def _shared(row: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """The shared tier: counts below `row`, built in the calling thread's per-call tier."""
-    return _jump(row, runs, _call.nodes)
 
 
 def _skew_dim(lam, lam_conj, nu, m) -> int:

@@ -236,6 +236,15 @@ class SeriesReport:
     passed: bool
 
 
+def _rates(values) -> tuple[float, ...]:
+    """The rates as floats, refused unless each is positive and finite."""
+    rates = tuple(float(x) for x in values)
+    # Written so that a NaN fails it too.
+    if not all(0 < x < math.inf for x in rates):
+        raise ValueError("rates must be positive and finite")
+    return rates
+
+
 def poisson_series_check(
     a, b, n: int, tau_values, tauprime_values=None, truncation: int = 60
 ) -> SeriesReport:
@@ -246,8 +255,10 @@ def poisson_series_check(
     conj(tau_j)^y is compared with exp(sum n a_i (tau_i - 1) + n b_j
     (conj tau_j - 1)) at the given truncation.
     """
-    a = tuple(float(x) for x in a)
-    b = tuple(float(x) for x in b)
+    a = _rates(a)
+    b = _rates(b)
+    if n < 0:
+        raise ValueError("level n must be nonnegative")
     tau = tuple(complex(v) for v in tau_values)
     if tauprime_values is None:
         # Conjugate side evaluated at the same unitary when b is in play.
@@ -311,7 +322,7 @@ def binomial_reexpansion_check(
     ((n tau + m - n)/m)^z, and equality of the closed exponentials computed
     at level n and at level m after embedding.
     """
-    a = tuple(float(x) for x in a)
+    a = _rates(a)
     tau = tuple(complex(v) for v in tau_values)
     if len(tau) != len(a):
         raise ValueError("one trace value per rate")

@@ -338,46 +338,36 @@ def tensor_decompose(
 class BranchingReport:
     kind: str
     holds: bool
-    checked: int
     failures: tuple[str, ...]
 
 
 def check_branching_inequalities(decomposition, source) -> BranchingReport:
     """Size inequalities satisfied by every component of a decomposition.
 
-    For a tensor product (source = (sig1, sig2)): each component {mu3; lam3}
-    obeys |lam3| <= |lam1|+|lam2|, |mu3| <= |mu1|+|mu2| and the difference
-    equality.  For a restriction (source = parent signature, decomposition a
-    BlockDecomposition): the mirrored inequalities hold per component pair.
+    For each component the parts are no bigger than the whole, in |lam| and
+    in |mu|, and the difference |lam| - |mu| of the parts equals the whole's.
+    For a tensor product (source = (sig1, sig2)) the parts are the sizes of a
+    component {mu3; lam3} and the whole is the sum over the two factors.  For
+    a restriction (source = parent signature, decomposition a
+    BlockDecomposition) the parts are the summed sizes of a component pair
+    and the whole is the parent's.
     """
-    failures: list[str] = []
-    checked = 0
-    if isinstance(decomposition, BlockDecomposition):
-        lam, mu = signature_to_pair(source)
-        for s1, s2, _ in decomposition.components:
-            l1, m1 = signature_to_pair(s1)
-            l2, m2 = signature_to_pair(s2)
-            checked += 1
-            ok = (
-                l1.size + l2.size <= lam.size
-                and m1.size + m2.size <= mu.size
-                and l1.size + l2.size - m1.size - m2.size == lam.size - mu.size
-            )
-            if not ok:
-                failures.append(f"restriction component ({s1}, {s2})")
-        return BranchingReport("restriction", not failures, checked, tuple(failures))
 
-    sig1, sig2 = source
-    l1, m1 = signature_to_pair(sig1)
-    l2, m2 = signature_to_pair(sig2)
-    for s3, _ in decomposition:
-        l3, m3 = signature_to_pair(s3)
-        checked += 1
-        ok = (
-            l3.size <= l1.size + l2.size
-            and m3.size <= m1.size + m2.size
-            and l3.size - m3.size == l1.size + l2.size - m1.size - m2.size
-        )
-        if not ok:
-            failures.append(f"tensor component {s3}")
-    return BranchingReport("tensor", not failures, checked, tuple(failures))
+    def sizes(*sigs):
+        pairs = [signature_to_pair(sig) for sig in sigs]
+        return sum(lam.size for lam, _ in pairs), sum(mu.size for _, mu in pairs)
+
+    if isinstance(decomposition, BlockDecomposition):
+        kind, whole = "restriction", sizes(source)
+        parts = [
+            (f"restriction component ({s1}, {s2})", sizes(s1, s2))
+            for s1, s2, _ in decomposition.components
+        ]
+    else:
+        kind, whole = "tensor", sizes(*source)
+        parts = [(f"tensor component {s3}", sizes(s3)) for s3, _ in decomposition]
+    lam, mu = whole
+    failures = tuple(
+        label for label, (a, b) in parts if not (a <= lam and b <= mu and a - b == lam - mu)
+    )
+    return BranchingReport(kind, not failures, failures)

@@ -594,6 +594,10 @@ def test_encoder_refuses_an_unknown_type():
         (["hciz", "--d", "3", "--a", "1,-1", "--b", "1,-1", "--samples", "1000"],
          "spectrum length must match --d"),
         (["ergodic", "--u", "1/4", "--level", "1"], "block 0 at level 1 has size 2"),
+        (["poisson", "--series-n", "1", "--kernel-a", "-1", "--tau", "0.5,0"],
+         "rates must be positive and finite"),
+        (["poisson", "--series-n", "-1", "--kernel-a", "1", "--tau", "0.5,0"],
+         "level n must be nonnegative"),
     ],
 )
 def test_input_refusals_exit_2(capsys, argv, fragment):

@@ -1,5 +1,4 @@
 import collections
-import functools
 import itertools
 import random
 
@@ -142,12 +141,23 @@ def _moment_cases(dims):
     ]
 
 
+def _memo_size():
+    """The nodes the kernel's memo holds."""
+    return sum(map(len, gtkernel._memo.values()))
+
+
 def test_shared_memo_gives_the_same_counts_warm_and_cold():
     cases = _moment_cases((4, 5, 6, 7))
+    gtkernel._memo.clear()
+    for entries, groups in cases:
+        gtkernel.group_counts(entries, groups, 3)
+    # The sweep's nodes stay within the bound, so the memo kept every one of them.
+    size = _memo_size()
+    assert 0 < size <= gtkernel.NODE_CACHE_SIZE
     warm = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
-    assert gtkernel._shared.cache_info().hits > 0
+    assert _memo_size() == size
     for (entries, groups), expected in zip(cases, warm):
-        gtkernel._shared.cache_clear()
+        gtkernel._memo.clear()
         gtkernel._table.cache_clear()
         assert gtkernel.group_counts(entries, groups, 3) == expected, (entries, groups)
 
@@ -179,20 +189,21 @@ def test_shared_memo_keeps_group_labels_and_ngroups_apart():
     for sig in signatures_with_entries(4, -1, 2):
         for groups in four:
             cases += [(sig.entries, groups, n) for n in (2, 3) if max(groups) < n]
-    gtkernel._shared.cache_clear()
+    gtkernel._memo.clear()
     # Forward then backward, so each case also runs after its neighbours warmed the memo.
     for entries, groups, ngroups in cases + cases[::-1]:
         expected = brute_force_counts(entries, groups, ngroups)
         assert gtkernel.group_counts(entries, groups, ngroups) == expected, (entries, groups, ngroups)
 
 
-def test_shared_memo_under_concurrent_calls():
+def _check_concurrent_calls():
     import sys
     import threading
 
     cases = _moment_cases((4, 5, 6))
     expected = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
     mismatches = []
+    finished = []
 
     def worker(offset):
         for i in range(len(cases)):
@@ -201,11 +212,13 @@ def test_shared_memo_under_concurrent_calls():
             if counts != expected[k]:
                 mismatches.append(cases[k])
             counts.clear()
+        # A call that raised ends the thread before this line.
+        finished.append(offset)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        gtkernel._shared.cache_clear()
+        gtkernel._memo.clear()
         gtkernel._table.cache_clear()
         threads = [threading.Thread(target=worker, args=(t * 37,)) for t in range(4)]
         for t in threads:
@@ -215,7 +228,17 @@ def test_shared_memo_under_concurrent_calls():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
+    assert mismatches == [] and len(finished) == len(threads)
+
+
+def test_shared_memo_under_concurrent_calls():
+    _check_concurrent_calls()
+
+
+def test_concurrent_calls_across_memo_flushes(monkeypatch):
+    # Most calls now end past the bound and empty the memo under the other threads.
+    monkeypatch.setattr(gtkernel, "NODE_CACHE_SIZE", 16)
+    _check_concurrent_calls()
 
 
 def test_shared_memo_stays_within_its_bound():
@@ -226,9 +249,7 @@ def test_shared_memo_stays_within_its_bound():
     car = (2, 1) + (0,) * 508 + (-1, -2)
     counts = gtkernel.group_counts(car, tuple(i % 2 for i in range(512)), 2)
     assert sum(counts.values()) == weyl_dim(Signature(car))
-    info = gtkernel._shared.cache_info()
-    assert info.maxsize == gtkernel.NODE_CACHE_SIZE
-    assert 0 < info.currsize <= info.maxsize
+    assert 0 < _memo_size() <= gtkernel.NODE_CACHE_SIZE
 
 
 def test_pairing_counts_match_brute_force_in_every_run_order():
@@ -251,16 +272,28 @@ def test_pairing_counts_match_brute_force_in_every_run_order():
 def test_a_call_builds_each_node_once_past_the_shared_bound(monkeypatch):
     # Six groups on a d = 6 signature: one call needs about 100 nodes.
     entries, groups = (2, 2, 1, 0, -1, -2), tuple(range(6))
-    build = gtkernel._shared.__wrapped__
-    monkeypatch.setattr(gtkernel, "_shared", functools.lru_cache(maxsize=None)(build))
+    jump = gtkernel._jump
+    rows = []
+
+    def counted(lam, runs):
+        rows.append((lam, runs))
+        return jump(lam, runs)
+
+    # The jumps below the top call build the nodes, and find `_jump` by name.
+    monkeypatch.setattr(gtkernel, "_jump", counted)
+    monkeypatch.setattr(gtkernel, "NODE_CACHE_SIZE", 10**9)
+    gtkernel._memo.clear()
     expected = gtkernel.group_counts(entries, groups, 6)
-    nodes = gtkernel._shared.cache_info().misses
+    nodes = len(rows) - 1
     assert 80 <= nodes <= 120
-    # A shared tier far below the call's need must not make it rebuild nodes.
-    monkeypatch.setattr(gtkernel, "_shared", functools.lru_cache(maxsize=8)(build))
+    assert len(set(rows)) == len(rows) and _memo_size() == nodes
+    # A bound far below the call's need must not make it rebuild nodes.
+    monkeypatch.setattr(gtkernel, "NODE_CACHE_SIZE", 8)
+    gtkernel._memo.clear()
+    rows.clear()
     assert gtkernel.group_counts(entries, groups, 6) == expected
-    info = gtkernel._shared.cache_info()
-    assert info.misses == nodes and info.currsize == 8
+    assert len(rows) - 1 == nodes and len(set(rows)) == len(rows)
+    assert gtkernel._memo == {}
 
 
 def _seeded_rows(seed, count):

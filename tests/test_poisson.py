@@ -334,6 +334,12 @@ def test_lattice_distribution_invariants():
         (lambda: poisson_series_check((1,), (), 1, [0.5, 0.5]), "one trace value per rate"),
         (lambda: binomial_reexpansion_check((1,), 1, 2, [0.5, 0.5]), "one trace value per rate"),
         (lambda: binomial_reexpansion_check((1,), 2, 2, [0.5]), "need 0 < n < m"),
+        (lambda: poisson_series_check((-1,), (), 1, [0.5]), "rates must be positive and finite"),
+        (lambda: poisson_series_check((1,), (0,), 1, [0.5], [0.5]), "rates must be positive"),
+        (lambda: poisson_series_check((math.inf,), (), 1, [0.5]), "rates must be positive"),
+        (lambda: poisson_series_check((1,), (), -1, [0.5]), "level n must be nonnegative"),
+        (lambda: binomial_reexpansion_check((-1,), 1, 2, [0.5]), "rates must be positive"),
+        (lambda: binomial_reexpansion_check((math.nan,), 1, 2, [0.5]), "and finite"),
     ],
 )
 def test_input_refusals(call, fragment):
