@@ -2,37 +2,74 @@
 
 Everything here is double precision with explicit truncation-tail accounting:
 factorials mix scales badly, so masses are assembled in log space above 170!
-and every report carries the bound on the part that was cut off.
+and every report carries the bound on the part that was cut off.  Each check
+tabulates a rate's masses 0..T once (`_masses`) and reads that one table for
+its sums, its tail and its products; every entry is bit-identical to
+`poisson_mass` at the same (t, k).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 _LOG_THRESHOLD = 170
+# float(k!) for k <= _LOG_THRESHOLD.  Each is k! correctly rounded, which is
+# what dividing a float by the int k! divides by.
+_FACTORIALS = tuple(
+    map(float, itertools.accumulate(range(1, _LOG_THRESHOLD + 1), operator.mul, initial=1))
+)
+
+
+def _mass_terms(t, ks):
+    """Poisson(t) masses e^{-t} t^k / k! at each k >= 0 of ks, in order, lazily.
+
+    e^{-t} and log max(t, 1) are computed once for all of them.  A mass past
+    170!, at t >= 700 or where t^k would come near the float range is
+    assembled in log space.  A negative, infinite or NaN t raises ValueError
+    here, before any mass is made.
+    """
+    if not 0 <= t < math.inf:  # a NaN fails it too
+        raise ValueError(f"Poisson rate must be nonnegative and finite, got {t}")
+    if t == 0:
+        return (1.0 if k == 0 else 0.0 for k in ks)
+    e = math.exp(-t)
+    log_t = math.log(max(t, 1.0))
+    return (
+        e * t**k / _FACTORIALS[k]
+        if k <= _LOG_THRESHOLD and t < 700 and k * log_t < 600
+        else math.exp(-t + k * math.log(t) - math.lgamma(k + 1))
+        for k in ks
+    )
+
+
+def _masses(t, truncation: int) -> list[float]:
+    """The table of Poisson(t) masses at 0..truncation."""
+    return list(_mass_terms(t, range(truncation + 1)))
+
+
+def _complement(masses) -> float:
+    """1 minus the running sum of masses, floored at 0."""
+    acc = 0.0
+    for p in masses:
+        acc += p
+    return max(0.0, 1.0 - acc)
 
 
 def poisson_mass(t: float, k: int) -> float:
-    """e^{-t} t^k / k!, stable for large k via log-space evaluation."""
-    if k < 0:
-        return 0.0
-    if t == 0:
-        return 1.0 if k == 0 else 0.0
-    if k <= _LOG_THRESHOLD and t < 700 and k * math.log(max(t, 1.0)) < 600:
-        return math.exp(-t) * t**k / math.factorial(k)
-    return math.exp(-t + k * math.log(t) - math.lgamma(k + 1))
+    """e^{-t} t^k / k!, stable for large k via log-space evaluation; 0 for k < 0."""
+    masses = _mass_terms(t, (k,))  # made before k is read, so a bad t is refused at every k
+    return next(masses) if k >= 0 else 0.0
 
 
 def poisson_tail(t: float, k: int) -> float:
     """Upper bound on P(X > k) for X Poisson(t); exact partial-sum complement."""
-    acc = 0.0
-    for j in range(k + 1):
-        acc += poisson_mass(t, j)
-    return max(0.0, 1.0 - acc)
+    return _complement(_mass_terms(t, range(k + 1)))
 
 
 @dataclass(frozen=True)
@@ -77,9 +114,6 @@ class LatticeDistribution:
             raise ValueError("tail bound does not cover the missing mass")
         object.__setattr__(self, "probs", probs)
 
-    def mass(self, x: tuple[int, ...]) -> float:
-        return self.probs.get(tuple(x), 0.0)
-
 
 @dataclass(frozen=True)
 class SemigroupReport:
@@ -89,9 +123,9 @@ class SemigroupReport:
     passed: bool
 
 
-def _masses(rate: float, truncation: int) -> list[float]:
-    """Poisson(rate) masses at 0..truncation."""
-    return [poisson_mass(rate, z) for z in range(truncation + 1)]
+def _check_truncation(truncation: int) -> None:
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got {truncation}")
 
 
 def _box_product(vectors) -> dict[tuple[int, ...], float]:
@@ -104,10 +138,9 @@ def _box_product(vectors) -> dict[tuple[int, ...], float]:
 
 def kernel_row(params: PoissonKernelParams, scale: int, truncation: int) -> LatticeDistribution:
     """Row of the scale-fold kernel from the origin, truncated to a box."""
-    rates = tuple(scale * r for r in params.floats())
-    probs = _box_product(_masses(r, truncation) for r in rates)
-    tail = sum(poisson_tail(r, truncation) for r in rates)
-    return LatticeDistribution(probs, tail)
+    tables = [_masses(scale * r, truncation) for r in params.floats()]
+    tail = sum(_complement(masses) for masses in tables)
+    return LatticeDistribution(_box_product(tables), tail)
 
 
 def kstep_semigroup_check(
@@ -123,6 +156,7 @@ def kstep_semigroup_check(
     """
     if k < 1:
         raise ValueError("k >= 1 required")
+    _check_truncation(truncation)
     marginals = []
     for ai in params.floats():
         pm = _masses(ai, truncation)
@@ -140,9 +174,10 @@ def kstep_semigroup_check(
     # Increments are nonnegative, so a k-step path leaves the box exactly when
     # its endpoint does: the iterated row misses the same mass as the direct row.
     iterated = LatticeDistribution(probs, direct.tail_bound)
+    iterated_probs, direct_probs = iterated.probs, direct.probs
     worst = 0.0
     for y in probs:
-        worst = max(worst, abs(iterated.mass(y) - direct.mass(y)))
+        worst = max(worst, abs(iterated_probs.get(y, 0.0) - direct_probs.get(y, 0.0)))
     tail = direct.tail_bound
     return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))
 
@@ -259,6 +294,7 @@ def poisson_series_check(
     b = _rates(b)
     if n < 0:
         raise ValueError("level n must be nonnegative")
+    _check_truncation(truncation)
     tau = tuple(complex(v) for v in tau_values)
     if tauprime_values is None:
         # Conjugate side evaluated at the same unitary when b is in play.
@@ -270,11 +306,11 @@ def poisson_series_check(
     if not all(abs(v) <= 1 + 1e-9 for v in tau + taup):
         raise ValueError("trace values must lie in the closed unit disk")
 
-    def factor(rate: float, value: complex) -> complex:
+    def factor(masses: list[float], value: complex) -> complex:
         out = 0j
         power = 1 + 0j
-        for x in range(truncation + 1):
-            out += poisson_mass(rate, x) * power
+        for p in masses:
+            out += p * power
             power *= value
         return out
 
@@ -282,12 +318,14 @@ def poisson_series_check(
     tail = 0.0
     exponent = 0j
     for rate, v in zip(a, tau):
-        series *= factor(n * rate, v)
-        tail += poisson_tail(n * rate, truncation)
+        masses = _masses(n * rate, truncation)
+        series *= factor(masses, v)
+        tail += _complement(masses)
         exponent += n * rate * (v - 1)
     for rate, v in zip(b, taup):
-        series *= factor(n * rate, v.conjugate())
-        tail += poisson_tail(n * rate, truncation)
+        masses = _masses(n * rate, truncation)
+        series *= factor(masses, v.conjugate())
+        tail += _complement(masses)
         exponent += n * rate * (v.conjugate() - 1)
     closed = cmath.exp(exponent)
     deviation = abs(closed - series)
@@ -328,17 +366,19 @@ def binomial_reexpansion_check(
         raise ValueError("one trace value per rate")
     if not 0 < n < m:
         raise ValueError("need 0 < n < m")
+    _check_truncation(truncation)
     step = m - n
     rates = tuple(step * x for x in a)
 
-    tail = sum(poisson_tail(r, truncation) for r in rates)
+    tables = [_masses(r, truncation) for r in rates]
+    tail = sum(_complement(masses) for masses in tables)
 
     # Row mass and coordinate-projection means of the (m-n)-step kernel.
     row_dev = 0.0
     proj_dev = 0.0
-    for r in rates:
-        mass = sum(poisson_mass(r, x) for x in range(truncation + 1))
-        mean = sum(x * poisson_mass(r, x) for x in range(truncation + 1))
+    for r, masses in zip(rates, tables):
+        mass = sum(masses)
+        mean = sum(x * p for x, p in enumerate(masses))
         row_dev = max(row_dev, abs(mass - 1.0))
         proj_dev = max(proj_dev, abs(mean - r))
 

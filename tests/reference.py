@@ -16,7 +16,12 @@ the exact values of characters, traces and `det_phi`, which the package
 computes from powers of i.  The Bratteli layer's integer
 arithmetic is checked against the Fraction backward substitution
 (`fraction_trace_weights`) and the dense primitivity probe over every matrix
-entry (`dense_validate_diagram`) that it replaced.
+entry (`dense_validate_diagram`) that it replaced.  The Poisson checks, which
+read one table of masses per rate, are checked bit for bit against the forms
+that made every mass afresh for each use: one `exp(-t)` and one int `k!` per
+mass (`poisson_mass_ref`), the tail as a loop over it (`poisson_tail_ref`), and
+the series and re-expansion checks built on the two
+(`poisson_series_check_ref`, `binomial_reexpansion_check_ref`).
 
 The rest are fixtures that several test files share.  The staircase
 spectrum `rho`, `spectrum_sum` and the Fraction closed form of the partition
@@ -28,6 +33,7 @@ its limit, the product of trace powers.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +52,12 @@ from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
 from weylchar.gtkernel import group_counts
 from weylchar.moments import HermitianSpectrum
+from weylchar.poisson import (
+    ReexpansionReport,
+    SeriesReport,
+    chi_tau_tauprime,
+    embedded_trace_values,
+)
 from weylchar.symfunc import (
     exact_det,
     schur_dim,
@@ -469,3 +481,82 @@ def rational_approx_defect(lam: Partition, mu: Partition, u) -> float:
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
     return abs(complex(normalized_char(sig, u)) - target)
+
+
+def poisson_mass_ref(t, k: int) -> float:
+    """e^{-t} t^k / k! with its own exp(-t) and int k!, log space past 170!."""
+    if k < 0:
+        return 0.0
+    if t == 0:
+        return 1.0 if k == 0 else 0.0
+    if k <= 170 and t < 700 and k * math.log(max(t, 1.0)) < 600:
+        return math.exp(-t) * t**k / math.factorial(k)
+    return math.exp(-t + k * math.log(t) - math.lgamma(k + 1))
+
+
+def poisson_tail_ref(t, k: int) -> float:
+    """max(0, 1 - sum of the masses at 0..k), summed by an explicit loop."""
+    acc = 0.0
+    for j in range(k + 1):
+        acc += poisson_mass_ref(t, j)
+    return max(0.0, 1.0 - acc)
+
+
+def poisson_series_check_ref(a, b, n: int, tau, taup, truncation: int) -> SeriesReport:
+    """`poisson_series_check` on valid float rates, each mass made for each use."""
+
+    def factor(rate: float, value: complex) -> complex:
+        out = 0j
+        power = 1 + 0j
+        for x in range(truncation + 1):
+            out += poisson_mass_ref(rate, x) * power
+            power *= value
+        return out
+
+    series = 1 + 0j
+    tail = 0.0
+    exponent = 0j
+    for rate, v in zip(a, tau):
+        series *= factor(n * rate, v)
+        tail += poisson_tail_ref(n * rate, truncation)
+        exponent += n * rate * (v - 1)
+    for rate, v in zip(b, taup):
+        series *= factor(n * rate, v.conjugate())
+        tail += poisson_tail_ref(n * rate, truncation)
+        exponent += n * rate * (v.conjugate() - 1)
+    closed = cmath.exp(exponent)
+    deviation = abs(closed - series)
+    return SeriesReport(closed, series, deviation, tail, truncation, deviation <= max(tail * 4, 1e-10))
+
+
+def binomial_reexpansion_check_ref(a, n: int, m: int, tau, truncation: int) -> ReexpansionReport:
+    """`binomial_reexpansion_check` on valid float rates, each mass made for each use."""
+    step = m - n
+    rates = tuple(step * x for x in a)
+    tail = sum(poisson_tail_ref(r, truncation) for r in rates)
+    row_dev = 0.0
+    proj_dev = 0.0
+    for r in rates:
+        mass = sum(poisson_mass_ref(r, x) for x in range(truncation + 1))
+        mean = sum(x * poisson_mass_ref(r, x) for x in range(truncation + 1))
+        row_dev = max(row_dev, abs(mass - 1.0))
+        proj_dev = max(proj_dev, abs(mean - r))
+    binom_dev = 0.0
+    for v in tau:
+        emb = (n * v + step) / m
+        for z in (1, 2, 5):
+            expanded = sum(
+                math.comb(z, x) * n**x * step ** (z - x) / m**z * v**x for x in range(z + 1)
+            )
+            binom_dev = max(binom_dev, abs(emb**z - expanded))
+    level_n = chi_tau_tauprime([n * ai * (vi - 1) for ai, vi in zip(a, tau)])
+    emb_vals = embedded_trace_values(tau, n, m)
+    level_m = chi_tau_tauprime([m * ai * (vi - 1) for ai, vi in zip(a, emb_vals)])
+    char_dev = abs(level_n - level_m)
+    passed = (
+        row_dev <= max(tail, 1e-12)
+        and proj_dev <= max(tail * truncation, 1e-8)
+        and binom_dev <= 1e-10
+        and char_dev <= 1e-10
+    )
+    return ReexpansionReport(row_dev, proj_dev, char_dev, binom_dev, tail, passed)

@@ -7,11 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+from reference import (
+    binomial_reexpansion_check_ref,
+    poisson_mass_ref,
+    poisson_series_check_ref,
+    poisson_tail_ref,
+)
 from weylchar.cli import main
 from weylchar.poisson import (
+    _LOG_THRESHOLD,
     LatticeDistribution,
     PoissonKernelParams,
     SemigroupReport,
+    _masses,
     binomial_reexpansion_check,
     chi_tau_tauprime,
     embedded_trace_values,
@@ -29,9 +37,9 @@ F = Fraction
 
 def test_kernel_examples():
     p1 = PoissonKernelParams((1,))
-    assert abs(kernel_row(p1, 1, 5).mass((0,)) - math.exp(-1)) < 1e-15
+    assert abs(kernel_row(p1, 1, 5).probs[(0,)] - math.exp(-1)) < 1e-15
     p12 = PoissonKernelParams((1, 2))
-    assert abs(kernel_row(p12, 1, 5).mass((1, 0)) - math.exp(-3)) < 1e-15
+    assert abs(kernel_row(p12, 1, 5).probs[(1, 0)] - math.exp(-3)) < 1e-15
 
 
 def test_kernel_rows_sum_to_one():
@@ -40,7 +48,7 @@ def test_kernel_rows_sum_to_one():
         row = kernel_row(params, 1, 24)
         total = 0.0
         for y in itertools.product(range(25), repeat=params.m):
-            total += row.mass(y)
+            total += row.probs.get(y, 0.0)
         assert abs(total - 1) < 1e-8
 
 
@@ -79,17 +87,17 @@ def _kstep_semigroup_check_ref(params, k, truncation=40):
                     continue
                 mass = px
                 for ai, zi in zip(rates, z):
-                    mass *= poisson_mass(ai, zi)
+                    mass *= poisson_mass_ref(ai, zi)
                     if mass == 0.0:
                         break
                 if mass:
                     new[y] = new.get(y, 0.0) + mass
         probs = new
-    iterated = LatticeDistribution(probs, sum(poisson_tail(k * ai, truncation) for ai in rates))
+    iterated = LatticeDistribution(probs, sum(poisson_tail_ref(k * ai, truncation) for ai in rates))
     direct = kernel_row(params, k, truncation)
     worst = 0.0
     for y in grid:
-        worst = max(worst, abs(iterated.mass(y) - direct.mass(y)))
+        worst = max(worst, abs(iterated.probs.get(y, 0.0) - direct.probs.get(y, 0.0)))
     tail = max(iterated.tail_bound, direct.tail_bound)
     return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))
 
@@ -125,10 +133,10 @@ def _kernel_row_ref(params, scale, truncation):
     for y in itertools.product(range(truncation + 1), repeat=params.m):
         mass = 1.0
         for ai, yi in zip(rates, y):
-            mass *= poisson_mass(ai, yi)
+            mass *= poisson_mass_ref(ai, yi)
         if mass:
             probs[y] = mass
-    return LatticeDistribution(probs, sum(poisson_tail(r, truncation) for r in rates))
+    return LatticeDistribution(probs, sum(poisson_tail_ref(r, truncation) for r in rates))
 
 
 def test_kernel_row_matches_joint_grid():
@@ -148,6 +156,86 @@ def test_kernel_row_matches_joint_grid():
             ref = _kernel_row_ref(params, scale, truncation)
             assert new.probs == ref.probs, (rates, truncation, scale)
             assert new.tail_bound == ref.tail_bound
+
+
+@pytest.mark.parametrize("t", (0, 0.0, 1e-300, 0.5, 12.6, 699.9, 700, 700.0, 1000.0))
+def test_mass_table_is_bit_identical_to_poisson_mass(t):
+    # k runs past 170!, and at 699.9 the log form starts at k = 92, where
+    # k log t first reaches 600.
+    table = _masses(t, 400)
+    assert len(table) == 401
+    for k, p in enumerate(table):
+        assert p.hex() == poisson_mass(t, k).hex() == poisson_mass_ref(t, k).hex(), (t, k)
+    if t == 699.9:
+        assert 92 * math.log(t) >= 600 > 91 * math.log(t) and 92 <= _LOG_THRESHOLD
+
+
+def test_tails_are_the_loop_over_the_old_masses():
+    import random
+
+    rng = random.Random(28)
+    cases = [(0, 0), (0.0, 5), (1, 30), (5, 40), (700.0, 650), (1000.0, 1100), (0.5, -1)]
+    for _ in range(600):
+        t = rng.choice((rng.uniform(0, 5), rng.uniform(0, 200), rng.uniform(690, 1100)))
+        cases.append((t, rng.randint(0, 260)))
+    for t, k in cases:
+        assert poisson_tail(t, k).hex() == poisson_tail_ref(t, k).hex(), (t, k)
+        if k >= 0:
+            assert [p.hex() for p in _masses(t, k)] == [
+                poisson_mass_ref(t, j).hex() for j in range(k + 1)], (t, k)
+
+
+def _float_checks_shaped_cases(seed):
+    """Series and re-expansion arguments drawn as perfbench's float_checks draws them."""
+    import random
+
+    rng = random.Random(seed)
+    series, reexpansion = [], []
+    for i in range(40):
+        a = tuple(round(rng.uniform(0.2, 2.0), 3) for _ in range(1 + i % 3))
+        b = tuple(round(rng.uniform(0.2, 2.0), 3) for _ in range(i // 3 % 3))
+        n = rng.randint(1, 8)
+        tau = [cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for _ in a]
+        taup = [cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for _ in b]
+        series.append((a, b, n, tau, taup))
+    for i in range(20):
+        a = tuple(round(rng.uniform(0.2, 2.0), 3) for _ in range(1 + i % 3))
+        n = rng.randint(1, 6)
+        m = n + rng.randint(1, 6)
+        tau = [cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for _ in a]
+        reexpansion.append((a, n, m, tau))
+    return series, reexpansion
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_checks_equal_the_per_mass_forms(seed):
+    # Dataclass equality compares every float field exactly.
+    series, reexpansion = _float_checks_shaped_cases(seed)
+    for truncation in (60, 0, 1, 20, 200):
+        for a, b, n, tau, taup in series:
+            assert poisson_series_check(a, b, n, tau, taup, truncation) == (
+                poisson_series_check_ref(a, b, n, tau, taup, truncation)), (a, b, n, truncation)
+    for truncation in (80, 0, 1, 20, 200):
+        for a, n, m, tau in reexpansion:
+            assert binomial_reexpansion_check(a, n, m, tau, truncation) == (
+                binomial_reexpansion_check_ref(a, n, m, tau, truncation)), (a, n, m, truncation)
+    # Level 0 passes rate 0; rates at and past 700 take the log form.
+    for a, b, n, truncation in (((1.5,), (0.5,), 0, 10), ((100.0,), (), 8, 60),
+                                ((90.0, 0.25), (87.5,), 8, 900)):
+        tau, taup = [0.5j] * len(a), [0.3] * len(b)
+        assert poisson_series_check(a, b, n, tau, taup, truncation) == (
+            poisson_series_check_ref(a, b, n, tau, taup, truncation))
+    assert binomial_reexpansion_check((350.0, 0.5), 1, 3, [0.5j, 0.2], 900) == (
+        binomial_reexpansion_check_ref((350.0, 0.5), 1, 3, [0.5j, 0.2], 900))
+
+
+def test_truncation_zero_is_valid():
+    rep = kstep_semigroup_check(PoissonKernelParams((1,)), 2, 0)
+    assert rep.max_deviation == 0 and rep.tail_bound == poisson_tail(2.0, 0)
+    rep = poisson_series_check((1,), (), 1, [0.5], truncation=0)
+    assert rep.series == math.exp(-1) and rep.tail_bound == poisson_tail(1.0, 0)
+    rep = binomial_reexpansion_check((1,), 1, 2, [0.5], truncation=0)
+    assert rep.tail_bound == poisson_tail(1.0, 0)
 
 
 def test_kstep_tail_covers_the_missing_mass():
@@ -340,6 +428,16 @@ def test_lattice_distribution_invariants():
         (lambda: poisson_series_check((1,), (), -1, [0.5]), "level n must be nonnegative"),
         (lambda: binomial_reexpansion_check((-1,), 1, 2, [0.5]), "rates must be positive"),
         (lambda: binomial_reexpansion_check((math.nan,), 1, 2, [0.5]), "and finite"),
+        (lambda: poisson_series_check((1,), (), 1, [0.5], truncation=-1),
+         "truncation must be nonnegative"),
+        (lambda: kstep_semigroup_check(PoissonKernelParams((1,)), 2, -1),
+         "truncation must be nonnegative"),
+        (lambda: binomial_reexpansion_check((1,), 1, 2, [0.5], -1), "truncation must be"),
+        (lambda: poisson_mass(-1.0, 3), "rate must be nonnegative and finite"),
+        (lambda: poisson_mass(math.nan, 2), "rate must be nonnegative and finite"),
+        (lambda: poisson_mass(-1.0, -1), "rate must be nonnegative"),
+        (lambda: poisson_tail(-1.0, 3), "rate must be nonnegative"),
+        (lambda: poisson_tail(math.inf, 5), "rate must be nonnegative and finite"),
     ],
 )
 def test_input_refusals(call, fragment):
