@@ -160,7 +160,7 @@ def moment_pairs(d):
 
 
 def clear_kernel_caches():
-    gtkernel._memo.clear()
+    gtkernel._clear_memo()
     gtkernel._table.cache_clear()
 
 

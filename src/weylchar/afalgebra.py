@@ -9,7 +9,6 @@ integer vectors; both must intertwine the transposed multiplicity matrices.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, sign
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi, common_denominator, phase_sum, quarter_turn, unit_complex
 from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
-from weylchar.ucharacters import DiagonalUnitary, normalized_char
+from weylchar.ucharacters import DiagonalUnitary, char_eval, over_dim
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -464,31 +463,35 @@ def _check_on_diagram(u: BlockUnitary, diagram: BratteliDiagram):
 
 
 def embed(u: BlockUnitary, diagram: BratteliDiagram, m: int) -> BlockUnitary:
-    """Image of u at level m: block j repeats each source block per multiplicity."""
+    """Image of u at level m: block j repeats each source block per multiplicity.
+
+    The blocks stay grouped by eigenvalue: a step multiplies each source
+    group's count by its multiplicity, so it costs the distinct eigenvalues,
+    not the block sizes.
+    """
     _check_on_diagram(u, diagram)
     if not u.level <= m <= diagram.depth:
         raise ValueError(f"target level {m} out of range [{u.level}, {diagram.depth}]")
     current = u
     for n in range(u.level, m):
-        mat = diagram.mults[n]
-        new_blocks = []
-        for j in range(len(diagram.levels[n + 1])):
-            angles: tuple = ()
-            for i, block in enumerate(current.blocks):
-                angles = angles + block.angles * mat[j][i]
-            new_blocks.append(DiagonalUnitary(angles))
-        current = BlockUnitary(n + 1, tuple(new_blocks))
+        current = BlockUnitary(n + 1, tuple(
+            DiagonalUnitary.grouped(
+                (a, c * k) for k, block in zip(row, current.blocks) if k for a, c in block.groups
+            )
+            for row in diagram.mults[n]
+        ))
     return current
 
 
 def det_phi_turn(u: BlockUnitary, hom: K0Hom):
     """Total determinant angle in turns: sum of phi-weighted eigenvalue angles.
 
-    Exact (a Fraction) when every angle is rational, a float otherwise.
+    Each distinct angle is weighted by its multiplicity.  Exact (a Fraction)
+    when every angle is rational, a float otherwise.
     """
     _check_on_diagram(u, hom.diagram)
     pairs = [
-        (w, a) for w, block in zip(hom.vectors[u.level], u.blocks) for a in block.angles
+        (w * c, a) for w, block in zip(hom.vectors[u.level], u.blocks) for a, c in block.groups
     ]
     if all(isinstance(a, Fraction) for _, a in pairs):
         return sum((w * a for w, a in pairs), Fraction(0)) % 1
@@ -525,7 +528,7 @@ def trace_value(u: BlockUnitary, tw: TraceWeights):
     if any(q is None for q in quarters):
         sums = [b.trace() for b in u.blocks]
     else:
-        sums = [phase_sum(Counter(q)) for q in quarters]
+        sums = [phase_sum(q) for q in quarters]
     return sum(w * v for w, v in zip(tw.weights[u.level], sums))
 
 
@@ -591,7 +594,7 @@ def ergodic_sequence(
             raise BudgetExceeded("character dimension exceeds budget")
         levels.append(n)
         dims.append(d)
-        values.append(normalized_char(sig, v.blocks[block]))
+        values.append(over_dim(char_eval(sig, v.blocks[block]), dim))
     tau = trace_value(u, trace_weights(diagram))
     limit = tau**lam.size * tau.conjugate() ** mu.size
     errors = tuple(abs(complex(v) - complex(limit)) for v in values)

@@ -47,6 +47,10 @@ class QQi:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Rational)):  # a rational divides each part
+            if other == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return QQi(self.re / other, self.im / other)
         o = QQi.of(other)
         n = o.abs2()
         if n == 0:

@@ -1,13 +1,17 @@
 """Gelfand-Tsetlin aggregation kernel.
 
-`pairing_counts` is the hot primitive behind weight distributions and exact
-characters.  `group_counts` serves no route of the package: `perfbench`'s
-gate, `benchmarks/bench_gt.py`'s checksums and the tests' GT-sum reference
-`eval_by_gt` call it by name.  Both count the GT patterns of one irrep by an
-integer linear functional of the pattern's weight w: `pairing_counts` keys
-each pattern by k = sum_i c_i w_i for integer coefficients c_i (c = the
-diagonal of F gives k = <F, w>; at eigenvalues i**q_j, c = q gives the
-pattern's phase i**k); `group_counts` keys it by the group sums
+`run_counts` is the hot primitive behind weight distributions and exact
+characters, and the one entry to the kernel.  `pairing_counts`, for weight
+distributions, tallies per-coordinate coefficients into its runs; exact
+characters hand it the tally of their eigenvalues directly.
+`group_counts` serves no route of the package: `perfbench`'s gate,
+`benchmarks/bench_gt.py`'s checksums and the tests' GT-sum reference
+`eval_by_gt` call it by name.  All count the GT patterns of one irrep by an
+integer linear functional of the pattern's weight w: `run_counts` keys
+each pattern by k = sum_i c_i w_i for integer coefficients c_i, given as
+runs {c: number of coordinates} (c = the diagonal of F gives k = <F, w>; at
+eigenvalues i**q_j, c = q gives the pattern's phase i**k); `group_counts`
+keys it by the group sums
 e_g = sum(w_i for groups[i] == g), packed into one integer Kronecker-style,
 k = sum_g B^g (e_g - m_g lo) with lo the smallest entry, m_g the group size
 and B = d (hi - lo) + 1 past every digit, and decodes the keys.
@@ -55,6 +59,9 @@ lookup.  `_jump` stores a node when the node is complete, so a call that
 raises leaves no partial node.  The memo grows as a call needs, so one call
 never builds a node twice; a call that ends with more than `NODE_CACHE_SIZE`
 nodes in the memo empties it, so between calls it holds at most that many.
+The bound is checked in O(1) against `_size`, the nodes stored since the
+memo was last emptied, which `_jump` advances and `_clear_memo`, the one
+reset, sets to 0.
 The top jump's result is not a node: the dict a call returns is always
 fresh, and the nodes never escape; jumps only read them.  A node holds one
 entry per key of the patterns below its row, at most the dimension of that
@@ -63,16 +70,18 @@ in [-2, 2] at d = 4..7, every even r, builds 1,213 nodes (and the empty
 row's), whose dicts, keys and values take 0.55 MB (`sys.getsizeof`); one
 `exact_sweep` pass builds 2,510, so neither reaches the bound.  Concurrent
 calls share the memo and the caches: the tables and rows are tuples, a node
-is stored by one dict assignment and never written after, the bound is
-checked on a copy of the memo's values, and emptying the memo only drops its
-references to dicts that other calls may still read.  Two threads may both
-build one node, and the two copies are equal.
+is stored by one dict assignment and never written after, `_size` changes
+under a lock, and emptying the memo only drops its references to dicts that
+other calls may still read.  Two threads may both build one node, and the
+two copies are equal; a node stored into a bucket that another thread has
+just dropped is counted but not held, which can only empty the memo early.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 from weylchar.combinatorics import conjugate, rows_between
 from weylchar.errors import InvariantError
@@ -83,25 +92,38 @@ NODE_CACHE_SIZE = 4096
 
 # The node memo: runs below a row -> {row: counts below it}.
 _memo: dict[tuple[tuple[int, int], ...], dict[tuple[int, ...], dict[int, int]]] = {}
+# The nodes stored since the memo was last emptied, and the lock that keeps
+# concurrent stores from losing a count.
+_size = 0
+_size_lock = threading.Lock()
+
+
+def run_counts(entries: tuple[int, ...], runs: dict[int, int]) -> dict[int, int]:
+    """Counts of GT patterns by k = sum_i c_i w_i, for coefficients given as runs.
+
+    `runs` maps each coefficient c to the number of coordinates that carry
+    it; the lengths must be positive and sum to d = len(entries).  s_lam is
+    symmetric, so which coordinates carry c does not matter.  For the irrep
+    with top row `entries` (non-increasing), maps each value k of the
+    pairing of the pattern weights w with the coefficients to the number of
+    patterns taking it.  The values sum to the dimension of the irrep.  The
+    map is built fresh on every call, so the caller may mutate it.
+    """
+    if sum(runs.values()) != len(entries) or any(m < 1 for m in runs.values()):
+        raise ValueError(f"run lengths {runs} must be positive and sum to d = {len(entries)}")
+    # Bottom first: the longest run, ties broken by coefficient.
+    order = sorted(runs.items(), key=lambda run: (-run[1], run[0]))
+    return _counts(tuple(entries), tuple(order))
 
 
 def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[int, int]:
-    """Counts of GT patterns by k = sum_i coeffs[i] * w_i.
-
-    For the irrep with top row `entries` (length d, non-increasing), maps each
-    value k of the pairing of the pattern weights w with the integer vector
-    `coeffs` to the number of patterns taking it.  The values sum to the
-    dimension of the irrep.  The map is built fresh on every call, so the
-    caller may mutate it.
-    """
+    """`run_counts` with one coefficient per coordinate: coeffs[i] for w_i."""
     if len(coeffs) != len(entries):
         raise ValueError("coeffs must give every coordinate a coefficient")
-    sizes: dict[int, int] = {}
+    runs: dict[int, int] = {}
     for c in coeffs:
-        sizes[c] = sizes.get(c, 0) + 1
-    # Bottom first: the longest run, ties broken by coefficient.
-    runs = sorted(sizes.items(), key=lambda run: (-run[1], run[0]))
-    return _counts(tuple(entries), tuple(runs))
+        runs[c] = runs.get(c, 0) + 1
+    return run_counts(entries, runs)
 
 
 def group_counts(
@@ -149,9 +171,23 @@ def _counts(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int
         return _jump(lam, runs)
     finally:
         # The bound holds between calls, so one call never builds a node twice.
-        # `list` copies the values in one step, while other calls may add to the memo.
-        if sum(map(len, list(_memo.values()))) > NODE_CACHE_SIZE:
-            _memo.clear()
+        if _size > NODE_CACHE_SIZE:
+            _clear_memo()
+
+
+def _clear_memo() -> None:
+    """Empty the node memo and its count: the one place either is reset."""
+    global _size
+    with _size_lock:
+        _memo.clear()
+        _size = 0
+
+
+def _stored() -> None:
+    """Count one node stored in the memo."""
+    global _size
+    with _size_lock:
+        _size += 1
 
 
 def _jump(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
@@ -172,6 +208,7 @@ def _jump(lam: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> dict[int, 
         node = nodes.get(nu)
         if node is None:
             node = nodes[nu] = _jump(nu, below)
+            _stored()
         shift = c * drop
         for k, n in node.items():
             k += shift

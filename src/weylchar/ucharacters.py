@@ -1,23 +1,28 @@
 """Irreducible characters of U(d) and their branching behaviour.
 
 Evaluation happens at diagonal unitaries (characters are class functions),
-and the spectrum alone picks one of two routes.  At eigenvalues i**q_j a GT
-pattern of weight w contributes i**(sum_j q_j w_j): `gtkernel.pairing_counts`
-counts the patterns by that exponent and `exact.phase_sum` folds the tally
-into an exact Gaussian integer.  Every other spectrum goes through
-`char_float`, Koike's universal-character determinant in complex doubles,
-which returns the value with a rigorous error bound.  It has no Vandermonde
+held as their distinct eigenvalues with multiplicities, so a spectrum costs
+its distinct eigenvalues, not d; the spectrum alone picks one of two routes.
+At eigenvalues i**q_j a GT pattern of weight w contributes
+i**(sum_j q_j w_j): `gtkernel.run_counts` counts the patterns by that
+exponent, from the tally {q: multiplicity of i**q}, and `exact.phase_sum`
+folds the tally into an exact Gaussian integer.  Every other spectrum goes
+through `char_float`, Koike's universal-character determinant in complex
+doubles, whose series takes each distinct eigenvalue in one step and which
+returns the value with a rigorous error bound.  It has no Vandermonde
 denominator, so close or equal eigenvalues take the same route as distinct
 ones.  `over_dim` is the one division of a trace by a Weyl dimension, for
-`normalized_char` and the CLI's `char`: exact for a Gaussian rational, and
-exact before rounding where the dimension is past the float range.
+`afalgebra.ergodic_sequence` and the CLI's `char`: exact for a Gaussian
+rational, and exact before rounding where the dimension is past the float
+range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from numbers import Rational
 
 from weylchar.combinatorics import (
@@ -29,54 +34,108 @@ from weylchar.combinatorics import (
 )
 from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
 from weylchar.exact import phase_sum, quarter_turn, unit_complex
-from weylchar.gtkernel import pairing_counts
+from weylchar.gtkernel import run_counts
 from weylchar.symfunc import lr_product, skew_expand, weyl_dim
 
 
-@dataclass(frozen=True)
+def _wrap(a):
+    """An angle in turns reduced to [0, 1): a Fraction when rational, else a float.
+
+    A Fraction already in [0, 1) is kept as it is: `afalgebra.embed` re-wraps
+    every group's angle at each level.
+    """
+    if type(a) is Fraction and 0 <= a.numerator < a.denominator:
+        return a
+    return Fraction(a) % 1 if isinstance(a, (int, Rational)) else float(a) % 1.0
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class DiagonalUnitary:
     """diag(exp(2*pi*i*t_1), ..., exp(2*pi*i*t_d)) with angles t_k in turns.
 
     Rational angles are kept as Fractions; at quarter turns the eigenvalues
-    are exact powers of i.
+    are exact powers of i.  The spectrum is held by multiplicity: `groups`
+    pairs each distinct angle, in first-appearance order, with its count, so
+    a tower level costs its distinct eigenvalues, not d.  A float angle and a
+    Fraction of equal value are distinct angles, as they take distinct routes.
+    `angles` is the eigenvalue multiset: as given to the flat constructor, or,
+    for `grouped`, each distinct angle repeated by its count, built on first
+    use and kept.
     """
 
-    angles: tuple
+    groups: tuple[tuple, ...]
+    d: int
+    _angles: tuple | None = field(compare=False)
 
-    def __post_init__(self):
-        # A Fraction already in [0, 1) is kept as it is: embeddings re-wrap
-        # every angle of every block at each level.
-        angles = tuple(
-            a if type(a) is Fraction and 0 <= a.numerator < a.denominator
-            else Fraction(a) % 1 if isinstance(a, (int, Rational)) else float(a) % 1.0
-            for a in self.angles
-        )
-        if not angles:
+    def __init__(self, angles):
+        angles = tuple(map(_wrap, angles))
+        self._set(_tally((a, 1) for a in angles), angles)
+
+    @staticmethod
+    def grouped(pairs) -> "DiagonalUnitary":
+        """The unitary with each angle of the (angle, count) pairs repeated count times."""
+        pairs = tuple(pairs)
+        if not all(type(c) is int and c >= 1 for _, c in pairs):
+            raise ValueError(f"multiplicities must be positive integers, got {pairs}")
+        u = DiagonalUnitary.__new__(DiagonalUnitary)
+        u._set(_tally((_wrap(a), c) for a, c in pairs), None)
+        return u
+
+    def _set(self, groups, angles) -> None:
+        if not groups:
             raise ValueError("need at least one eigenvalue")
         # A Fraction is always finite, and float(inf) % 1.0 is nan, so only a
         # float angle can fail: checking the Fractions would convert each to float.
-        if not all(math.isfinite(a) for a in angles if type(a) is float):
-            raise ValueError(f"angles must be finite, got {self.angles}")
-        object.__setattr__(self, "angles", angles)
+        if not all(math.isfinite(a) for a, _ in groups if type(a) is float):
+            raise ValueError(f"angles must be finite, got {angles or groups}")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "d", sum(c for _, c in groups))
+        object.__setattr__(self, "_angles", angles)
 
     @property
-    def d(self) -> int:
-        return len(self.angles)
+    def angles(self) -> tuple:
+        if self._angles is None:
+            flat = tuple(chain.from_iterable(repeat(a, c) for a, c in self.groups))
+            object.__setattr__(self, "_angles", flat)
+        return self._angles
+
+    def __repr__(self):
+        return f"DiagonalUnitary.grouped({self.groups!r})"
 
     def complex_values(self) -> tuple[complex, ...]:
-        return tuple(unit_complex(a) for a in self.angles)
+        return tuple(map(unit_complex, self.angles))
 
-    def quarter_turns(self) -> tuple[int, ...] | None:
-        """Each eigenvalue as its power k of i when every angle is a quarter turn, else None."""
-        ks = tuple(map(quarter_turn, self.angles))
-        return None if None in ks else ks
+    def quarter_turns(self) -> dict[int, int] | None:
+        """{k: multiplicity of i**k} when every angle is a quarter turn, else None."""
+        tally = {}
+        for a, c in self.groups:
+            k = quarter_turn(a)
+            if k is None:
+                return None
+            # Distinct angles in [0, 1) are distinct quarter turns.
+            tally[k] = c
+        return tally
 
     def trace(self) -> complex:
-        return sum(self.complex_values())
+        return sum(c * unit_complex(a) for a, c in self.groups)
 
     @staticmethod
     def identity(d: int) -> "DiagonalUnitary":
-        return DiagonalUnitary((Fraction(0),) * d)
+        return DiagonalUnitary.grouped(((Fraction(0), d),))
+
+
+def _tally(pairs) -> tuple[tuple, ...]:
+    """(angle, count) pairs with equal angles of one type merged, in first-appearance order."""
+    groups: dict = {}
+    for a, c in pairs:
+        # A Fraction keys by its two ints, which hash fast and never equal a float.
+        key = (a.numerator, a.denominator) if type(a) is Fraction else a
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [a, c]
+        else:
+            group[1] += c
+    return tuple((a, c) for a, c in groups.values())
 
 
 def char_eval(sig: Signature, u: DiagonalUnitary):
@@ -91,7 +150,7 @@ def char_eval(sig: Signature, u: DiagonalUnitary):
         raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
     quarters = u.quarter_turns()
     if quarters is not None:
-        return phase_sum(pairing_counts(sig.entries, quarters))
+        return phase_sum(run_counts(sig.entries, quarters))
     return char_float(sig, u)[0]
 
 
@@ -124,16 +183,29 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     (lam_1+mu_1)-square determinant with e_k for h_k and lam', mu' for
     lam, mu.  Both specialise to U(d), since p + q <= d.  The smaller one is
     evaluated, the e form on a tie, as e_k is at most C(d, k) where h_k
-    reaches C(d+k-1, k): one series by the per-coordinate recurrence of
-    prod (1 - x t)^-1 or prod (1 + x t), its conjugate for the conj x rows
-    (|x| = 1), then LU with partial pivoting.  There is no Vandermonde
-    denominator, so confluent eigenvalues need no special route.
+    reaches C(d+k-1, k): one series of prod (1 - x t)^-1 or prod (1 + x t),
+    its conjugate for the conj x rows (|x| = 1), then LU with partial
+    pivoting.  There is no Vandermonde denominator, so confluent eigenvalues
+    need no special route.  The series is built once per distinct
+    eigenvalue: a group of c equal x enters by c steps of the per-coordinate
+    recurrence while c <= kmax + 2 (kmax the last index read), and past that
+    by one product with the series of (1 - x t)^-c = sum_j C(c+j-1, j) x^j t^j
+    or (1 + x t)^c = sum_j C(c, j) x^j t^j (`_convolve`).
 
     The bound holds for the eigenvalues at the exact angles.  The k-th series
-    term is a sum of C(d+k-1, k) (h) or C(d, k) (e) unit monomials, each
-    through at most d + k sums and k products of eigenvalues that err by
-    16u, so it errs by at most that count times expm1((d + k + 19 k) u).  LU
-    gives L U = M + F with |F| <= gamma_{n+11} |L| |U| (Higham, Accuracy and
+    term is a sum of C(d+k-1, k) (h) or C(d, k) (e) unit monomials; count
+    each one's roundings in units of u, 1 for a sum or a real scaling, 3 for
+    a product and 16 for an eigenvalue.  A per-coordinate step passes each
+    monomial through one sum, and through one more sum (h only), one product
+    and one eigenvalue for each factor x it adds: c + 20 j (h) or c + 19 j
+    (e) over a group contributing x^j.  In a convolution the x^j term
+    carries the count's rounding, j - 1 products for x^j and one scaling,
+    then one product into the series and at most j + 1 sums: 20 j + 3 for
+    j >= 1 and 1 for j = 0, within kmax + 3 + 19 j.  With s the sum over the
+    groups of min(c, kmax + 3), so s <= d and s = d unless some c > kmax + 2,
+    a monomial of degree k carries at most s + 20 k (h) or s + 19 k (e), and
+    the term errs by at most its count times expm1 of that times u.
+    LU gives L U = M + F with |F| <= gamma_{n+11} |L| |U| (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 9.3; n sums, one product
     and one quotient per term), and |L| <= 1 bounds each row of |L| |U| by
     the column sums of |U| down to that row, an O(n^2) pass.
@@ -159,19 +231,32 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     else:
         below, above, kmax = lam, mu, top
     series = [1 + 0j] + [0j] * kmax
+    # `steps` sums min(c, kmax + 3) over the groups: the sums a monomial
+    # passes through, at most, apart from those its own factors add.
+    steps = seen = 0
+    for a, c in u.groups:
+        x = unit_complex(a)
+        if c > kmax + 2:
+            _convolve(series, x, c, dual)
+            steps += kmax + 3
+        elif dual:  # e_k of the first i coordinates vanishes past k = i
+            for i in range(seen + 1, seen + c + 1):
+                for k in range(min(i, kmax), 0, -1):
+                    series[k] += x * series[k - 1]
+            steps += c
+        else:
+            for _ in range(c):
+                acc = 1 + 0j
+                for k in range(1, kmax + 1):
+                    acc = series[k] + x * acc
+                    series[k] = acc
+            steps += c
+        seen += c
     if dual:
-        for j, x in enumerate(u.complex_values(), 1):
-            for k in range(min(j, kmax), 0, -1):
-                series[k] += x * series[k - 1]
-        errs = [_scaled(math.comb(d, k), (d + (_MUL + _X_ERR) * k) * _U)
+        errs = [_scaled(math.comb(d, k), (steps + (_MUL + _X_ERR) * k) * _U)
                 for k in range(kmax + 1)]
     else:
-        for x in u.complex_values():
-            acc = 1 + 0j
-            for k in range(1, kmax + 1):
-                acc = series[k] + x * acc
-                series[k] = acc
-        errs = [_scaled(math.comb(d + k - 1, k), (d + k + (_MUL + _X_ERR) * k) * _U)
+        errs = [_scaled(math.comb(d + k - 1, k), (steps + k + (_MUL + _X_ERR) * k) * _U)
                 for k in range(kmax + 1)]
     nq = len(above)
     n = nq + len(below)
@@ -229,17 +314,32 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     return det, math.inf if math.isnan(bound) else bound
 
 
+def _convolve(series: list[complex], x: complex, c: int, dual: bool) -> None:
+    """Multiply the series in place by (1 + x t)^c (dual) or (1 - x t)^-c, up to its length.
+
+    The t^j coefficient is C(c, j) x^j or C(c + j - 1, j) x^j: the count,
+    rounded once, times x^j by j - 1 products.  Each new term is summed in
+    descending j, so the x^j term passes through at most j + 1 sums.
+    """
+    kmax = len(series) - 1
+    terms = [1 + 0j]
+    power = 1 + 0j
+    for j in range(1, kmax + 1):
+        power *= x
+        terms.append(_scaled(math.comb(c, j) if dual else math.comb(c + j - 1, j), 1.0) * power)
+    for k in range(kmax, 0, -1):
+        acc = terms[k]  # times series[0] = 1, exactly
+        for j in range(k - 1, 0, -1):
+            acc += series[k - j] * terms[j]
+        series[k] = acc + series[k]
+
+
 def _scaled(count: int, factor: float) -> float:
     """count * factor as a float, inf when count is past the float range."""
     try:
         return float(count) * factor
     except OverflowError:
         return math.inf
-
-
-def normalized_char(sig: Signature, u: DiagonalUnitary):
-    """char_eval divided by the Weyl dimension; modulus at most 1."""
-    return over_dim(char_eval(sig, u), weyl_dim(sig))
 
 
 def over_dim(trace, dim: int):

@@ -6,7 +6,12 @@ for the aggregation kernel `gtkernel.group_counts`, a product of interval
 lengths (`two_row_strips`) for its determinant over a run of two, the GT sum
 at grouped values (`eval_by_gt`) and the alternant quotient (`bialternant`)
 for the character values of `ucharacters.char_eval`, the same quotient in
-mpmath (`mp_alternant`) for the error bound of `ucharacters.char_float`,
+mpmath (`mp_alternant`) for the error bound of `ucharacters.char_float`, and
+at repeated eigenvalues the grouped GT tally summed in mpmath
+(`mp_grouped_char`); the per-coordinate series that `char_float` took
+before it grouped equal eigenvalues (`char_float_ref`) for its value and
+bound at spectra with none repeated, and the concatenation of angles that
+`afalgebra.embed` did before it added multiplicities (`concatenated_embed`);
 power-sum evaluation for `moments.hciz_power_sum` and `symfunc.schur_dim`,
 the Fraction power-sum table (`fraction_power_sum_coeffs`) and the partition
 sum that read its weights (`fraction_weight_hciz_power_sum`) for the integer
@@ -45,6 +50,7 @@ from weylchar.combinatorics import (
     Partition,
     Signature,
     _as_int_tuple,
+    conjugate,
     partitions_of,
     signature_from_pair,
 )
@@ -66,7 +72,16 @@ from weylchar.symfunc import (
     sym_group_dim,
     weyl_dim,
 )
-from weylchar.ucharacters import normalized_char
+from weylchar.ucharacters import (
+    _DIV,
+    _MUL,
+    _U,
+    _X_ERR,
+    _gamma,
+    _scaled,
+    char_eval,
+    over_dim,
+)
 
 GT_ENUM_MAX_D = 8
 GT_ENUM_MAX_PATTERNS = 10**6
@@ -234,6 +249,133 @@ def mp_alternant(sig_entries: tuple[int, ...], angles, dps: int = 400) -> comple
             for j in range(i + 1, d):
                 den *= z[i] - z[j]
         return complex(num / den)
+
+
+def mp_grouped_char(sig_entries: tuple[int, ...], groups, dps: int = 50) -> complex:
+    """The character at eigenvalues exp(2 pi i t) repeated by count, for (t, count) groups, in mpmath.
+
+    `group_counts` tallies the GT patterns by their weight summed over each
+    group, exactly, and each tally term is summed at the exact angles, so
+    repeated and near-confluent eigenvalues need nothing special.
+    """
+    import mpmath
+
+    labels = tuple(g for g, (_, c) in enumerate(groups) for _ in range(c))
+    with mpmath.mp.workdps(dps):
+        z = [mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator
+                           if isinstance(t, Fraction) else 2 * mpmath.mpf(t)) for t, _ in groups]
+        total = mpmath.mpc(0)
+        for sums, n in group_counts(sig_entries, labels, len(groups)).items():
+            term = mpmath.mpc(n)
+            for x, e in zip(z, sums):
+                term *= x**e
+            total += term
+        return complex(total)
+
+
+def char_float_ref(sig, u) -> tuple[complex, float]:
+    """`ucharacters.char_float` as it was with one series step per coordinate.
+
+    Kept verbatim: on a spectrum with no repeated eigenvalue the grouped
+    series takes the same steps in the same order, so value and bound must
+    match it bit for bit.
+    """
+    if sig.d != u.d:
+        raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
+    entries = sig.entries
+    d = len(entries)
+    lam = tuple(e for e in entries if e > 0)
+    mu = tuple(-e for e in reversed(entries) if e < 0)
+    p, q = len(lam), len(mu)
+    if p + q == 0:
+        return 1 + 0j, 0.0
+    lam1, mu1 = (lam or (0,))[0], (mu or (0,))[0]
+    # Both forms read the series up to this index; e_k vanishes past d.
+    top = max(lam1 + p, mu1 + q) - 1
+    dual = p + q >= lam1 + mu1
+    if dual:
+        below, above, kmax = conjugate(lam), conjugate(mu), min(top, d)
+    else:
+        below, above, kmax = lam, mu, top
+    series = [1 + 0j] + [0j] * kmax
+    if dual:
+        for j, x in enumerate(u.complex_values(), 1):
+            for k in range(min(j, kmax), 0, -1):
+                series[k] += x * series[k - 1]
+        errs = [_scaled(math.comb(d, k), (d + (_MUL + _X_ERR) * k) * _U)
+                for k in range(kmax + 1)]
+    else:
+        for x in u.complex_values():
+            acc = 1 + 0j
+            for k in range(1, kmax + 1):
+                acc = series[k] + x * acc
+                series[k] = acc
+        errs = [_scaled(math.comb(d + k - 1, k), (d + k + (_MUL + _X_ERR) * k) * _U)
+                for k in range(kmax + 1)]
+    nq = len(above)
+    n = nq + len(below)
+    # Every index a row reads lies in -n < k < kmax + n, and the entries
+    # outside 0..kmax are exact zeros, so n zeros pad each end.
+    pad = [0j] * n
+    padded = pad + series + pad
+    conj = [z.conjugate() for z in padded]
+    pad_errs = [0.0] * n + errs + [0.0] * n
+    rows: list[list[complex]] = []
+    row_errs: list[float] = []
+    for r in range(n):
+        if r < nq:  # series terms k0, k0 - 1, ..., conjugated
+            k0 = above[nq - 1 - r] + r + n
+            rows.append(conj[k0:k0 - n:-1])
+            row_errs.append(math.hypot(*pad_errs[k0:k0 - n:-1]))
+        else:  # series terms k0, k0 + 1, ...
+            k0 = below[r - nq] - r + n
+            rows.append(padded[k0:k0 + n])
+            row_errs.append(math.hypot(*pad_errs[k0:k0 + n]))
+    # ||M_r|| is at most the computed norm plus the series error.
+    norms = [math.hypot(*map(abs, row)) + err for row, err in zip(rows, row_errs)]
+    det = 1 + 0j
+    for c in range(n):
+        column = [abs(row[c]) for row in rows[c:]]
+        piv = c + column.index(max(column))
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            norms[c], norms[piv] = norms[piv], norms[c]
+            row_errs[c], row_errs[piv] = row_errs[piv], row_errs[c]
+            det = -det
+        pivot_row = rows[c]
+        pv = pivot_row[c]
+        det *= pv
+        if not pv:  # the column below is zero too: nothing to eliminate
+            continue
+        for row in rows[c + 1:]:
+            m = row[c] / pv
+            if m:
+                for j in range(c + 1, n):
+                    row[j] -= m * pivot_row[j]
+    # |l| <= 1 up to the rounding of the quotient and of the pivot's abs().
+    lu_gamma = _gamma(n + _MUL + _DIV) * (1 + (_DIV + 3) * _U)
+    column_sums = [0.0] * n
+    ratio = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i, n):
+            column_sums[j] += abs(row[j])
+        ratio += (row_errs[i] + lu_gamma * math.hypot(*column_sums)) / norms[i]
+    hadamard = math.prod(norms) * math.expm1(ratio)
+    pivots = _gamma(_MUL * n)
+    # The bound's own float evaluation rounds by a relative 4 n^2 u at most;
+    # a series count past the float range (inf / inf) leaves no bound at all.
+    bound = (hadamard + pivots / (1 - pivots) * abs(det)) * (1 + 2.0**-20)
+    return det, math.inf if math.isnan(bound) else bound
+
+
+def concatenated_embed(u, diagram, m: int) -> tuple[tuple, ...]:
+    """Each block's angles at level m, by concatenating every source block's
+    angles repeated by its multiplicity, level by level."""
+    blocks = [b.angles for b in u.blocks]
+    for n in range(u.level, m):
+        blocks = [sum((angles * k for k, angles in zip(row, blocks)), ())
+                  for row in diagram.mults[n]]
+    return tuple(blocks)
 
 
 # Quarter-turn roots of unity: turn -> exact value.
@@ -480,7 +622,7 @@ def rational_approx_defect(lam: Partition, mu: Partition, u) -> float:
     sig = signature_from_pair(lam, mu, d)
     tr = u.trace()
     target = (tr / d) ** lam.size * (tr.conjugate() / d) ** mu.size
-    return abs(complex(normalized_char(sig, u)) - target)
+    return abs(complex(over_dim(char_eval(sig, u), weyl_dim(sig))) - target)
 
 
 def poisson_mass_ref(t, k: int) -> float:

@@ -148,7 +148,7 @@ def _memo_size():
 
 def test_shared_memo_gives_the_same_counts_warm_and_cold():
     cases = _moment_cases((4, 5, 6, 7))
-    gtkernel._memo.clear()
+    gtkernel._clear_memo()
     for entries, groups in cases:
         gtkernel.group_counts(entries, groups, 3)
     # The sweep's nodes stay within the bound, so the memo kept every one of them.
@@ -157,7 +157,7 @@ def test_shared_memo_gives_the_same_counts_warm_and_cold():
     warm = [gtkernel.group_counts(entries, groups, 3) for entries, groups in cases]
     assert _memo_size() == size
     for (entries, groups), expected in zip(cases, warm):
-        gtkernel._memo.clear()
+        gtkernel._clear_memo()
         gtkernel._table.cache_clear()
         assert gtkernel.group_counts(entries, groups, 3) == expected, (entries, groups)
 
@@ -189,7 +189,7 @@ def test_shared_memo_keeps_group_labels_and_ngroups_apart():
     for sig in signatures_with_entries(4, -1, 2):
         for groups in four:
             cases += [(sig.entries, groups, n) for n in (2, 3) if max(groups) < n]
-    gtkernel._memo.clear()
+    gtkernel._clear_memo()
     # Forward then backward, so each case also runs after its neighbours warmed the memo.
     for entries, groups, ngroups in cases + cases[::-1]:
         expected = brute_force_counts(entries, groups, ngroups)
@@ -218,7 +218,7 @@ def _check_concurrent_calls():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        gtkernel._memo.clear()
+        gtkernel._clear_memo()
         gtkernel._table.cache_clear()
         threads = [threading.Thread(target=worker, args=(t * 37,)) for t in range(4)]
         for t in threads:
@@ -282,18 +282,18 @@ def test_a_call_builds_each_node_once_past_the_shared_bound(monkeypatch):
     # The jumps below the top call build the nodes, and find `_jump` by name.
     monkeypatch.setattr(gtkernel, "_jump", counted)
     monkeypatch.setattr(gtkernel, "NODE_CACHE_SIZE", 10**9)
-    gtkernel._memo.clear()
+    gtkernel._clear_memo()
     expected = gtkernel.group_counts(entries, groups, 6)
     nodes = len(rows) - 1
     assert 80 <= nodes <= 120
-    assert len(set(rows)) == len(rows) and _memo_size() == nodes
+    assert len(set(rows)) == len(rows) and _memo_size() == nodes == gtkernel._size
     # A bound far below the call's need must not make it rebuild nodes.
     monkeypatch.setattr(gtkernel, "NODE_CACHE_SIZE", 8)
-    gtkernel._memo.clear()
+    gtkernel._clear_memo()
     rows.clear()
     assert gtkernel.group_counts(entries, groups, 6) == expected
     assert len(rows) - 1 == nodes and len(set(rows)) == len(rows)
-    assert gtkernel._memo == {}
+    assert gtkernel._memo == {} and gtkernel._size == 0
 
 
 def _seeded_rows(seed, count):
@@ -359,6 +359,8 @@ def test_jump_tables_stay_within_their_bound():
     "call, fragment",
     [
         (lambda: gtkernel.pairing_counts((1, 0), (1,)), "coeffs must give every coordinate"),
+        (lambda: gtkernel.run_counts((1, 0), {1: 1}), "must be positive and sum to d = 2"),
+        (lambda: gtkernel.run_counts((1, 0), {1: 2, 0: 0}), "must be positive and sum to d = 2"),
         (lambda: gtkernel.group_counts((1, 0), (0,), 1), "groups must assign every coordinate"),
         (lambda: gtkernel.group_counts((1, 0), (0, 2), 2), "group index out of range"),
     ],

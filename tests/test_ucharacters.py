@@ -12,31 +12,40 @@ from hypothesis import strategies as st
 from reference import (
     all_signature_pairs,
     brute_force_counts,
+    char_float_ref,
+    concatenated_embed,
     enumerate_gt_patterns,
     eval_by_gt,
     exact_values,
     gt_weight,
     mp_alternant,
+    mp_grouped_char,
     rational_approx_defect,
 )
 from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
 from weylchar.cli import main
 from weylchar.combinatorics import Partition, Signature, signature_from_pair
 from weylchar.errors import BudgetExceeded
-from weylchar.exact import QQi
+from weylchar.exact import QQi, phase_sum
+from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
     char_eval,
     char_float,
     check_branching_inequalities,
-    normalized_char,
+    over_dim,
     restrict_to_blocks,
     tensor_decompose,
 )
 
 P = Partition
 S = Signature
+
+
+def normalized_char(sig, u):
+    """The character divided by its Weyl dimension, as `ergodic_sequence` divides it."""
+    return over_dim(char_eval(sig, u), weyl_dim(sig))
 
 
 def test_char_eval_trivial_cases():
@@ -497,6 +506,20 @@ def test_input_refusals(call, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "groups, fragment",
+    [
+        ((), "need at least one eigenvalue"),
+        (((0.1, 2), (0.3, 0)), "multiplicities must be positive"),
+        (((math.inf, 2),), "angles must be finite"),
+    ],
+)
+def test_grouped_refusals(groups, fragment):
+    with pytest.raises(ValueError) as info:
+        DiagonalUnitary.grouped(groups)
+    assert fragment in str(info.value)
+
+
 def test_char_float_bound_is_infinite_past_the_float_range(capsys):
     # At d = 5000 the series counts C(d + k - 1, k) of (200, 0, ..., 0) pass
     # the float range: the bound is infinite, never NaN, and the value finite.
@@ -517,3 +540,99 @@ def test_char_float_bound_is_infinite_past_the_float_range(capsys):
     assert payload["error_bound"] == math.inf
     assert all(math.isfinite(x) for x in payload["normalized"])
     assert math.hypot(*payload["normalized"]) <= 1
+
+
+def _flat(groups, rng):
+    """The angles of (angle, count) groups, one per eigenvalue, shuffled."""
+    angles = [a for a, c in groups for _ in range(c)]
+    rng.shuffle(angles)
+    return tuple(angles)
+
+
+def test_grouped_spectra_equal_their_flat_expansion():
+    rng = random.Random(2901)
+    for trial in range(80):
+        quarter = trial % 2 == 0
+        pool = range(4) if quarter else range(12)
+        turns = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        groups = tuple((Fraction(k, len(pool)), rng.choice((1, 2, 3, 5, 17))) for k in turns)
+        grouped = DiagonalUnitary.grouped(groups)
+        flat = _flat(groups, rng)
+        d = len(flat)
+        assert grouped.d == d and sorted(grouped.angles) == sorted(flat)
+        lam, mu = rng.choice((((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((2, 1), (1,)), ((3,), ())))
+        if len(lam) + len(mu) > d:
+            continue
+        sig = signature_from_pair(P(lam), P(mu), d)
+        value = char_eval(sig, grouped)
+        if quarter:
+            # The tally of the runs against one coefficient per coordinate.
+            per_coordinate = phase_sum(pairing_counts(sig.entries, tuple(int(4 * a) for a in flat)))
+            assert value == per_coordinate == char_eval(sig, DiagonalUnitary(flat)), (sig, groups)
+            if d <= 8:
+                _assert_phase_count_is_exact(sig, grouped)
+        else:
+            pytest.importorskip("mpmath")
+            exact = mp_grouped_char(sig.entries, groups)
+            for u in (grouped, DiagonalUnitary(flat)):
+                value, bound = char_float(sig, u)
+                assert abs(value - exact) <= bound, (sig, groups)
+
+
+def test_embed_angles_are_the_concatenated_multiset():
+    rng = random.Random(2902)
+    pool = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1, 3), 0.25, 0.0, 0.7)
+    for name in ("car", "uhf:2,3", "effros-shen", "gicar-excluded"):
+        diagram = preset_diagram(name, depth=6)
+        for _ in range(10):
+            level = rng.randint(0, 3)
+            blocks = tuple(DiagonalUnitary(tuple(rng.choice(pool) for _ in range(d)))
+                           for d in diagram.levels[level])
+            u = BlockUnitary(level, blocks)
+            m = rng.randint(level, diagram.depth)
+            expected = concatenated_embed(u, diagram, m)
+            for block, angles in zip(embed(u, diagram, m).blocks, expected):
+                # A float and a Fraction of equal value stay apart.
+                assert sorted(map(repr, block.angles)) == sorted(map(repr, angles)), (name, u, m)
+                assert block.d == len(angles)
+                assert len(block.groups) == len({(a, type(a)) for a in angles})
+
+
+# Near-confluent groups: two at a spacing of 1e-9 turns, one apart.
+_CONFLUENT = (0.1, 0.1 + 1e-9, 0.6)
+
+
+@pytest.mark.parametrize("c", (2, 3, 4, 5, 16, 64, 512, 4096))
+@pytest.mark.parametrize("lam, mu", (((1,), (1,)), ((2,), (1,)), ((1,), (2,)), ((2, 1), (1,)),
+                                     ((1, 1), (1,)), ((3,), ())))
+def test_char_float_bound_holds_at_repeated_eigenvalues(c, lam, mu):
+    pytest.importorskip("mpmath")
+    for angles in ((0.13, 0.57, 0.82), _CONFLUENT):
+        groups = ((angles[0], c), (angles[1], c), (angles[2], 1))
+        u = DiagonalUnitary.grouped(groups)
+        sig = signature_from_pair(P(lam), P(mu), u.d)
+        value, bound = char_float(sig, u)
+        assert abs(value - mp_grouped_char(sig.entries, groups)) <= bound, (sig, groups)
+        assert abs(value) <= weyl_dim(sig) + bound
+        # No looser than one step per coordinate, up to the rounding of its LU.
+        assert bound <= char_float_ref(sig, u)[1] * (1 + 1e-9), (sig, groups)
+
+
+_DISTINCT_SIGNATURES = ((1, 0, 0, -1), (2, 0, 0, -1), (1, 1, 0, -2), (3, 1, 0, 0, -1, -2),
+                        (4, 3, 2, 1, 0, -1, -2), (2, 2, 1, 0, 0, 0, 0, -1), (5, 0, 0, 0, 0, -3))
+
+
+@pytest.mark.parametrize("entries", _DISTINCT_SIGNATURES)
+def test_char_float_is_the_per_coordinate_series_at_distinct_eigenvalues(entries):
+    rng = random.Random(hash(entries) % 1000)
+    d = len(entries)
+    spectra = [tuple(rng.random() for _ in range(d)) for _ in range(5)]
+    spectra += [tuple(0.1 + j * 10.0**-k for j in range(d)) for k in (3, 6, 9)]
+    spectra.append(tuple(Fraction(k, 10 * d + 1) for k in rng.sample(range(10 * d + 1), d)))
+    for angles in spectra:
+        u = DiagonalUnitary(angles)
+        assert all(c == 1 for _, c in u.groups)
+        value, bound = char_float(S(entries), u)
+        ref_value, ref_bound = char_float_ref(S(entries), u)
+        got = (value.real.hex(), value.imag.hex(), bound.hex())
+        assert got == (ref_value.real.hex(), ref_value.imag.hex(), ref_bound.hex()), angles
