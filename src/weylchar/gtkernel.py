@@ -1,12 +1,11 @@
 """Gelfand-Tsetlin aggregation kernel.
 
 `run_counts` is the hot primitive behind weight distributions and exact
-characters, and the one entry to the kernel.  `pairing_counts`, for weight
-distributions, tallies per-coordinate coefficients into its runs; exact
-characters hand it the tally of their eigenvalues directly.
+characters, and the one entry to the kernel: weight distributions hand it the
+runs of F's diagonal, and exact characters the tally of their eigenvalues.
 `group_counts` serves no route of the package: `perfbench`'s gate,
 `benchmarks/bench_gt.py`'s checksums and the tests' GT-sum reference
-`eval_by_gt` call it by name.  All count the GT patterns of one irrep by an
+`eval_by_gt` call it by name.  Both count the GT patterns of one irrep by an
 integer linear functional of the pattern's weight w: `run_counts` keys
 each pattern by k = sum_i c_i w_i for integer coefficients c_i, given as
 runs {c: number of coordinates} (c = the diagonal of F gives k = <F, w>; at
@@ -34,10 +33,11 @@ multiplicities, depends on neither the run's coefficient nor the runs below,
 so `_table(lam, m)` builds it once, as one flat tuple (nu, drop, mult, nu,
 drop, mult, ...), in a shared `lru_cache` of `NODE_CACHE_SIZE` tables; the
 jump itself only adds c * drop to each key and multiplies the counts by
-mult.  Every caller shares the tables: `pairing_counts` at any coefficients,
-and through it `group_counts`.  A warm jump therefore computes no
-multiplicity, and the table's own nu tuples key the memo nodes below it.  One pass of the `perfbench` `exact_sweep` workload
-builds 1,968 tables holding 17,058 rows (4,916 with m = 1, 9,281 with m = 2,
+mult.  Every caller shares the tables, at any coefficients: weight
+distributions, exact characters and `group_counts`.  A warm jump therefore
+computes no multiplicity, and the table's own nu tuples key the memo nodes
+below it.  One pass of the `perfbench` `exact_sweep` workload builds 1,968
+tables holding 17,058 rows (4,916 with m = 1, 9,281 with m = 2,
 2,660 with m = 3 and 201 with m >= 4), but only 457 distinct rows, so `_row`
 keeps one shared copy of each (in an `lru_cache` of `NODE_CACHE_SIZE` rows).
 Peak RSS after five passes then rises by 0.45 MB over a kernel without
@@ -116,16 +116,6 @@ def run_counts(entries: tuple[int, ...], runs: dict[int, int]) -> dict[int, int]
     return _counts(tuple(entries), tuple(order))
 
 
-def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[int, int]:
-    """`run_counts` with one coefficient per coordinate: coeffs[i] for w_i."""
-    if len(coeffs) != len(entries):
-        raise ValueError("coeffs must give every coordinate a coefficient")
-    runs: dict[int, int] = {}
-    for c in coeffs:
-        runs[c] = runs.get(c, 0) + 1
-    return run_counts(entries, runs)
-
-
 def group_counts(
     entries: tuple[int, ...], groups: tuple[int, ...], ngroups: int
 ) -> dict[tuple[int, ...], int]:
@@ -154,8 +144,13 @@ def group_counts(
         sizes[g] += 1
     lows = [m * lo for m in sizes]
     offset = sum(base**g * low for g, low in enumerate(lows))
+    # With every entry equal, base is 1 and all groups share one run.
+    runs: dict[int, int] = {}
+    for g, m in enumerate(sizes):
+        if m:
+            runs[base**g] = runs.get(base**g, 0) + m
     out: dict[tuple[int, ...], int] = {}
-    for k, n in pairing_counts(entries, tuple(base**g for g in groups)).items():
+    for k, n in run_counts(entries, runs).items():
         k -= offset
         e = []
         for low in lows:

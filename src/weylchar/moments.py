@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from weylchar.combinatorics import Signature, partitions_of
 from weylchar.exact import common_denominator
-from weylchar.gtkernel import pairing_counts
+from weylchar.gtkernel import run_counts
 from weylchar.symfunc import (
     power_sum_weights,
     schur_dim,
@@ -160,7 +160,10 @@ def weight_distribution(sig: Signature, f: TraceZeroSigned) -> WeightDistributio
     """Exact distribution of the F-pairing of GT weights of the irrep sig."""
     if f.d != sig.d:
         raise ValueError(f"F lives on d = {f.d}, signature on d = {sig.d}")
-    tally = pairing_counts(sig.entries, f.diagonal())
+    # F's diagonal as runs {coefficient: length}; `run_counts` refuses a run of length 0.
+    half = f.r // 2
+    runs = {c: n for c, n in ((1, half), (-1, half), (0, f.d - f.r)) if n}
+    tally = run_counts(sig.entries, runs)
     # The Weyl dimension, not the tally's total: the sum-to-one check then
     # tests the kernel's pattern count against it.
     return WeightDistribution(tally, weyl_dim(sig))

@@ -5,7 +5,11 @@ factorials mix scales badly, so masses are assembled in log space above 170!
 and every report carries the bound on the part that was cut off.  Each check
 tabulates a rate's masses 0..T once (`_masses`) and reads that one table for
 its sums, its tail and its products; every entry is bit-identical to
-`poisson_mass` at the same (t, k).
+`poisson_mass` at the same (t, k).  The kernels are products of one Poisson
+law per rate, and every check keeps them so: it works on one mass vector per
+coordinate, and no check builds a joint grid keyed by lattice points.  The
+semigroup check forms the product masses in grid order, as flat lists, only
+to check and compare them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+from weylchar.errors import InvariantError
 
 _LOG_THRESHOLD = 170
 # float(k!) for k <= _LOG_THRESHOLD.  Each is k! correctly rounded, which is
@@ -68,51 +74,40 @@ def poisson_mass(t: float, k: int) -> float:
 
 
 def poisson_tail(t: float, k: int) -> float:
-    """Upper bound on P(X > k) for X Poisson(t); exact partial-sum complement."""
+    """1 - P(X <= k) for X Poisson(t), as the float complement of the partial sum.
+
+    The masses 0..k are summed in order and the sum is taken from 1, floored
+    at 0.  That is not certified as an upper bound on P(X > k): once the sum
+    rounds to 1 the result is 0.0, as at (5, 40) and (1, 30), where the true
+    tails are 1.0e-23 and 4.6e-35.  ROADMAP item 4 holds the certified tail.
+    """
     return _complement(_mass_terms(t, range(k + 1)))
+
+
+def _rates(values) -> tuple[float, ...]:
+    """The rates as floats, refused unless each is positive and finite."""
+    rates = tuple(float(x) for x in values)
+    # Written so that a NaN fails it too.
+    if not all(0 < x < math.inf for x in rates):
+        raise ValueError("rates must be positive and finite")
+    return rates
 
 
 @dataclass(frozen=True)
 class PoissonKernelParams:
-    """Positive rate vector a = (a_1, ..., a_m) of the product-Poisson kernel."""
+    """Positive, finite rate vector a = (a_1, ..., a_m) of the product-Poisson kernel, as floats."""
 
     a: tuple
 
     def __post_init__(self):
-        a = tuple(Fraction(x) if isinstance(x, (int, Rational)) else float(x) for x in self.a)
-        if not a or any(x <= 0 for x in a):
+        a = _rates(self.a)
+        if not a:
             raise ValueError("rates must be positive")
         object.__setattr__(self, "a", a)
 
     @property
     def m(self) -> int:
         return len(self.a)
-
-    def floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.a)
-
-
-@dataclass(frozen=True)
-class LatticeDistribution:
-    """Truncated distribution on nonnegative integer tuples with a tail bound.
-
-    The stored masses plus the certified tail account for all probability:
-    sum(probs) <= 1 and sum(probs) + tail_bound covers 1 up to roundoff.
-    """
-
-    probs: dict[tuple[int, ...], float]
-    tail_bound: float
-
-    def __post_init__(self):
-        probs = {tuple(k): float(v) for k, v in self.probs.items() if v}
-        if any(v < 0 for v in probs.values()):
-            raise ValueError("negative mass")
-        total = sum(probs.values())
-        if total > 1 + 1e-9:
-            raise ValueError(f"mass {total} exceeds 1")
-        if total + self.tail_bound < 1 - 1e-6:
-            raise ValueError("tail bound does not cover the missing mass")
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -128,19 +123,22 @@ def _check_truncation(truncation: int) -> None:
         raise ValueError(f"truncation must be nonnegative, got {truncation}")
 
 
-def _box_product(vectors) -> dict[tuple[int, ...], float]:
-    """Joint masses on the box: the product of one mass vector per coordinate."""
-    probs = {(): 1.0}
-    for vec in vectors:
-        probs = {y + (z,): p * v for y, p in probs.items() for z, v in enumerate(vec)}
-    return probs
+def _grid_masses(vectors, tail: float) -> list[float]:
+    """The product masses on the grid, first coordinate slowest, after three checks.
 
-
-def kernel_row(params: PoissonKernelParams, scale: int, truncation: int) -> LatticeDistribution:
-    """Row of the scale-fold kernel from the origin, truncated to a box."""
-    tables = [_masses(scale * r, truncation) for r in params.floats()]
-    tail = sum(_complement(masses) for masses in tables)
-    return LatticeDistribution(_box_product(tables), tail)
+    Each mass is the product of one entry per vector, formed left to right.
+    None may be negative, their sum in grid order may not pass 1, and with
+    the tail it must cover 1; a table that breaks one is a bug, not bad input.
+    """
+    masses = list(map(math.prod, itertools.product(*vectors)))
+    if min(masses) < 0:
+        raise InvariantError("negative mass")
+    total = sum(masses)
+    if total > 1 + 1e-9:
+        raise InvariantError(f"mass {total} exceeds 1")
+    if total + tail < 1 - 1e-6:
+        raise InvariantError("tail bound does not cover the missing mass")
+    return masses
 
 
 def kstep_semigroup_check(
@@ -152,13 +150,15 @@ def kstep_semigroup_check(
     jump of rate k*a on the grid [0, truncation]^m; the deviation must stay
     below the convolution's truncation tail.  The kernel and the box are both
     products over coordinates, so the k steps run on one 1-D vector per
-    coordinate and the joint masses are their products on the grid.
+    coordinate, the direct jump is one mass table per coordinate, and the
+    joint masses are their products, formed in grid order only to be checked
+    and compared.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
     _check_truncation(truncation)
-    marginals = []
-    for ai in params.floats():
+    iterated, direct = [], []
+    for ai in params.a:
         pm = _masses(ai, truncation)
         vec = [1.0] + [0.0] * truncation
         for _ in range(k):
@@ -168,17 +168,14 @@ def kstep_semigroup_check(
                     for z in range(truncation + 1 - x):
                         new[x + z] += px * pm[z]
             vec = new
-        marginals.append(vec)
-    probs = _box_product(marginals)
-    direct = kernel_row(params, k, truncation)
+        iterated.append(vec)
+        direct.append(_masses(k * ai, truncation))
+    tail = sum(_complement(masses) for masses in direct)
     # Increments are nonnegative, so a k-step path leaves the box exactly when
     # its endpoint does: the iterated row misses the same mass as the direct row.
-    iterated = LatticeDistribution(probs, direct.tail_bound)
-    iterated_probs, direct_probs = iterated.probs, direct.probs
-    worst = 0.0
-    for y in probs:
-        worst = max(worst, abs(iterated_probs.get(y, 0.0) - direct_probs.get(y, 0.0)))
-    tail = direct.tail_bound
+    direct_masses = _grid_masses(direct, tail)
+    iterated_masses = _grid_masses(iterated, tail)
+    worst = max(map(abs, map(operator.sub, iterated_masses, direct_masses)))
     return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))
 
 
@@ -271,15 +268,6 @@ class SeriesReport:
     passed: bool
 
 
-def _rates(values) -> tuple[float, ...]:
-    """The rates as floats, refused unless each is positive and finite."""
-    rates = tuple(float(x) for x in values)
-    # Written so that a NaN fails it too.
-    if not all(0 < x < math.inf for x in rates):
-        raise ValueError("rates must be positive and finite")
-    return rates
-
-
 def poisson_series_check(
     a, b, n: int, tau_values, tauprime_values=None, truncation: int = 60
 ) -> SeriesReport:
@@ -292,6 +280,8 @@ def poisson_series_check(
     """
     a = _rates(a)
     b = _rates(b)
+    if not a + b:
+        raise ValueError("need at least one rate")
     if n < 0:
         raise ValueError("level n must be nonnegative")
     _check_truncation(truncation)
@@ -361,6 +351,8 @@ def binomial_reexpansion_check(
     at level n and at level m after embedding.
     """
     a = _rates(a)
+    if not a:
+        raise ValueError("need at least one rate")
     tau = tuple(complex(v) for v in tau_values)
     if len(tau) != len(a):
         raise ValueError("one trace value per rate")

@@ -26,7 +26,13 @@ read one table of masses per rate, are checked bit for bit against the forms
 that made every mass afresh for each use: one `exp(-t)` and one int `k!` per
 mass (`poisson_mass_ref`), the tail as a loop over it (`poisson_tail_ref`), and
 the series and re-expansion checks built on the two
-(`poisson_series_check_ref`, `binomial_reexpansion_check_ref`).
+(`poisson_series_check_ref`, `binomial_reexpansion_check_ref`).  The
+semigroup check, which compares the per-coordinate products point by point,
+is checked field for field against the form that expanded both rows into
+tuple-keyed dicts over the whole grid (`box_kstep_semigroup_check`, with
+its `box_kernel_row`, `_box_product` and `LatticeDistribution`).  The GT
+kernel's one entry takes its coefficients as runs; the tests that give one
+coefficient per coordinate tally them through `pairing_counts`.
 
 The rest are fixtures that several test files share.  The staircase
 spectrum `rho`, `spectrum_sum` and the Fraction closed form of the partition
@@ -56,11 +62,16 @@ from weylchar.combinatorics import (
 )
 from weylchar.errors import BudgetExceeded, InvariantError
 from weylchar.exact import QQI_I, QQI_ONE, QQi
-from weylchar.gtkernel import group_counts
+from weylchar.gtkernel import group_counts, run_counts
 from weylchar.moments import HermitianSpectrum
 from weylchar.poisson import (
+    PoissonKernelParams,
     ReexpansionReport,
+    SemigroupReport,
     SeriesReport,
+    _check_truncation,
+    _complement,
+    _masses,
     chi_tau_tauprime,
     embedded_trace_values,
 )
@@ -166,6 +177,16 @@ def brute_force_counts(entries, groups, ngroups) -> dict[tuple[int, ...], int]:
             e[g] += w
         out[tuple(e)] = out.get(tuple(e), 0) + 1
     return out
+
+
+def pairing_counts(entries: tuple[int, ...], coeffs: tuple[int, ...]) -> dict[int, int]:
+    """`run_counts` with one coefficient per coordinate: coeffs[i] for w_i."""
+    if len(coeffs) != len(entries):
+        raise ValueError("coeffs must give every coordinate a coefficient")
+    runs: dict[int, int] = {}
+    for c in coeffs:
+        runs[c] = runs.get(c, 0) + 1
+    return run_counts(entries, runs)
 
 
 def two_row_strips(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
@@ -702,3 +723,73 @@ def binomial_reexpansion_check_ref(a, n: int, m: int, tau, truncation: int) -> R
         and char_dev <= 1e-10
     )
     return ReexpansionReport(row_dev, proj_dev, char_dev, binom_dev, tail, passed)
+
+
+@dataclass(frozen=True)
+class LatticeDistribution:
+    """Truncated distribution on nonnegative integer tuples with a tail bound.
+
+    The stored masses plus the certified tail account for all probability:
+    sum(probs) <= 1 and sum(probs) + tail_bound covers 1 up to roundoff.
+    """
+
+    probs: dict[tuple[int, ...], float]
+    tail_bound: float
+
+    def __post_init__(self):
+        probs = {tuple(k): float(v) for k, v in self.probs.items() if v}
+        if any(v < 0 for v in probs.values()):
+            raise ValueError("negative mass")
+        total = sum(probs.values())
+        if total > 1 + 1e-9:
+            raise ValueError(f"mass {total} exceeds 1")
+        if total + self.tail_bound < 1 - 1e-6:
+            raise ValueError("tail bound does not cover the missing mass")
+        object.__setattr__(self, "probs", probs)
+
+
+def _box_product(vectors) -> dict[tuple[int, ...], float]:
+    """Joint masses on the box: the product of one mass vector per coordinate."""
+    probs = {(): 1.0}
+    for vec in vectors:
+        probs = {y + (z,): p * v for y, p in probs.items() for z, v in enumerate(vec)}
+    return probs
+
+
+def box_kernel_row(params: PoissonKernelParams, scale: int, truncation: int) -> LatticeDistribution:
+    """Row of the scale-fold kernel from the origin, truncated to a box."""
+    tables = [_masses(scale * r, truncation) for r in params.a]
+    tail = sum(_complement(masses) for masses in tables)
+    return LatticeDistribution(_box_product(tables), tail)
+
+
+def box_kstep_semigroup_check(
+    params: PoissonKernelParams, k: int, truncation: int = 40
+) -> SemigroupReport:
+    """`poisson.kstep_semigroup_check` over the joint grid as tuple-keyed dicts."""
+    if k < 1:
+        raise ValueError("k >= 1 required")
+    _check_truncation(truncation)
+    marginals = []
+    for ai in params.a:
+        pm = _masses(ai, truncation)
+        vec = [1.0] + [0.0] * truncation
+        for _ in range(k):
+            new = [0.0] * (truncation + 1)
+            for x, px in enumerate(vec):
+                if px:
+                    for z in range(truncation + 1 - x):
+                        new[x + z] += px * pm[z]
+            vec = new
+        marginals.append(vec)
+    probs = _box_product(marginals)
+    direct = box_kernel_row(params, k, truncation)
+    # Increments are nonnegative, so a k-step path leaves the box exactly when
+    # its endpoint does: the iterated row misses the same mass as the direct row.
+    iterated = LatticeDistribution(probs, direct.tail_bound)
+    iterated_probs, direct_probs = iterated.probs, direct.probs
+    worst = 0.0
+    for y in probs:
+        worst = max(worst, abs(iterated_probs.get(y, 0.0) - direct_probs.get(y, 0.0)))
+    tail = direct.tail_bound
+    return SemigroupReport(k, worst, tail, worst <= max(tail, 1e-10))

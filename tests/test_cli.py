@@ -598,6 +598,7 @@ def test_encoder_refuses_an_unknown_type():
          "rates must be positive and finite"),
         (["poisson", "--series-n", "-1", "--kernel-a", "1", "--tau", "0.5,0"],
          "level n must be nonnegative"),
+        (["poisson", "--series-n", "2", "--kernel-a", " "], "need at least one rate"),
     ],
 )
 def test_input_refusals_exit_2(capsys, argv, fragment):

@@ -14,6 +14,7 @@ from reference import (
     J_closed_ref,
     brute_force_counts,
     fraction_weight_hciz_power_sum,
+    pairing_counts,
     power_sum_value,
     rho,
     spectrum_sum,
@@ -21,7 +22,6 @@ from reference import (
 from weylchar import moments
 from weylchar.cli import main
 from weylchar.combinatorics import Signature, signatures_with_entries
-from weylchar.gtkernel import pairing_counts
 from weylchar.moments import (
     MC_BATCH,
     MC_CHUNK,

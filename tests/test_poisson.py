@@ -8,22 +8,25 @@ from fractions import Fraction
 import pytest
 
 from reference import (
+    LatticeDistribution,
     binomial_reexpansion_check_ref,
+    box_kernel_row,
+    box_kstep_semigroup_check,
     poisson_mass_ref,
     poisson_series_check_ref,
     poisson_tail_ref,
 )
+from weylchar import poisson
 from weylchar.cli import main
+from weylchar.errors import InvariantError
 from weylchar.poisson import (
     _LOG_THRESHOLD,
-    LatticeDistribution,
     PoissonKernelParams,
     SemigroupReport,
     _masses,
     binomial_reexpansion_check,
     chi_tau_tauprime,
     embedded_trace_values,
-    kernel_row,
     kstep_semigroup_check,
     poisson_mass,
     poisson_series_check,
@@ -37,15 +40,15 @@ F = Fraction
 
 def test_kernel_examples():
     p1 = PoissonKernelParams((1,))
-    assert abs(kernel_row(p1, 1, 5).probs[(0,)] - math.exp(-1)) < 1e-15
+    assert abs(box_kernel_row(p1, 1, 5).probs[(0,)] - math.exp(-1)) < 1e-15
     p12 = PoissonKernelParams((1, 2))
-    assert abs(kernel_row(p12, 1, 5).probs[(1, 0)] - math.exp(-3)) < 1e-15
+    assert abs(box_kernel_row(p12, 1, 5).probs[(1, 0)] - math.exp(-3)) < 1e-15
 
 
 def test_kernel_rows_sum_to_one():
     for rates in ((1,), (F(1, 2), 2), (1, 1, F(3, 2))):
         params = PoissonKernelParams(rates)
-        row = kernel_row(params, 1, 24)
+        row = box_kernel_row(params, 1, 24)
         total = 0.0
         for y in itertools.product(range(25), repeat=params.m):
             total += row.probs.get(y, 0.0)
@@ -53,10 +56,19 @@ def test_kernel_rows_sum_to_one():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rates must be positive$"):
         PoissonKernelParams(())
     with pytest.raises(ValueError):
         PoissonKernelParams((0,))
+    # `_rates`, the rate check of every Poisson entry, refuses an infinite or
+    # NaN rate here, not later in the mass table.
+    for bad in ((math.inf,), (1, math.nan), (-1,), (F(-1, 2),)):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            PoissonKernelParams(bad)
+    # The rates are held as floats, float(Fraction) for a rational one.
+    params = PoissonKernelParams((F(1, 3), 2, 0.25))
+    assert params.a == (float(F(1, 3)), 2.0, 0.25) and params.m == 3
+    assert all(type(x) is float for x in params.a)
 
 
 def test_kstep_semigroup():
@@ -75,7 +87,7 @@ def _kstep_semigroup_check_ref(params, k, truncation=40):
     if k < 1:
         raise ValueError("k >= 1 required")
     m = params.m
-    rates = params.floats()
+    rates = params.a
     grid = list(itertools.product(range(truncation + 1), repeat=m))
     probs = {(0,) * m: 1.0}
     for _ in range(k):
@@ -94,7 +106,7 @@ def _kstep_semigroup_check_ref(params, k, truncation=40):
                     new[y] = new.get(y, 0.0) + mass
         probs = new
     iterated = LatticeDistribution(probs, sum(poisson_tail_ref(k * ai, truncation) for ai in rates))
-    direct = kernel_row(params, k, truncation)
+    direct = box_kernel_row(params, k, truncation)
     worst = 0.0
     for y in grid:
         worst = max(worst, abs(iterated.probs.get(y, 0.0) - direct.probs.get(y, 0.0)))
@@ -128,7 +140,7 @@ def test_kstep_matches_joint_convolution():
 
 def _kernel_row_ref(params, scale, truncation):
     """The joint-grid row that the per-coordinate mass products replaced."""
-    rates = tuple(scale * r for r in params.floats())
+    rates = tuple(scale * r for r in params.a)
     probs = {}
     for y in itertools.product(range(truncation + 1), repeat=params.m):
         mass = 1.0
@@ -152,10 +164,78 @@ def test_kernel_row_matches_joint_grid():
     ):
         params = PoissonKernelParams(rates)
         for scale in (1, 3):
-            new = kernel_row(params, scale, truncation)
+            new = box_kernel_row(params, scale, truncation)
             ref = _kernel_row_ref(params, scale, truncation)
             assert new.probs == ref.probs, (rates, truncation, scale)
             assert new.tail_bound == ref.tail_bound
+
+
+def _assert_same_report(new, ref, case):
+    assert (new.k, new.passed) == (ref.k, ref.passed), case
+    assert new.max_deviation.hex() == ref.max_deviation.hex(), case
+    assert new.tail_bound.hex() == ref.tail_bound.hex(), case
+
+
+def test_kstep_equals_the_box_product_form():
+    # The products are formed as the joint-grid dicts formed them, left to
+    # right, so every field keeps its bits.
+    for rates, truncations in (
+        ((1,), (0, 1, 7, 30, 60, 120)),
+        ((F(3, 2),), (0, 20, 200)),
+        ((0.37,), (5, 35)),
+        ((350.0,), (60,)),
+        ((1, 1), (0, 3, 15, 40)),
+        ((F(1, 2), 2), (1, 20, 60)),
+        ((0.25, F(5, 4)), (30,)),
+        ((F(1, 8), F(1, 6), 3), (0, 4, 8)),
+        ((0.9, F(1, 3), F(7, 4)), (10, 16)),
+    ):
+        params = PoissonKernelParams(rates)
+        for truncation in truncations:
+            for k in (1, 2, 3, 4):
+                case = (rates, truncation, k)
+                _assert_same_report(kstep_semigroup_check(params, k, truncation),
+                                    box_kstep_semigroup_check(params, k, truncation), case)
+    import random
+
+    rng = random.Random(30)
+    for _ in range(120):
+        m = rng.randint(1, 3)
+        rates = tuple(rng.choice((round(rng.uniform(0.05, 4.0), 3), F(rng.randint(1, 12), 4)))
+                      for _ in range(m))
+        truncation = rng.randint(0, (60, 40, 14)[m - 1])
+        k = rng.randint(1, 4)
+        params = PoissonKernelParams(rates)
+        case = (rates, truncation, k)
+        _assert_same_report(kstep_semigroup_check(params, k, truncation),
+                            box_kstep_semigroup_check(params, k, truncation), case)
+
+
+@pytest.mark.parametrize("fragment", ("negative mass", "exceeds 1", "does not cover"))
+def test_kstep_mass_checks_are_invariants(monkeypatch, capsys, fragment):
+    # The real tables pass the checks, as the box rows did.
+    row = box_kernel_row(PoissonKernelParams((1, F(1, 2))), 2, truncation=30)
+    total = sum(row.probs.values())
+    assert total <= 1 + 1e-12
+    assert total + row.tail_bound >= 1 - 1e-9
+    assert kstep_semigroup_check(PoissonKernelParams((1, F(1, 2))), 2, truncation=30).passed
+    # A table that breaks one is a bug in the masses, not bad input.
+    masses = poisson._masses
+
+    def broken(t, truncation):
+        table = masses(t, truncation)
+        if fragment == "negative mass":
+            return [-0.5, 1.5] + table[2:]
+        if fragment == "exceeds 1":
+            return [0.7, 0.7] + table[2:]
+        # Only the one-step table loses mass, so the direct row's tail is tiny.
+        return [0.5] + [0.0] * truncation if t == 1.0 else table
+
+    monkeypatch.setattr(poisson, "_masses", broken)
+    with pytest.raises(InvariantError, match=fragment):
+        kstep_semigroup_check(PoissonKernelParams((1,)), 2, truncation=30)
+    assert main(["poisson", "--kstep-k", "2", "--kernel-a", "1"]) == 4
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", (0, 0.0, 1e-300, 0.5, 12.6, 699.9, 700, 700.0, 1000.0))
@@ -402,22 +482,9 @@ def test_binomial_reexpansion():
     assert rep2.passed
 
 
-def test_lattice_distribution_invariants():
-    from weylchar.poisson import LatticeDistribution, kernel_row
-
-    row = kernel_row(PoissonKernelParams((1, F(1, 2))), 2, truncation=30)
-    total = sum(row.probs.values())
-    assert total <= 1 + 1e-12
-    assert total + row.tail_bound >= 1 - 1e-9
-    with pytest.raises(ValueError):
-        LatticeDistribution({(0,): 0.5}, 0.0)  # huge missing mass, tiny bound
-
-
 @pytest.mark.parametrize(
     "call, fragment",
     [
-        (lambda: LatticeDistribution({(0,): -0.5, (1,): 1.5}, 0.0), "negative mass"),
-        (lambda: LatticeDistribution({(0,): 0.7, (1,): 0.7}, 0.0), "exceeds 1"),
         (lambda: tv_bound(0, 1), "rate must be positive"),
         (lambda: poisson_series_check((1,), (), 1, [0.5, 0.5]), "one trace value per rate"),
         (lambda: binomial_reexpansion_check((1,), 1, 2, [0.5, 0.5]), "one trace value per rate"),
@@ -438,6 +505,8 @@ def test_lattice_distribution_invariants():
         (lambda: poisson_mass(-1.0, -1), "rate must be nonnegative"),
         (lambda: poisson_tail(-1.0, 3), "rate must be nonnegative"),
         (lambda: poisson_tail(math.inf, 5), "rate must be nonnegative and finite"),
+        (lambda: poisson_series_check((), (), 2, []), "need at least one rate"),
+        (lambda: binomial_reexpansion_check((), 1, 2, ()), "need at least one rate"),
     ],
 )
 def test_input_refusals(call, fragment):

@@ -20,6 +20,7 @@ from reference import (
     gt_weight,
     mp_alternant,
     mp_grouped_char,
+    pairing_counts,
     rational_approx_defect,
 )
 from weylchar.afalgebra import BlockUnitary, embed, preset_diagram
@@ -27,7 +28,6 @@ from weylchar.cli import main
 from weylchar.combinatorics import Partition, Signature, signature_from_pair
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi, phase_sum
-from weylchar.gtkernel import pairing_counts
 from weylchar.symfunc import weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
