@@ -22,7 +22,11 @@ eigenvalues, the route the phase count replaced.  Then a curve of
 with entries in [-4, 4] per d, and on the all-distinct staircase
 (d-1, ..., 1, 0) for d up to 256, each point the best of three runs, with a
 checksum over every dimension pinned with the accumulate-and-perm pair loop
-that the current one replaced.  Exits 1 unless every checksum matches.
+that the current one replaced.  Last a pair curve: `signature_from_pair` and
+`weyl_dim` on {2;1} and {2,1;1,1} at d in {2^8, 2^12, 2^16, 2^20}, with a
+checksum pinned on the code that built the d-tuple and tallied its runs on
+every call, then at d = 2^32 and 2^64, timed only.  Exits 1 unless every
+checksum matches.
 Usage: python3 benchmarks/bench_gt.py
 """
 
@@ -140,6 +144,21 @@ STAIRCASE_CURVE = {
 }
 
 
+# d -> checksum of the Weyl dimensions of `pair_dims(d)`.
+PAIR_CURVE = {
+    2**8: "f2e6b49a76d2593f",
+    2**12: "298f1ab7e87bbe53",
+    2**16: "512049abedad69ff",
+    2**20: "2eaf84b7880490cb",
+}
+PAIR_TIMED_ONLY = (2**32, 2**64)
+DIM_PAIRS = (((2,), (1,)), ((2, 1), (1, 1)))
+
+
+def pair_dims(d):
+    return [weyl_dim(signature_from_pair(Partition(lam), Partition(mu), d)) for lam, mu in DIM_PAIRS]
+
+
 def dim_signatures(d, count=100):
     rng = random.Random(d)
     return [Signature(tuple(sorted((rng.randint(-4, 4) for _ in range(d)), reverse=True)))
@@ -218,6 +237,16 @@ def main():
                 print(f"weyl_dim {label} d={d}: checksum {digest} != expected {expected}",
                       file=sys.stderr)
                 ok = False
+    print("signature_from_pair and weyl_dim on {2;1} and {2,1;1,1}, best of three:")
+    for d in (*PAIR_CURVE, *PAIR_TIMED_ONLY):
+        best, dims = best_of(lambda: pair_dims(d))
+        digest = hashlib.sha256(",".join(map(hex, dims)).encode()).hexdigest()[:16]
+        expected = PAIR_CURVE.get(d)
+        pinned = f"  (checksum {digest})" if expected else ""
+        print(f"  d=2^{d.bit_length() - 1:2d}: {best / len(dims) * 1e6:9.1f} us a pair{pinned}")
+        if expected and digest != expected:
+            print(f"pair d={d}: checksum {digest} != expected {expected}", file=sys.stderr)
+            ok = False
     return 0 if ok else 1
 
 

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from weylchar.combinatorics import Partition, _as_int_tuple, partitions_of, signature_from_pair
+from weylchar.combinatorics import EMPTY, Partition, _as_int_tuple, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQi, common_denominator, phase_sum, quarter_turn, unit_complex
-from weylchar.symfunc import dim_of_runs, exact_det, runs_of, schur_dim, sym_group_dim, weyl_dim
+from weylchar.symfunc import exact_det, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, char_eval, over_dim
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -622,12 +622,15 @@ def schur_weyl_defect(n: int, p: int, q: int) -> Fraction:
     d = 2**n
     if p + q > d:
         raise ValueError(f"pairs of lengths up to {p + q} do not fit in d = {d}")
+
+    def dim(lam, mu):
+        # The signature is held as its runs: the cost follows p + q, not d.
+        return weyl_dim(signature_from_pair(lam, mu, d))
+
+    poly_dims = {part: dim(part, EMPTY) for part in partitions_of(p) + partitions_of(q)}
     total = 0
     for lam in partitions_of(p):
         for mu in partitions_of(q):
-            # The runs of {mu; lam}: the cost follows p + q, not d.
-            zeros = [(0, d - lam.length - mu.length)]
-            runs = runs_of(lam) + zeros + runs_of(-m for m in reversed(mu))
-            gap = schur_dim(lam, d) * schur_dim(mu, d) - dim_of_runs(runs)
+            gap = poly_dims[lam] * poly_dims[mu] - dim(lam, mu)
             total += gap * sym_group_dim(lam) * sym_group_dim(mu)
     return Fraction(total, 2 ** (n * (p + q)))

@@ -1,8 +1,8 @@
 """Partitions and signatures.
 
 These are the index sets for everything else: partitions label symmetric-group
-irreps and polynomial U(d) irreps, and signatures label all rational U(d)
-irreps.
+irreps and polynomial U(d) irreps, and signatures, held as their runs of equal
+entries, label all rational U(d) irreps.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
@@ -87,47 +87,85 @@ def conjugate(row: tuple[int, ...], base: int = 0, top: int | None = None) -> tu
     return tuple([n - bisect.bisect_left(ascending, v) for v in range(base + 1, top + 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Signature:
-    """Weakly decreasing integer d-tuple; the length d is semantic."""
+    """Weakly decreasing integer d-tuple; the length d is semantic.
 
-    entries: tuple[int, ...]
+    Held, compared and hashed as its runs, (value, length) pairs with strictly
+    decreasing values, so {mu; lam} is l(lam) + l(mu) + 1 runs at any d.
+    `entries` is the d-tuple as given, or for `from_runs` built on first use.
+    """
 
-    def __post_init__(self):
-        entries = _as_int_tuple(self.entries)
-        if not entries:
+    runs: tuple[tuple[int, int], ...]
+    d: int = field(compare=False, repr=False)
+    _entries: tuple[int, ...] | None = field(compare=False, repr=False)
+
+    def __init__(self, entries):
+        entries = _as_int_tuple(entries)
+        self._set(_runs(entries), len(entries), entries)
+
+    @staticmethod
+    def from_runs(runs) -> "Signature":
+        """The signature with each value of the (value, length) runs repeated length times."""
+        runs, d = tuple(map(tuple, runs)), 0
+        for i, (v, n) in enumerate(runs):
+            if type(v) is not int or type(n) is not int or n < 1:
+                raise ValueError(f"runs must pair an int value with a positive int length, got {runs}")
+            if i and v >= runs[i - 1][0]:
+                raise ValueError(f"run values not strictly decreasing: {runs}")
+            d += n
+        return Signature.__new__(Signature)._set(runs, d, None)
+
+    def _set(self, runs, d, entries) -> "Signature":
+        if not runs:
             raise ValueError("signature must have length d >= 1")
-        if any(map(operator.lt, entries, entries[1:])):
-            raise ValueError(f"entries not weakly decreasing: {entries}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_entries", entries)
+        return self
 
     @property
-    def d(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[int, ...]:
+        if self._entries is None:
+            flat = itertools.chain.from_iterable(itertools.repeat(*run) for run in self.runs)
+            object.__setattr__(self, "_entries", tuple(flat))
+        return self._entries
 
     def to_json(self) -> dict:
         return {"d": self.d, "entries": list(self.entries)}
 
-    def __repr__(self):
-        return f"Signature{self.entries}"
-
 
 def signature_from_pair(lam: Partition, mu: Partition, d: int) -> Signature:
-    """Signature (lam_1,...,0,...,0,-mu_q,...,-mu_1) of length d."""
-    lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
-    if lam.length + mu.length > d:
-        raise ValueError(
-            f"pair does not fit: l(lam)+l(mu) = {lam.length + mu.length} > d = {d}"
-        )
-    zeros = (0,) * (d - lam.length - mu.length)
-    return Signature(lam.parts + zeros + tuple(-m for m in reversed(mu.parts)))
+    """Signature (lam_1,...,0,...,0,-mu_q,...,-mu_1) of length d, built as its runs."""
+    lam, mu = (x if type(x) is Partition else Partition(tuple(x)) for x in (lam, mu))
+    length = lam.length + mu.length
+    if length > d:
+        raise ValueError(f"pair does not fit: l(lam)+l(mu) = {length} > d = {d}")
+    zeros = ((0, d - length),) if length < d else ()
+    return Signature.from_runs(_runs(lam.parts) + zeros + _runs(tuple(-m for m in reversed(mu))))
+
+
+def _runs(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(value, length) of each run of equal entries, in one scan that refuses an increase."""
+    if not entries:
+        return ()
+    runs = []
+    start, prev = 0, entries[0]
+    for i, e in enumerate(entries):
+        if e != prev:
+            if e > prev:
+                raise ValueError(f"entries not weakly decreasing: {entries}")
+            runs.append((prev, i - start))
+            start, prev = i, e
+    runs.append((prev, len(entries) - start))
+    return tuple(runs)
 
 
 def signature_to_pair(sig: Signature) -> tuple[Partition, Partition]:
-    """Inverse of signature_from_pair: (positive parts, negated reversed negatives)."""
-    pos = tuple(e for e in sig.entries if e > 0)
-    neg = tuple(-e for e in reversed(sig.entries) if e < 0)
-    return Partition(pos), Partition(neg)
+    """Inverse of signature_from_pair, read from the runs: positive parts, negated negatives."""
+    lam = tuple(v for v, n in sig.runs if v > 0 for _ in range(n))
+    mu = tuple(-v for v, n in reversed(sig.runs) if v < 0 for _ in range(n))
+    return Partition(lam), Partition(mu)
 
 
 @cache

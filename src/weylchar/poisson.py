@@ -84,12 +84,12 @@ def poisson_tail(t: float, k: int) -> float:
     return _complement(_mass_terms(t, range(k + 1)))
 
 
-def _rates(values) -> tuple[float, ...]:
+def _rates(values, name: str = "rates") -> tuple[float, ...]:
     """The rates as floats, refused unless each is positive and finite."""
     rates = tuple(float(x) for x in values)
     # Written so that a NaN fails it too.
     if not all(0 < x < math.inf for x in rates):
-        raise ValueError("rates must be positive and finite")
+        raise ValueError(f"{name} must be positive and finite")
     return rates
 
 
@@ -187,9 +187,8 @@ def tv_bound(a_i, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    t = float(a_i) * k
-    if t <= 0:
-        raise ValueError("rate must be positive")
+    # k a_i can overflow to inf: `_rates` refuses that as it refuses a NaN or a rate <= 0.
+    (t,) = _rates((float(a_i) * k,), "rate")
     return 2.0 * poisson_mass(t, math.floor(t))
 
 

@@ -9,7 +9,6 @@ walk, and determinants over exact fields.  Character values live in
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cache
@@ -23,31 +22,17 @@ POWER_SUM_MAX_N = 12
 def weyl_dim(sig: Signature) -> int:
     """dim of the U(d) irrep with highest weight sig: prod (e_i - e_j + j - i)/(j - i).
 
-    One scan finds the runs of equal entries, and `dim_of_runs` takes the
-    product over them.
-    """
-    return dim_of_runs(runs_of(sig.entries))
-
-
-def runs_of(entries) -> list[tuple[int, int]]:
-    """(value, length) of each run of equal entries, in order."""
-    return [(v, len(list(run))) for v, run in itertools.groupby(entries)]
-
-
-def dim_of_runs(runs: list[tuple[int, int]]) -> int:
-    """weyl_dim of the signature made of runs (value, length) with decreasing values.
-
-    Pairs inside a run contribute 1 and are skipped.  For two runs with value
-    gap c, fix one element of the shorter run; the factors along the longer
-    run (length n) then form the ratio of falling factorials
-    perm(hi + c, n) / perm(hi, n), hi the largest index distance, which
-    telescopes to min(c, n) factors on each side.  When min(c, n) = 1, as for
-    most pairs at small d, the factors are hi + c and hi + c - max(c, n)
+    Taken over `sig.runs`: pairs inside a run contribute 1 and are skipped.
+    For two runs with value gap c, fix one element of the shorter run; the
+    factors along the longer run (length n) then form the ratio of falling
+    factorials perm(hi + c, n) / perm(hi, n), hi the largest index distance,
+    which telescopes to min(c, n) factors on each side.  When min(c, n) = 1,
+    as for most pairs at small d, the factors are hi + c and hi + c - max(c, n)
     themselves, appended with no `math.perm` call.  The cost grows with the
-    number of run pairs times the shorter run, not with d^2, so a signature
-    such as {mu; lam} at d = 2^64, whose zeros form one run, costs what it
-    costs at small d.
+    number of run pairs times the shorter run, not with d^2, so {mu; lam} at
+    d = 2^64, whose zeros form one run, costs what it costs at small d.
     """
+    runs = sig.runs
     num: list[int] = []
     den: list[int] = []
     for a in range(len(runs)):
@@ -83,14 +68,6 @@ def _product(factors: list[int]) -> int:
         return math.prod(factors)
     half = len(factors) // 2
     return _product(factors[:half]) * _product(factors[half:])
-
-
-def schur_dim(lam: Partition, d: int) -> int:
-    """s_lam(1_d), the dimension of the polynomial irrep lam of U(d)."""
-    lam = Partition(tuple(lam))
-    if lam.length > d:
-        raise ValueError(f"l(lam) = {lam.length} exceeds d = {d}")
-    return dim_of_runs(runs_of(lam.parts) + [(0, d - lam.length)])
 
 
 @cache

@@ -25,13 +25,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Rational
 
-from weylchar.combinatorics import (
-    Partition,
-    Signature,
-    conjugate,
-    rows_between,
-    signature_to_pair,
-)
+from weylchar.combinatorics import Partition, Signature, conjugate, rows_between, signature_to_pair
 from weylchar.errors import DIM_BUDGET, BudgetExceeded, InvariantError
 from weylchar.exact import phase_sum, quarter_turn, unit_complex
 from weylchar.gtkernel import run_counts
@@ -215,21 +209,17 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
     """
     if sig.d != u.d:
         raise ValueError(f"dimension mismatch: signature d={sig.d}, unitary d={u.d}")
-    entries = sig.entries
-    d = len(entries)
-    lam = tuple(e for e in entries if e > 0)
-    mu = tuple(-e for e in reversed(entries) if e < 0)
-    p, q = len(lam), len(mu)
+    lam, mu, d = *signature_to_pair(sig), sig.d
+    p, q, lam1, mu1 = lam.length, mu.length, lam.part(0), mu.part(0)
     if p + q == 0:
         return 1 + 0j, 0.0
-    lam1, mu1 = (lam or (0,))[0], (mu or (0,))[0]
     # Both forms read the series up to this index; e_k vanishes past d.
     top = max(lam1 + p, mu1 + q) - 1
     dual = p + q >= lam1 + mu1
     if dual:
-        below, above, kmax = conjugate(lam), conjugate(mu), min(top, d)
+        below, above, kmax = conjugate(lam.parts), conjugate(mu.parts), min(top, d)
     else:
-        below, above, kmax = lam, mu, top
+        below, above, kmax = lam.parts, mu.parts, top
     series = [1 + 0j] + [0j] * kmax
     # `steps` sums min(c, kmax + 3) over the groups: the sums a monomial
     # passes through, at most, apart from those its own factors add.
@@ -364,10 +354,9 @@ class BlockDecomposition:
     components: tuple[tuple[Signature, Signature, int], ...]
 
     def total_dim(self) -> int:
-        # Keyed by entries: a tuple hashes in C, a dataclass through Python.
-        sigs = {s.entries: s for comp in self.components for s in comp[:2]}
-        dims = {entries: weyl_dim(s) for entries, s in sigs.items()}
-        return sum(m * dims[s1.entries] * dims[s2.entries] for s1, s2, m in self.components)
+        sigs = {s.runs: s for comp in self.components for s in comp[:2]}
+        dims = {runs: weyl_dim(s) for runs, s in sigs.items()}
+        return sum(m * dims[s1.runs] * dims[s2.runs] for s1, s2, m in self.components)
 
 
 def _det_shift(sig: Signature) -> tuple[int, Partition]:
@@ -454,20 +443,18 @@ def check_branching_inequalities(decomposition, source) -> BranchingReport:
     """
 
     def sizes(*sigs):
-        pairs = [signature_to_pair(sig) for sig in sigs]
-        return sum(lam.size for lam, _ in pairs), sum(mu.size for _, mu in pairs)
+        runs = [run for sig in sigs for run in sig.runs]
+        return sum(v * n for v, n in runs if v > 0), -sum(v * n for v, n in runs if v < 0)
 
     if isinstance(decomposition, BlockDecomposition):
-        kind, whole = "restriction", sizes(source)
-        parts = [
-            (f"restriction component ({s1}, {s2})", sizes(s1, s2))
-            for s1, s2, _ in decomposition.components
-        ]
+        kind, (lam, mu) = "restriction", sizes(source)
+        parts = [comp[:2] for comp in decomposition.components]
     else:
-        kind, whole = "tensor", sizes(*source)
-        parts = [(f"tensor component {s3}", sizes(s3)) for s3, _ in decomposition]
-    lam, mu = whole
-    failures = tuple(
-        label for label, (a, b) in parts if not (a <= lam and b <= mu and a - b == lam - mu)
-    )
-    return BranchingReport(kind, not failures, failures)
+        kind, (lam, mu) = "tensor", sizes(*source)
+        parts = [comp[:1] for comp in decomposition]
+    failures = []
+    for sigs in parts:
+        a, b = sizes(*sigs)
+        if not (a <= lam and b <= mu and a - b == lam - mu):
+            failures.append(f"{kind} component {', '.join(map(repr, sigs))}")
+    return BranchingReport(kind, not failures, tuple(failures))

@@ -12,13 +12,15 @@ at repeated eigenvalues the grouped GT tally summed in mpmath
 before it grouped equal eigenvalues (`char_float_ref`) for its value and
 bound at spectra with none repeated, and the concatenation of angles that
 `afalgebra.embed` did before it added multiplicities (`concatenated_embed`);
-power-sum evaluation for `moments.hciz_power_sum` and `symfunc.schur_dim`,
-the Fraction power-sum table (`fraction_power_sum_coeffs`) and the partition
-sum that read its weights (`fraction_weight_hciz_power_sum`) for the integer
-weights of `symfunc.power_sum_weights` and `hciz_power_sum`, and the
-Gaussian rational eigenvalues of a quarter-turn spectrum (`exact_values`) for
-the exact values of characters, traces and `det_phi`, which the package
-computes from powers of i.  The Bratteli layer's integer
+power-sum evaluation for `moments.hciz_power_sum` and the dimension of a
+partition; the product over every pair of entries (`weyl_pair_product`) for
+the run product of `symfunc.weyl_dim`; the Fraction power-sum table
+(`fraction_power_sum_coeffs`) and the partition sum that read its weights
+(`fraction_weight_hciz_power_sum`) for the integer weights of
+`symfunc.power_sum_weights` and `hciz_power_sum`, and the Gaussian rational
+eigenvalues of a quarter-turn spectrum (`exact_values`) for the exact values
+of characters, traces and `det_phi`, which the package computes from powers
+of i.  The Bratteli layer's integer
 arithmetic is checked against the Fraction backward substitution
 (`fraction_trace_weights`) and the dense primitivity probe over every matrix
 entry (`dense_validate_diagram`) that it replaced.  The Poisson checks, which
@@ -53,6 +55,7 @@ from typing import Iterator
 
 from weylchar.afalgebra import BratteliDiagram, DiagramReport
 from weylchar.combinatorics import (
+    EMPTY,
     Partition,
     Signature,
     _as_int_tuple,
@@ -77,7 +80,6 @@ from weylchar.poisson import (
 )
 from weylchar.symfunc import (
     exact_det,
-    schur_dim,
     schur_to_power_sums,
     sym_group_character,
     sym_group_dim,
@@ -118,6 +120,17 @@ class GTPattern:
                 if not (upper[i] >= lower[i] >= upper[i + 1]):
                     raise ValueError(f"interlacing fails between rows {k} and {k + 1}")
         object.__setattr__(self, "rows", rows)
+
+
+def weyl_pair_product(entries) -> int:
+    """The Weyl dimension as the formula reads: a product over every pair of entries, O(d^2)."""
+    num = den = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            num *= entries[i] - entries[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
 
 
 def interlacings(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -493,7 +506,7 @@ def fraction_weight_hciz_power_sum(a, b, n: int) -> Fraction:
             weight = c.numerator * (fact // c.denominator)
             na += weight * pa_ct[ct]
             nb += weight * pb_ct[ct]
-        terms.append((sym_group_dim(lam) * na * nb, schur_dim(lam, d)))
+        terms.append((sym_group_dim(lam) * na * nb, weyl_dim(signature_from_pair(lam, EMPTY, d))))
     common = math.lcm(*(dim for _, dim in terms))
     numerator = sum(num * (common // dim) for num, dim in terms)
     return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)

@@ -13,7 +13,7 @@ import numpy as np
 from reference import J_closed_ref, all_signature_pairs, rational_approx_defect
 from weylchar import moments, poisson
 from weylchar.afalgebra import BlockUnitary, ergodic_sequence, preset_diagram, schur_weyl_defect
-from weylchar.combinatorics import Partition, Signature, signatures_with_entries
+from weylchar.combinatorics import Partition, Signature, signature_from_pair, signatures_with_entries
 from weylchar.exact import QQi
 from weylchar.moments import (
     HermitianSpectrum,
@@ -27,7 +27,7 @@ from weylchar.moments import (
     moment4_closed,
     weight_distribution,
 )
-from weylchar.symfunc import schur_dim, schur_to_power_sums, weyl_dim
+from weylchar.symfunc import schur_to_power_sums, weyl_dim
 from weylchar.ucharacters import (
     DiagonalUnitary,
     check_branching_inequalities,
@@ -83,7 +83,7 @@ def test_criterion_02_dimension_closed_forms():
     started = time.perf_counter()
     for shape, formula in DIM_CLOSED_FORMS.items():
         for d in range(4, 13):
-            assert schur_dim(P(shape), d) == formula(d), (shape, d)
+            assert weyl_dim(signature_from_pair(P(shape), P(()), d)) == formula(d), (shape, d)
     _report(2, "seven dimension closed forms, d in [4,12], exact", started, 1.0)
 
 

@@ -72,6 +72,43 @@ def test_signature_rejects_increasing():
         assert str(err.value) == message, bad
 
 
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_from_runs_is_the_entries_signature(raw):
+    entries = tuple(sorted(raw, reverse=True))
+    sig = Signature(entries)
+    assert sig.runs == tuple((v, len(list(run))) for v, run in itertools.groupby(entries))
+    same = Signature.from_runs(sig.runs)
+    assert same == sig and hash(same) == hash(sig)
+    assert (repr(same), same.to_json(), same.d) == (repr(sig), sig.to_json(), sig.d)
+    assert same.entries == sig.entries == entries
+
+
+@pytest.mark.parametrize("runs, message", [
+    ((), "signature must have length d >= 1"),
+    (((1, 2), (1, 1)), "run values not strictly decreasing: ((1, 2), (1, 1))"),
+    (((0, 1), (2, 1)), "run values not strictly decreasing: ((0, 1), (2, 1))"),
+    (((1, 0),), "positive int length, got ((1, 0),)"),
+    (((1, 2), (0, -1)), "positive int length, got ((1, 2), (0, -1))"),
+    (((1, 2.0),), "positive int length, got ((1, 2.0),)"),
+    (((1, True),), "positive int length, got ((1, True),)"),
+    (((1.5, 1),), "positive int length, got ((1.5, 1),)"),
+])
+def test_from_runs_refusals(runs, message):
+    with pytest.raises(ValueError) as err:
+        Signature.from_runs(runs)
+    assert str(err.value).endswith(message)
+
+
+def test_pair_round_trip_at_d_2_64():
+    d = 2**64
+    for lam, mu in (((), ()), ((1,), (1,)), ((2, 1), (1, 1)), ((3, 3, 1), ()), ((), (2, 2, 2))):
+        lam, mu = Partition(lam), Partition(mu)
+        sig = signature_from_pair(lam, mu, d)
+        assert sig.d == d and (0, d - lam.length - mu.length) in sig.runs
+        assert signature_to_pair(sig) == (lam, mu)
+
+
 def test_signature_from_pair_examples():
     assert signature_from_pair(Partition((1,)), Partition((1,)), 4).entries == (1, 0, 0, -1)
     assert signature_from_pair(Partition((2, 1)), Partition(()), 3).entries == (2, 1, 0)

@@ -535,8 +535,8 @@ def _estimate_fields_ref(sig, f):
 
 
 def _hciz_power_sum_ref(a, b, n):
-    from weylchar.combinatorics import partitions_of
-    from weylchar.symfunc import schur_dim, schur_to_power_sums, sym_group_dim
+    from weylchar.combinatorics import EMPTY, partitions_of, signature_from_pair
+    from weylchar.symfunc import schur_to_power_sums, sym_group_dim, weyl_dim
 
     if a.d != b.d:
         raise ValueError("spectra must have equal size")
@@ -552,7 +552,7 @@ def _hciz_power_sum_ref(a, b, n):
             Fraction(sym_group_dim(lam))
             * power_sum_value(exp, pa)
             * power_sum_value(exp, pb)
-            / schur_dim(lam, d)
+            / weyl_dim(signature_from_pair(lam, EMPTY, d))
         )
     return total
 

@@ -507,6 +507,9 @@ def test_binomial_reexpansion():
         (lambda: poisson_tail(math.inf, 5), "rate must be nonnegative and finite"),
         (lambda: poisson_series_check((), (), 2, []), "need at least one rate"),
         (lambda: binomial_reexpansion_check((), 1, 2, ()), "need at least one rate"),
+        (lambda: tv_bound(math.inf, 1), "rate must be positive and finite"),
+        (lambda: tv_bound(1e308, 10), "rate must be positive and finite"),
+        (lambda: tv_bound(math.nan, 1), "rate must be positive and finite"),
     ],
 )
 def test_input_refusals(call, fragment):

@@ -3,14 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import bialternant, eval_by_gt, fraction_power_sum_coeffs, schur_by_power_sums
-from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of
+from reference import (
+    bialternant,
+    eval_by_gt,
+    fraction_power_sum_coeffs,
+    schur_by_power_sums,
+    weyl_pair_product,
+)
+from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of, signature_from_pair
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQI_I, QQi
 from weylchar.symfunc import (
     lr_product,
-    schur_dim,
     schur_to_power_sums,
     skew_expand,
     sym_group_character,
@@ -90,12 +97,40 @@ def test_power_sum_budget():
         schur_to_power_sums(P((13,)))
 
 
+def _dim(lam, mu, d):
+    """dim {mu; lam} on U(d); s_lam(1_d) when mu is empty."""
+    return weyl_dim(signature_from_pair(P(lam), P(mu), d))
+
+
 def test_schur_dim_examples():
-    assert schur_dim(P((2,)), 4) == 10
-    assert schur_dim(P((2, 2)), 3) == 6
-    assert schur_dim(P(()), 7) == 1
+    assert _dim((2,), (), 4) == 10
+    assert _dim((2, 2), (), 3) == 6
+    assert _dim((), (), 7) == 1
     with pytest.raises(ValueError):
-        schur_dim(P((1, 1, 1)), 2)
+        _dim((1, 1, 1), (), 2)
+
+
+@st.composite
+def _pairs(draw):
+    part = st.lists(st.integers(1, 3), max_size=3).map(lambda xs: P(tuple(sorted(xs, reverse=True))))
+    return draw(part), draw(part)
+
+
+@given(_pairs())
+@settings(max_examples=40, deadline=None)
+def test_pair_dim_is_its_polynomial_in_d(pair):
+    # dim {mu; lam} is a polynomial in d of degree |lam| + |mu|: interpolate
+    # it exactly from as many small d as that takes, then read it at d = 2^k.
+    lam, mu = pair
+    first = max(1, lam.length + mu.length)
+    xs = range(first, first + lam.size + mu.size + 1)
+    ys = [weyl_pair_product(signature_from_pair(lam, mu, x).entries) for x in xs]
+    for k in (10, 20, 32, 64):
+        d = 2**k
+        value = Fraction(0)
+        for x, y in zip(xs, ys):
+            value += y * math.prod(Fraction(d - z, x - z) for z in xs if z != x)
+        assert weyl_dim(signature_from_pair(lam, mu, d)) == value, (lam, mu, k)
 
 
 def test_weyl_dim_examples():
@@ -113,17 +148,6 @@ def test_weyl_dim_shift_invariant():
         entries = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
         shift = rng.randint(-4, 4)
         assert weyl_dim(Signature(entries)) == weyl_dim(Signature(tuple(e + shift for e in entries)))
-
-
-def _weyl_pair_product(entries):
-    """The Weyl product over every pair, as the formula reads."""
-    num = den = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            num *= entries[i] - entries[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    return num // den
 
 
 def _hook_content(lam, d):
@@ -165,9 +189,9 @@ def test_weyl_dim_matches_pair_product():
     assert max(map(len, cases)) <= 120
     for entries in cases:
         dim = weyl_dim(Signature(entries))
-        assert dim == _weyl_pair_product(entries), entries
+        assert dim == weyl_pair_product(entries), entries
         lam = tuple(e - entries[-1] for e in entries)
-        assert schur_dim(P(lam), len(entries)) == _hook_content(P(lam).parts, len(entries)) == dim
+        assert _dim(lam, (), len(entries)) == _hook_content(P(lam).parts, len(entries)) == dim
 
 
 def test_weyl_dim_hook_content_at_d_4096():
@@ -226,7 +250,7 @@ def test_power_sum_evaluation_matches_dimension():
         for lam in partitions_of(n):
             for d in range(max(1, lam.length), 7):
                 ones = (Fraction(1),) * d
-                assert schur_by_power_sums(lam, ones) == schur_dim(lam, d)
+                assert schur_by_power_sums(lam, ones) == _dim(lam, (), d)
 
 
 def _leading_coeff(lam):
@@ -300,8 +324,8 @@ def test_lr_dimension_identity():
                                     continue
                                 c = _lr_coefficient_ref(nu, alpha, beta)
                                 if c:
-                                    total += c * schur_dim(alpha, d1) * schur_dim(beta, d2)
-                    assert total == schur_dim(nu, d1 + d2), (nu, d1, d2)
+                                    total += c * _dim(alpha, (), d1) * _dim(beta, (), d2)
+                    assert total == _dim(nu, (), d1 + d2), (nu, d1, d2)
 
 
 def test_lr_product_matches_coefficient():
