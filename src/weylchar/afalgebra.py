@@ -124,8 +124,9 @@ def _or_rows(masks: list[int], support: tuple[int, ...]) -> int:
 
 
 def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
-    """Dimension compatibility, zero rows, and a positivity probe of products."""
-    errors = []
+    """Block dimensions, their compatibility, zero rows, and a positivity probe of products."""
+    errors = [f"level {n} block {i} has dimension {dim}"
+              for n, lv in enumerate(diagram.levels) for i, dim in enumerate(lv) if dim < 1]
     # Per matrix, per row: the columns holding a nonzero entry.
     supports = [
         [tuple(j for j, v in enumerate(row) if v) for row in m] for m in diagram.mults

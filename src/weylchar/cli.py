@@ -6,7 +6,8 @@ invocations); one human-readable summary line goes to stderr.  Exit codes:
 range included), 3 budget exceeded, 4 broken internal invariant (a bug, not
 bad input).
 Angles are given in turns (fractions of a full circle), so exact roots of
-unity are expressible in text.  WEYLCHAR_SEED overrides --seed.
+unity are expressible in text.  A flag given as empty ("") counts as given:
+an empty spectrum or rate list is refused like any other bad value.
 
 One encoder writes every payload: a rational is the string "n/d" (an integer
 result too, as "2/1"), a complex number or Gaussian rational is [re, im], a
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -34,7 +34,7 @@ from weylchar.errors import DIM_BUDGET, ERGODIC_DIM_BUDGET, BudgetExceeded, Inva
 
 if TYPE_CHECKING:
     from weylchar.combinatorics import Partition, Signature
-    from weylchar.moments import HermitianSpectrum
+    from weylchar.moments import HermitianSpectrum, WeightDistribution
 
 
 def positive_int(text: str) -> int:
@@ -72,6 +72,8 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 def parse_complexes(text: str) -> list[complex]:
     """Complex values written 're,im' (or a bare 're') and separated by ';'."""
+    if not text.strip():
+        return []
     values = []
     for item in text.split(";"):
         parts = [float(t) for t in item.split(",")]
@@ -102,8 +104,9 @@ _MODE_FLAGS = {
         {
             "--stirling": {},
             "--tv-a": {"tv_k": 1},
-            "--kstep-k": {"kernel_a": None, "truncation": 60},
-            "--series-n": {"kernel_a": None, "kernel_b": None, "tau": None, "tau_prime": None,
+            "--kstep-k": {"kernel_a": "1", "truncation": 60},
+            # --tau-prime stays None when not given: the conjugate side then reads --tau.
+            "--series-n": {"kernel_a": "1", "kernel_b": "", "tau": "", "tau_prime": None,
                            "truncation": 60},
         },
     ),
@@ -167,9 +170,9 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
-def emit(payload: dict, summary: str, output: str | None = None) -> None:
+def emit(payload: dict, summary: str, output: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, default=_encode)
-    if output:
+    if output is not None:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -177,7 +180,7 @@ def emit(payload: dict, summary: str, output: str | None = None) -> None:
     print(summary, file=sys.stderr)
 
 
-def cmd_char(args) -> int:
+def cmd_char(args) -> tuple[dict, str, int]:
     from weylchar import ucharacters
     from weylchar.exact import QQi
     from weylchar.symfunc import weyl_dim
@@ -200,11 +203,10 @@ def cmd_char(args) -> int:
         payload["trace_exact"] = [str(trace.re), str(trace.im)]
     if bound is not None:
         payload["error_bound"] = bound
-    emit(payload, f"char: dim {dim}, normalized {normalized:.6g}", args.output)
-    return 0
+    return payload, f"char: dim {dim}, normalized {normalized:.6g}", 0
 
 
-def cmd_branch(args) -> int:
+def cmd_branch(args) -> tuple[dict, str, int]:
     from weylchar import ucharacters
 
     if args.op == "tensor":
@@ -216,7 +218,7 @@ def cmd_branch(args) -> int:
             "components": [{"signature": s, "multiplicity": m} for s, m in comps],
             "inequalities_hold": report.holds,
         }
-        emit(payload, f"tensor: {len(comps)} components, inequalities {report.holds}", args.output)
+        summary = f"tensor: {len(comps)} components, inequalities {report.holds}"
     else:
         sig = parse_signature(args.sig)
         dec = ucharacters.restrict_to_blocks(sig, args.d1, args.d2, dim_budget=args.dim_budget)
@@ -230,13 +232,30 @@ def cmd_branch(args) -> int:
             "inequalities_hold": report.holds,
         }
         summary = f"restrict: {len(dec.components)} components, dim {payload['total_dim']}"
-        emit(payload, summary, args.output)
-    return 0 if report.holds else 1
+    return payload, summary, 0 if report.holds else 1
 
 
-def cmd_moments(args) -> int:
+def _moment_checks(sig: Signature, r: int) -> tuple[WeightDistribution, dict, bool]:
+    """The closed m2 and m4 against the GT brute force, and the estimate where 3r >= 2d.
+
+    m4 and the estimate need d >= 4, the range of the fourth-moment form.
+    Returns the weight distribution, the checked values keyed as `moments`
+    prints them, and whether each closed form equals its brute force.
+    """
     from weylchar import moments
 
+    f = moments.TraceZeroSigned(r, sig.d)
+    dist = moments.weight_distribution(sig, f)
+    checks = {"m2": moments.moment2_closed(sig, f), "m2_brute": dist.moment(2)}
+    if sig.d >= 4:
+        checks |= {"m4": moments.moment4_closed(sig, f), "m4_brute": dist.moment(4)}
+        if 3 * r >= 2 * sig.d:
+            checks["estimate_holds"] = moments.estimate_check(sig, f).holds
+    identities = checks["m2"] == checks["m2_brute"] and checks.get("m4") == checks.get("m4_brute")
+    return dist, checks, identities
+
+
+def cmd_moments(args) -> tuple[dict, str, int]:
     if args.sweep:
         from weylchar.combinatorics import signatures_with_entries
 
@@ -251,18 +270,12 @@ def cmd_moments(args) -> int:
         for d in range(4, args.dmax + 1):
             for sig in signatures_with_entries(d, -args.entry_bound, args.entry_bound):
                 for r in range(2, d + 1, 2):
-                    f = moments.TraceZeroSigned(r, d)
-                    dist = moments.weight_distribution(sig, f)
-                    ok = moments.moment2_closed(sig, f) == dist.moment(2) and (
-                        moments.moment4_closed(sig, f) == dist.moment(4)
-                    )
+                    _, checks, identities = _moment_checks(sig, r)
                     checked += 1
-                    if not ok:
-                        failures += 1
-                    if 3 * r >= 2 * d:
+                    failures += not identities
+                    if "estimate_holds" in checks:
                         estimates += 1
-                        if not moments.estimate_check(sig, f).holds:
-                            failures += 1
+                        failures += not checks["estimate_holds"]
         payload = {
             "sweep": True,
             "dmax": args.dmax,
@@ -270,33 +283,20 @@ def cmd_moments(args) -> int:
             "estimate_checked": estimates,
             "failures": failures,
         }
-        emit(payload, f"moment sweep: {checked} identities, {failures} failures", args.output)
-        return 0 if failures == 0 else 1
+        summary = f"moment sweep: {checked} identities, {failures} failures"
+        return payload, summary, 0 if failures == 0 else 1
 
     sig = parse_signature(args.sig)
-    f = moments.TraceZeroSigned(args.r, sig.d)
-    dist = moments.weight_distribution(sig, f)
-    m2c, m2b = moments.moment2_closed(sig, f), dist.moment(2)
+    dist, checks, identities = _moment_checks(sig, args.r)
+    equal = identities and checks.get("estimate_holds", True)
     payload = {
         "signature": sig,
         "r": args.r,
         "distribution": {str(k): v for k, v in dist.probs.items()},
-        "m2": m2c,
-        "m2_brute": m2b,
         "m4_over_m2_sq": dist.moment_ratio(),
-        "equal": m2c == m2b,
-    }
-    if sig.d >= 4:
-        m4c, m4b = moments.moment4_closed(sig, f), dist.moment(4)
-        payload["m4"] = m4c
-        payload["m4_brute"] = m4b
-        payload["equal"] = payload["equal"] and m4c == m4b
-        if 3 * args.r >= 2 * sig.d:
-            est = moments.estimate_check(sig, f)
-            payload["estimate_holds"] = est.holds
-            payload["equal"] = payload["equal"] and est.holds
-    emit(payload, f"moments: m2 {m2c}, equal {payload['equal']}", args.output)
-    return 0 if payload["equal"] else 1
+        "equal": equal,
+    } | checks
+    return payload, f"moments: m2 {checks['m2']}, equal {equal}", 0 if equal else 1
 
 
 def _random_centered_spectrum(rng, d: int) -> HermitianSpectrum:
@@ -310,7 +310,7 @@ def _random_centered_spectrum(rng, d: int) -> HermitianSpectrum:
     return moments.center(spec)
 
 
-def cmd_hciz(args) -> int:
+def cmd_hciz(args) -> tuple[dict, str, int]:
     # numpy before weylchar.moments: in the other order this process
     # measured a higher peak RSS.
     import numpy as np
@@ -322,15 +322,11 @@ def cmd_hciz(args) -> int:
     moments.require_nonnegative_int("seed", args.seed)
     rng = np.random.default_rng(args.seed)
     d = args.d
-    a = (
-        moments.HermitianSpectrum(parse_rationals(args.a))
-        if args.a
-        else _random_centered_spectrum(rng, d)
-    )
-    b = (
-        moments.HermitianSpectrum(parse_rationals(args.b))
-        if args.b
-        else _random_centered_spectrum(rng, d)
+    a, b = (
+        _random_centered_spectrum(rng, d)
+        if text is None
+        else moments.HermitianSpectrum(parse_rationals(text))
+        for text in (args.a, args.b)
     )
     if a.d != d or b.d != d:
         raise ValueError("spectrum length must match --d")
@@ -354,11 +350,11 @@ def cmd_hciz(args) -> int:
         "deviation": dev,
         "pass": passed,
     }
-    emit(payload, f"hciz: deviation {dev:.3g} vs 3*stderr {3 * report.stderr:.3g}", args.output)
-    return 0 if passed else 1
+    summary = f"hciz: deviation {dev:.3g} vs 3*stderr {3 * report.stderr:.3g}"
+    return payload, summary, 0 if passed else 1
 
 
-def cmd_ergodic(args) -> int:
+def cmd_ergodic(args) -> tuple[dict, str, int]:
     from weylchar import afalgebra, ucharacters
 
     diagram = afalgebra.preset_diagram(args.diagram, depth=max(args.nmax, 8))
@@ -379,11 +375,10 @@ def cmd_ergodic(args) -> int:
         diagram, lam, mu, u, args.nmax, block=args.block, dim_budget=args.dim_budget
     )
     payload = vars(report) | {"diagram": args.diagram}
-    emit(payload, f"ergodic: limit {complex(report.limit):.6g}, rate {report.rate}", args.output)
-    return 0
+    return payload, f"ergodic: limit {complex(report.limit):.6g}, rate {report.rate}", 0
 
 
-def cmd_schur_weyl(args) -> int:
+def cmd_schur_weyl(args) -> tuple[dict, str, int]:
     from weylchar import afalgebra
 
     defect = afalgebra.schur_weyl_defect(args.n, args.p, args.q)
@@ -394,43 +389,35 @@ def cmd_schur_weyl(args) -> int:
         "defect": defect,
         "defect_float": float(defect),
     }
-    emit(payload, f"schur-weyl: defect {defect}", args.output)
-    return 0
+    return payload, f"schur-weyl: defect {defect}", 0
 
 
-def cmd_poisson(args) -> int:
+def cmd_poisson(args) -> tuple[dict, str, int]:
     from weylchar import poisson
 
     if args.stirling is not None:
         report = poisson.stirling_identity(Fraction(args.stirling))
         payload = {"stirling": vars(report) | {"closed_form_float": float(report.closed_form)}}
-        emit(payload, f"stirling: closed {_encode(report.closed_form)}", args.output)
-        return 0
+        return payload, f"stirling: closed {_encode(report.closed_form)}", 0
     if args.tv_a is not None:
         value = poisson.tv_bound(Fraction(args.tv_a), args.tv_k)
-        payload = {"tv_bound": value, "a": args.tv_a, "k": args.tv_k}
-        emit(payload, f"tv bound: {value:.6g}", args.output)
-        return 0
+        return {"tv_bound": value, "a": args.tv_a, "k": args.tv_k}, f"tv bound: {value:.6g}", 0
     if args.kstep_k is not None:
-        params = poisson.PoissonKernelParams(parse_rationals(args.kernel_a or "1"))
+        params = poisson.PoissonKernelParams(parse_rationals(args.kernel_a))
         report = poisson.kstep_semigroup_check(params, args.kstep_k, args.truncation)
-        payload = {"kstep": report}
-        emit(payload, f"kstep: max deviation {report.max_deviation:.3g}", args.output)
-        return 0 if report.passed else 1
+        summary = f"kstep: max deviation {report.max_deviation:.3g}"
+        return {"kstep": report}, summary, 0 if report.passed else 1
     # argparse has made --series-n the one mode left.
-    a = parse_rationals(args.kernel_a or "1")
-    b = parse_rationals(args.kernel_b) if args.kernel_b else ()
-    tau = parse_complexes(args.tau) if args.tau else []
-    taup = parse_complexes(args.tau_prime) if args.tau_prime else None
+    taup = None if args.tau_prime is None else parse_complexes(args.tau_prime)
     report = poisson.poisson_series_check(
-        a, b, args.series_n, tau, taup, truncation=args.truncation
+        parse_rationals(args.kernel_a), parse_rationals(args.kernel_b), args.series_n,
+        parse_complexes(args.tau), taup, truncation=args.truncation,
     )
-    payload = {"series": report}
-    emit(payload, f"series: deviation {report.deviation:.3g}", args.output)
-    return 0 if report.passed else 1
+    summary = f"series: deviation {report.deviation:.3g}"
+    return {"series": report}, summary, 0 if report.passed else 1
 
 
-def cmd_validate_diagram(args) -> int:
+def cmd_validate_diagram(args) -> tuple[dict, str, int]:
     from weylchar import afalgebra
 
     if args.file is not None:
@@ -441,8 +428,8 @@ def cmd_validate_diagram(args) -> int:
     report = afalgebra.validate_diagram(diagram)
     payload = report.to_json()
     payload["name"] = diagram.name
-    emit(payload, f"diagram {diagram.name or args.file}: valid {report.valid}", args.output)
-    return 0 if report.valid else 1
+    summary = f"diagram {diagram.name or args.file}: valid {report.valid}"
+    return payload, summary, 0 if report.valid else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,12 +520,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        seed_env = os.environ.get("WEYLCHAR_SEED")
-        seed = int(seed_env) if seed_env is not None else getattr(args, "seed", 0)
-        if hasattr(args, "seed"):
-            args.seed = seed
         _check_mode(args)
-        return args.func(args)
+        payload, summary, code = args.func(args)
+        emit(payload, summary, args.output)
+        return code
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -99,7 +99,7 @@ class WeightDistribution:
     """Finitely supported exact probability distribution on the integers.
 
     The mass at k is counts[k] / total, both reduced by their gcd so that
-    equal masses compare equal; `from_probs` takes `Fraction` masses.
+    equal masses compare equal.
     """
 
     counts: dict[int, int]
@@ -118,12 +118,6 @@ class WeightDistribution:
         counts = {k: c // g for k, c in counts.items()} if g > 1 else dict(counts)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total // g)
-
-    @classmethod
-    def from_probs(cls, probs: dict[int, Fraction]) -> "WeightDistribution":
-        """The distribution with mass probs[k] at k; the masses must sum to 1."""
-        total, counts = common_denominator(probs.values())
-        return cls(dict(zip(probs, counts)), total)
 
     @property
     def probs(self) -> dict[int, Fraction]:

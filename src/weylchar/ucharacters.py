@@ -296,7 +296,10 @@ def char_float(sig: Signature, u: DiagonalUnitary) -> tuple[complex, float]:
         for j in range(i, n):
             column_sums[j] += abs(row[j])
         ratio += (row_errs[i] + lu_gamma * math.hypot(*column_sums)) / norms[i]
-    hadamard = math.prod(norms) * math.expm1(ratio)
+    try:
+        hadamard = math.prod(norms) * math.expm1(ratio)
+    except OverflowError:  # the factor itself is past the float range
+        hadamard = math.inf
     pivots = _gamma(_MUL * n)
     # The bound's own float evaluation rounds by a relative 4 n^2 u at most;
     # a series count past the float range (inf / inf) leaves no bound at all.

@@ -40,8 +40,9 @@ The rest are fixtures that several test files share.  The staircase
 spectrum `rho`, `spectrum_sum` and the Fraction closed form of the partition
 sum at n = 2 and 4 (`J_closed_ref`) build the references of the closed-form
 moments.  `all_signature_pairs` lists every {mu; lam} signature up to a size,
-and `rational_approx_defect` is the distance of a normalized character from
-its limit, the product of trace powers.
+`rational_approx_defect` is the distance of a normalized character from
+its limit, the product of trace powers, and `distribution_from_probs` builds
+a weight distribution from `Fraction` masses over their common denominator.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ from weylchar.combinatorics import (
     signature_from_pair,
 )
 from weylchar.errors import BudgetExceeded, InvariantError
-from weylchar.exact import QQI_I, QQI_ONE, QQi
+from weylchar.exact import QQI_I, QQI_ONE, QQi, common_denominator
 from weylchar.gtkernel import group_counts, run_counts
-from weylchar.moments import HermitianSpectrum
+from weylchar.moments import HermitianSpectrum, WeightDistribution
 from weylchar.poisson import (
     PoissonKernelParams,
     ReexpansionReport,
@@ -552,7 +553,8 @@ def fraction_trace_weights(diagram: BratteliDiagram, boundary) -> tuple[tuple[Fr
 
 def dense_validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
     """`validate_diagram` with the primitivity probe ORing over every matrix entry."""
-    errors = []
+    errors = [f"level {n} block {i} has dimension {dim}"
+              for n, lv in enumerate(diagram.levels) for i, dim in enumerate(lv) if dim < 1]
     for n, m in enumerate(diagram.mults):
         dims = diagram.levels[n]
         expected = tuple(sum(row[j] * dims[j] for j in range(len(dims))) for row in m)
@@ -592,6 +594,12 @@ def dense_validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
             window = max(first_window.values())
             primitive = all(n in first_window for n in range(depth) if n + window <= depth)
     return DiagramReport(not errors, tuple(errors), min_dims, primitive, diagram.simple_known)
+
+
+def distribution_from_probs(probs: dict[int, Fraction]) -> WeightDistribution:
+    """The distribution with mass probs[k] at k; the masses must sum to 1."""
+    total, counts = common_denominator(probs.values())
+    return WeightDistribution(dict(zip(probs, counts)), total)
 
 
 def rho(d: int) -> HermitianSpectrum:

@@ -182,15 +182,17 @@ def test_hciz_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-def test_seed_env_override(capsys, monkeypatch):
+def test_the_environment_holds_no_seed(capsys, monkeypatch):
+    # --seed is the one seed: no variable is read, not even a malformed one.
     argv = ["hciz", "--d", "3", "--n", "2", "--samples", "5000", "--seed", "1"]
-    monkeypatch.setenv("WEYLCHAR_SEED", "11")
     main(argv)
-    out_env = capsys.readouterr().out
-    monkeypatch.delenv("WEYLCHAR_SEED")
-    main(["hciz", "--d", "3", "--n", "2", "--samples", "5000", "--seed", "11"])
-    out_direct = capsys.readouterr().out
-    assert out_env == out_direct
+    out_flag = capsys.readouterr().out
+    for value in ("11", "abc"):
+        monkeypatch.setenv("WEYLCHAR_SEED", value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out_flag
+        code, payload, err = run_cli(capsys, ["char", "--sig", "1,0,0,-1", "--u", "0.25,0,0,0"])
+        assert code == 0 and payload["dim"] == 15 and "error" not in err
 
 
 def test_ergodic_example(capsys):
@@ -428,6 +430,15 @@ def test_a_diagram_level_with_no_blocks_is_named(tmp_path, capsys, file_data, me
     assert err == message
 
 
+def test_validate_diagram_names_blocks_of_dimension_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"name": "z", "levels": [[0], [0]], "multiplicities": [[[1]]]}))
+    code, payload, _ = run_cli(capsys, ["validate-diagram", "--file", str(path)])
+    assert code == 1
+    assert payload["valid"] is False and payload["min_dims"] == [0, 0]
+    assert payload["errors"] == ["level 0 block 0 has dimension 0", "level 1 block 0 has dimension 0"]
+
+
 def test_validate_diagram_invalid_file_exit_code(tmp_path, capsys):
     bad = {"name": "broken", "levels": [[1], [3]], "multiplicities": [[[2]]]}
     path = tmp_path / "bad.json"
@@ -549,19 +560,16 @@ def test_hciz_rejects_negative_seed_flag(capsys):
     assert err == "error: seed must be a nonnegative integer, got -1\n"
 
 
-def test_hciz_rejects_negative_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("WEYLCHAR_SEED", "-2")
-    code, payload, err = run_cli(capsys, HCIZ_FIXED)
-    assert code == 2 and payload is None
-    assert err == "error: seed must be a nonnegative integer, got -2\n"
-
-
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
-def test_readme_stdout_is_the_pinned_bytes(capsys, monkeypatch, command):
-    monkeypatch.delenv("WEYLCHAR_SEED", raising=False)
+def test_readme_stdout_is_the_pinned_bytes(tmp_path, capsys, command):
     assert main(command.split()[1:]) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT[command]
+    # --output writes the same bytes to the file and none to stdout.
+    path = tmp_path / "payload.json"
+    assert main(command.split()[1:] + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STDOUT[command]
 
 
 def _render(value):
@@ -599,9 +607,15 @@ def test_encoder_refuses_an_unknown_type():
         (["poisson", "--series-n", "-1", "--kernel-a", "1", "--tau", "0.5,0"],
          "level n must be nonnegative"),
         (["poisson", "--series-n", "2", "--kernel-a", " "], "need at least one rate"),
+        # A flag given as empty is given: it does not fall back to its default.
+        (["poisson", "--kstep-k", "2", "--kernel-a", ""], "rates must be positive"),
+        (["hciz", "--d", "2", "--a", "", "--b", ""], "spectrum must be nonempty"),
+        (["poisson", "--series-n", "2", "--kernel-a", "1", "--kernel-b", "1", "--tau", "0.5",
+          "--tau-prime", ""], "one trace value per rate"),
     ],
 )
 def test_input_refusals_exit_2(capsys, argv, fragment):
     code, payload, err = run_cli(capsys, argv)
     assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err

@@ -28,7 +28,6 @@ KEEP = {
     "afalgebra.LimitCharacterSpec": "the argument of eval_limit_character (ROADMAP item 7)",
     "afalgebra.K0Hom.zero": "the untwisted K0 functional of a limit character (ROADMAP item 7)",
     "moments.WeightDistribution.convolve": "the multi-block character product of ROADMAP item 7",
-    "moments.WeightDistribution.from_probs": "the one constructor from Fraction masses",
 }
 
 

@@ -618,16 +618,29 @@ def test_char_float_bound_holds_at_repeated_eigenvalues(c, lam, mu):
         assert bound <= char_float_ref(sig, u)[1] * (1 + 1e-9), (sig, groups)
 
 
-@pytest.mark.parametrize("lam, mu", (((1,), (1,)), ((2,), (1,)), ((2,), (2,)), ((1, 1), (1,)),
-                                     ((3,), ())))
-def test_char_float_on_a_pair_at_d_2_64(lam, mu):
+# lam, mu, d, and whether the Hadamard factor leaves the float range.
+_PAIRS_AT_SCALE = (
+    ((1,), (1,), 2**64, False),
+    ((2,), (1,), 2**64, False),
+    ((2,), (2,), 2**64, False),
+    ((1, 1), (1,), 2**64, False),
+    ((3,), (), 2**64, False),
+    ((2, 1), (1, 1), 2**40, True),
+    ((2, 1), (1, 1), 2**64, True),
+    ((1,), (2,), 2**64, True),
+)
+
+
+@pytest.mark.parametrize("lam, mu, d, infinite_bound", _PAIRS_AT_SCALE,
+                         ids=[f"lam{i}-mu{i}" for i in range(len(_PAIRS_AT_SCALE))])
+def test_char_float_on_a_pair_at_d_2_64(lam, mu, d, infinite_bound):
     # The signature and the spectrum stay runs and groups: nothing is d long.
-    d = 2**64
     u = DiagonalUnitary.grouped(((0.13, d // 2), (0.57, d // 2)))
     sig = signature_from_pair(P(lam), P(mu), d)
     value, bound = char_float(sig, u)
-    assert math.isfinite(bound)
+    assert math.isinf(bound) == infinite_bound
     assert abs(value) - bound <= weyl_dim(sig)
+    assert char_eval(sig, u) == value
 
 
 _DISTINCT_SIGNATURES = ((1, 0, 0, -1), (2, 0, 0, -1), (1, 1, 0, -2), (3, 1, 0, 0, -1, -2),
