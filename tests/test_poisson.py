@@ -56,7 +56,7 @@ def test_kernel_rows_sum_to_one():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError, match="rates must be positive$"):
+    with pytest.raises(ValueError, match="need at least one rate$"):
         PoissonKernelParams(())
     with pytest.raises(ValueError):
         PoissonKernelParams((0,))
@@ -307,6 +307,13 @@ def test_checks_equal_the_per_mass_forms(seed):
             poisson_series_check_ref(a, b, n, tau, taup, truncation))
     assert binomial_reexpansion_check((350.0, 0.5), 1, 3, [0.5j, 0.2], 900) == (
         binomial_reexpansion_check_ref((350.0, 0.5), 1, 3, [0.5j, 0.2], 900))
+    # With no tau' given, the b rates read tau: the reference at taup = tau.
+    implied = [(a, b, n, tau) for a, b, n, tau, _ in series if len(a) == len(b)]
+    assert implied
+    for truncation in (60, 0, 20):
+        for a, b, n, tau in implied:
+            assert poisson_series_check(a, b, n, tau, None, truncation) == (
+                poisson_series_check_ref(a, b, n, tau, tau, truncation)), (a, b, n, truncation)
 
 
 def test_truncation_zero_is_valid():
@@ -510,6 +517,9 @@ def test_binomial_reexpansion():
         (lambda: tv_bound(math.inf, 1), "rate must be positive and finite"),
         (lambda: tv_bound(1e308, 10), "rate must be positive and finite"),
         (lambda: tv_bound(math.nan, 1), "rate must be positive and finite"),
+        (lambda: binomial_reexpansion_check((1,), 1, 2, [1.2j], 80), "closed unit disk"),
+        (lambda: binomial_reexpansion_check((1,), 1, 2, [1.5], 80), "closed unit disk"),
+        (lambda: PoissonKernelParams(()), "need at least one rate"),
     ],
 )
 def test_input_refusals(call, fragment):

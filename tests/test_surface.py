@@ -2,7 +2,8 @@
 
 An AST name count over the package, the benchmark harness and the bench
 scripts.  The members are each top-level function or class of
-`src/weylchar` and each method of such a class that is not a dunder.  A
+`src/weylchar`, each method of such a class that is not a dunder, and each
+module-level UPPERCASE name (a constant) that a module assigns.  A
 member counts as referenced when its name occurs outside its own definition
 as a name, an attribute or an imported name in `src/weylchar`, `perfbench`
 or `benchmarks`, or as a string in `perfbench/tracer.py` or
@@ -42,6 +43,12 @@ def _members() -> dict[str, tuple[Path, int, int]]:
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id.isupper():
+                        out[f"{module}.{target.id}"] = (path, node.lineno, node.end_lineno)
+                continue
             if not isinstance(node, kinds):
                 continue
             out[f"{module}.{node.name}"] = (path, node.lineno, node.end_lineno)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    QQI_I,
     bialternant,
     eval_by_gt,
     fraction_power_sum_coeffs,
@@ -15,7 +16,7 @@ from reference import (
 )
 from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of, signature_from_pair
 from weylchar.errors import BudgetExceeded
-from weylchar.exact import QQI_I, QQi
+from weylchar.exact import QQi
 from weylchar.symfunc import (
     lr_product,
     schur_to_power_sums,
