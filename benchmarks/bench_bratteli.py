@@ -19,8 +19,13 @@ The tower curve times `ergodic_sequence` against its depth: `car` {1;1},
 turns (the exact phase count) and at float angles (the float determinant),
 best of three, with the dimension budget raised to the deepest level's
 dimension.  Its checksum covers the exact values and limits; it was pinned
-on the code that concatenated every block's angles at each level.  Exits 1
-unless both checksums match.
+on the code that concatenated every block's angles at each level.
+
+The defect curve times `schur_weyl_defect` at tower level n = 7 (d = 128)
+against p = q in 1, 2, 4, 8, 12, 16, 20, best of three.  Its checksum covers
+the repr of every defect; it was pinned on the double sum over the
+partitions of p and q that the closed form replaced.  Exits 1 unless all
+three checksums match.
 Usage: python3 benchmarks/bench_bratteli.py
 """
 
@@ -39,6 +44,7 @@ from weylchar.afalgebra import (
     ergodic_sequence,
     k0_extension_obstruction,
     preset_diagram,
+    schur_weyl_defect,
     trace_weights,
     validate_diagram,
 )
@@ -64,6 +70,10 @@ TOWERS = (
 )
 TOWER_EXPECTED = "6b9ffc8538d49564"
 
+DEFECT_N = 7
+DEFECT_PQ = (1, 2, 4, 8, 12, 16, 20)
+DEFECT_EXPECTED = "57108f657a6d9703"
+
 
 def tower_curve():
     """Print the ergodic_sequence curve; return the checksum of its exact reports."""
@@ -88,6 +98,17 @@ def tower_curve():
     return digest.hexdigest()[:16]
 
 
+def defect_curve():
+    """Print the schur_weyl_defect curve at level DEFECT_N; return the checksum of its values."""
+    digest = hashlib.sha256()
+    for p in DEFECT_PQ:
+        best, defect = best_of(lambda: schur_weyl_defect(DEFECT_N, p, p))
+        digest.update(repr(defect).encode() + b"\n")
+        print(f"{'car':>12} n={DEFECT_N} d={2**DEFECT_N} p=q={p:<3}: schur_weyl_defect "
+              f"{best * 1e6:12.1f} us")
+    return digest.hexdigest()[:16]
+
+
 def main():
     digest = hashlib.sha256()
     for name, depths, k0_vector in CURVES:
@@ -108,7 +129,8 @@ def main():
             print(line)
     ok = True
     for label, checksum, expected in (("checksum", digest.hexdigest()[:16], EXPECTED),
-                                      ("tower checksum", tower_curve(), TOWER_EXPECTED)):
+                                      ("tower checksum", tower_curve(), TOWER_EXPECTED),
+                                      ("defect checksum", defect_curve(), DEFECT_EXPECTED)):
         print(f"{label} {checksum}")
         if checksum != expected:
             print(f"{label} {checksum} != expected {expected}", file=sys.stderr)

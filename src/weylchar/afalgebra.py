@@ -4,6 +4,8 @@ A diagram stores finitely many levels of block dimensions and the embedding
 multiplicity matrices between them.  Traces live as per-level weight vectors
 (value on a minimal projection of each block), K0 homomorphisms as per-level
 integer vectors; both must intertwine the transposed multiplicity matrices.
+The tensor-power isotypic defect of the CAR tower takes its closed form, an
+alternating sum over contractions with no partition in it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from weylchar.combinatorics import EMPTY, Partition, _as_int_tuple, partitions_of, signature_from_pair
+from weylchar.combinatorics import Partition, _as_int_tuple, signature_from_pair
 from weylchar.errors import ERGODIC_DIM_BUDGET, BudgetExceeded
 from weylchar.exact import QQI_ONE, QQi, common_denominator, phase_sum, quarter_turn, unit_complex
-from weylchar.symfunc import exact_det, sym_group_dim, weyl_dim
+from weylchar.symfunc import exact_det, weyl_dim
 from weylchar.ucharacters import DiagonalUnitary, char_eval, over_dim
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -180,6 +182,14 @@ def validate_diagram(diagram: BratteliDiagram) -> DiagramReport:
 # presets
 
 
+def _preset_terms(text: str, least: int, message: str) -> tuple[int, ...]:
+    """The comma-separated integers of a preset name; ValueError(message) unless each is >= least."""
+    items = text.split(",")
+    if "" in items or any(int(t) < least for t in items):
+        raise ValueError(message)
+    return tuple(map(int, items))
+
+
 def _uhf_diagram(factors: tuple[int, ...], depth: int, name: str) -> BratteliDiagram:
     levels = [(1,)]
     mults = []
@@ -194,8 +204,6 @@ def _uhf_diagram(factors: tuple[int, ...], depth: int, name: str) -> BratteliDia
 
 
 def _effros_shen_diagram(cf_terms: tuple[int, ...], name: str) -> BratteliDiagram:
-    if not cf_terms or any(a < 1 for a in cf_terms):
-        raise ValueError("continued-fraction terms must be positive integers")
     # Convergent denominators of [0; a_1, a_2, ...]; level n holds (q_n, q_{n-1}).
     q_prev, q = 1, cf_terms[0]
     levels = [(1,), (q, 1)]
@@ -237,15 +245,15 @@ def preset_diagram(name: str, depth: int | None = None) -> BratteliDiagram:
     if key == "car":
         return _uhf_diagram((2,), depth or 8, "car")
     if key.startswith("uhf:"):
-        factors = tuple(int(t) for t in key[4:].split(",") if t)
-        if not factors or any(k < 2 for k in factors):
-            raise ValueError("uhf factors must be integers >= 2")
+        factors = _preset_terms(key[4:], 2, "uhf factors must be integers >= 2")
         return _uhf_diagram(factors, depth or 8, key)
     if key == "effros-shen":
         return _effros_shen_diagram((1,) * (depth or 10), key)
     if key.startswith("effros-shen:"):
-        terms = tuple(int(t) for t in key[len("effros-shen:") :].split(",") if t)
-        if depth is not None and terms:
+        # Every term is checked before `depth` cycles or cuts the list.
+        terms = _preset_terms(key[len("effros-shen:") :], 1,
+                              "continued-fraction terms must be positive integers")
+        if depth is not None:
             terms = tuple(terms[n % len(terms)] for n in range(depth))
         return _effros_shen_diagram(terms, key)
     if key in ("gicar-excluded", "gicar"):
@@ -614,9 +622,18 @@ def ergodic_sequence(
 def schur_weyl_defect(n: int, p: int, q: int) -> Fraction:
     """Squared trace-norm defect of the isotypic compression at tower level n.
 
-    (1/2^{n(p+q)}) * sum over lam of p, mu of q of
+    By definition (1/2^{n(p+q)}) * sum over lam of p, mu of q of
     (s_lam(1_d) s_mu(1_d) - dim pi_{mu;lam}) * dim K_lam * dim K_mu, d = 2^n.
+    By Schur-Weyl duality the s_lam s_mu terms add to d^{p+q}.  For p + q <= d,
+    the only range accepted, the dim pi terms add to the dimension of the
+    traceless tensors in V^{(x)p} (x) V*^{(x)q} (walled Brauer decomposition:
+    Koike, Adv. Math. 74, 1989; Benkart et al., J. Algebra 166, 1994), which
+    inclusion-exclusion over k contractions gives as sum_k (-1)^k C(p,k)
+    C(q,k) k! d^{p+q-2k}.  So the defect is the closed form
+    sum_{k=1}^{min(p,q)} (-1)^{k+1} C(p,k) C(q,k) k! / d^{2k}.
     """
+    if not all(isinstance(x, int) for x in (n, p, q)):
+        raise ValueError(f"n, p and q must be integers, got {n!r}, {p!r}, {q!r}")
     if min(n, p, q) < 0:
         raise ValueError(f"n, p and q must be nonnegative, got {n}, {p}, {q}")
     if (p, q) == (0, 0):
@@ -624,15 +641,8 @@ def schur_weyl_defect(n: int, p: int, q: int) -> Fraction:
     d = 2**n
     if p + q > d:
         raise ValueError(f"pairs of lengths up to {p + q} do not fit in d = {d}")
-
-    def dim(lam, mu):
-        # The signature is held as its runs: the cost follows p + q, not d.
-        return weyl_dim(signature_from_pair(lam, mu, d))
-
-    poly_dims = {part: dim(part, EMPTY) for part in partitions_of(p) + partitions_of(q)}
-    total = 0
-    for lam in partitions_of(p):
-        for mu in partitions_of(q):
-            gap = poly_dims[lam] * poly_dims[mu] - dim(lam, mu)
-            total += gap * sym_group_dim(lam) * sym_group_dim(mu)
-    return Fraction(total, 2 ** (n * (p + q)))
+    # Over the common denominator d^{2m}, m = min(p, q).
+    m = min(p, q)
+    total = sum((-1) ** (k + 1) * math.comb(p, k) * math.comb(q, k) * math.factorial(k)
+                * d ** (2 * (m - k)) for k in range(1, m + 1))
+    return Fraction(total, d ** (2 * m))

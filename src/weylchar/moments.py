@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from weylchar.combinatorics import EMPTY, Signature, partitions_of, signature_from_pair
 from weylchar.exact import common_denominator
 from weylchar.gtkernel import run_counts
-from weylchar.symfunc import power_sum_weights, sym_group_dim, weyl_dim
+from weylchar.symfunc import power_sum_weights, weyl_dim
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,7 +187,8 @@ def hciz_power_sum(a: HermitianSpectrum, b: HermitianSpectrum, n: int) -> Fracti
         weights = power_sum_weights(lam)
         na = sum(map(operator.mul, weights, pa_ct))
         nb = sum(map(operator.mul, weights, pb_ct))
-        terms.append((sym_group_dim(lam) * na * nb, weyl_dim(signature_from_pair(lam, EMPTY, d))))
+        # The last cycle type is 1^n, whose class is the identity alone: its weight is f^lam.
+        terms.append((weights[-1] * na * nb, weyl_dim(signature_from_pair(lam, EMPTY, d))))
     common = math.lcm(*(dim for _, dim in terms))
     numerator = sum(num * (common // dim) for num, dim in terms)
     return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)

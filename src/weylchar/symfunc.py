@@ -2,9 +2,10 @@
 
 Weyl dimensions by a product over runs of equal entries, power-sum
 expansions from symmetric-group characters (Murnaghan-Nakayama divided by
-centralizer orders), Littlewood-Richardson expansions by one ballot-tableau
-walk, and determinants over exact fields.  Character values live in
-`ucharacters`.
+centralizer orders; the weight at the cycle type 1^n is f^lam, the
+dimension of the symmetric-group irrep), Littlewood-Richardson expansions
+by one ballot-tableau walk, and determinants over exact fields.  Character
+values live in `ucharacters`.
 """
 
 from __future__ import annotations
@@ -71,21 +72,6 @@ def _product(factors: list[int]) -> int:
 
 
 @cache
-def sym_group_dim(lam: Partition) -> int:
-    """Hook length formula for the symmetric-group irrep indexed by lam."""
-    lam = Partition(tuple(lam))
-    n = lam.size
-    if n == 0:
-        return 1
-    conj = lam.conjugate()
-    dim = math.factorial(n)
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            dim //= row - j + conj.parts[j] - i - 1
-    return dim
-
-
-@cache
 def sym_group_character(shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Murnaghan-Nakayama recursion on first-column hook (beta) numbers."""
     if not shape:
@@ -129,7 +115,8 @@ def power_sum_weights(lam: Partition) -> tuple[int, ...]:
     n! / z_rho is the size of the class of cycle type rho, so each weight is
     an integer, and s_lam = (1/n!) sum_rho weight_rho p_rho.  A caller pairs
     the weights with values listed in the same order, so the sum is an
-    integer dot product.
+    integer dot product.  The list ends with 1^n, whose class is the
+    identity alone, so the last weight is chi^lam(1^n) = f^lam.
     """
     lam = Partition(tuple(lam))
     n = lam.size

@@ -13,7 +13,10 @@ before it grouped equal eigenvalues (`char_float_ref`) for its value and
 bound at spectra with none repeated, and the concatenation of angles that
 `afalgebra.embed` did before it added multiplicities (`concatenated_embed`);
 power-sum evaluation for `moments.hciz_power_sum` and the dimension of a
-partition; the product over every pair of entries (`weyl_pair_product`) for
+partition; the hook-length formula (`hook_length_dim`) for f^lam, which
+the package reads off the power-sum row; the partition sum that defines the
+Schur-Weyl defect (`schur_weyl_defect_ref`) for its closed form in
+`afalgebra.schur_weyl_defect`; the product over every pair of entries (`weyl_pair_product`) for
 the run product of `symfunc.weyl_dim`; the Fraction power-sum table
 (`fraction_power_sum_coeffs`) and the partition sum that read its weights
 (`fraction_weight_hciz_power_sum`) for the integer weights of
@@ -82,7 +85,6 @@ from weylchar.symfunc import (
     exact_det,
     schur_to_power_sums,
     sym_group_character,
-    sym_group_dim,
     weyl_dim,
 )
 from weylchar.ucharacters import (
@@ -443,6 +445,37 @@ def exact_values(u) -> tuple[QQi, ...] | None:
     return tuple(out)
 
 
+def hook_length_dim(lam: Partition) -> int:
+    """f^lam, the dimension of the symmetric-group irrep, by the hook-length formula."""
+    lam = Partition(tuple(lam))
+    conj = lam.conjugate()
+    dim = math.factorial(lam.size)
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            dim //= row - j + conj.parts[j] - i - 1
+    return dim
+
+
+def schur_weyl_defect_ref(n: int, p: int, q: int) -> Fraction:
+    """The defect's defining partition sum, d = 2^n, p + q <= d, (p, q) != (0, 0).
+
+    (1/d^{p+q}) * sum over lam of p, mu of q of
+    (s_lam(1_d) s_mu(1_d) - dim pi_{mu;lam}) * f^lam * f^mu.
+    """
+    d = 2**n
+
+    def dim(lam, mu):
+        return weyl_dim(signature_from_pair(lam, mu, d))
+
+    poly_dims = {part: dim(part, EMPTY) for part in partitions_of(p) + partitions_of(q)}
+    total = 0
+    for lam in partitions_of(p):
+        for mu in partitions_of(q):
+            gap = poly_dims[lam] * poly_dims[mu] - dim(lam, mu)
+            total += gap * hook_length_dim(lam) * hook_length_dim(mu)
+    return Fraction(total, d ** (p + q))
+
+
 def power_sum_value(coeffs, p):
     """Sum over cycle types rho of coeffs[rho] * prod p[r], r in rho.
 
@@ -509,7 +542,7 @@ def fraction_weight_hciz_power_sum(a, b, n: int) -> Fraction:
             weight = c.numerator * (fact // c.denominator)
             na += weight * pa_ct[ct]
             nb += weight * pb_ct[ct]
-        terms.append((sym_group_dim(lam) * na * nb, weyl_dim(signature_from_pair(lam, EMPTY, d))))
+        terms.append((hook_length_dim(lam) * na * nb, weyl_dim(signature_from_pair(lam, EMPTY, d))))
     common = math.lcm(*(dim for _, dim in terms))
     numerator = sum(num * (common // dim) for num, dim in terms)
     return Fraction(numerator, common * fact * fact * scale_a**n * scale_b**n)

@@ -9,6 +9,7 @@ from reference import (
     exact_unit,
     exact_values,
     fraction_trace_weights,
+    schur_weyl_defect_ref,
     uhf_product_diagram,
 )
 from weylchar.afalgebra import (
@@ -92,6 +93,16 @@ def test_gicar_preset_excluded_from_simplicity():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset_diagram("nonsense")
+
+
+def test_preset_refuses_an_empty_or_bad_term_at_any_depth():
+    uhf, cf = "uhf factors must be integers >= 2", "continued-fraction terms must be positive integers"
+    for name, message in (("uhf:2,,3", uhf), ("uhf:2,", uhf), ("uhf:,2", uhf),
+                          ("effros-shen:1,,2", cf), ("effros-shen:1,0,2", cf)):
+        for depth in (None, 1):
+            # depth 1 keeps only the first term: the rest must be checked before the cut.
+            with pytest.raises(ValueError, match=message):
+                preset_diagram(name, depth=depth)
 
 
 def test_preset_depth_below_one_is_rejected():
@@ -522,6 +533,34 @@ def test_schur_weyl_defect_rejects_negative_arguments():
     for n, p, q in ((3, -1, 1), (3, 1, -1), (-1, 1, 1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             schur_weyl_defect(n, p, q)
+    for n, p, q in ((3.0, 1, 1), (3, 1.0, 1), (3, 1, 1.0), (3, 1, 1.5)):
+        with pytest.raises(ValueError, match="n, p and q must be integers"):
+            schur_weyl_defect(n, p, q)
+
+
+def test_schur_weyl_defect_equals_the_partition_sum():
+    # Every (p, q) up to p + q = min(2^n, 10), the tight d = p + q included.
+    for n in range(8):
+        d = 2**n
+        for p in range(11):
+            for q in range(11 - p):
+                if (p, q) == (0, 0) or p + q > min(d, 10):
+                    continue
+                got, ref = schur_weyl_defect(n, p, q), schur_weyl_defect_ref(n, p, q)
+                assert got == ref and repr(got) == repr(ref), (n, p, q)
+
+
+def test_schur_weyl_defect_lies_between_its_first_two_partial_sums():
+    # For p + q <= d the terms alternate and shrink: the ratio of term k + 1
+    # to term k is (p - k)(q - k) / ((k + 1) d^2) <= 1/4.
+    d = 2**6
+    for p in range(21):
+        for q in range(21):
+            if (p, q) == (0, 0):
+                continue
+            first = F(p * q, d**2)
+            value = schur_weyl_defect(6, p, q)
+            assert first - F(p * (p - 1) * q * (q - 1), 2 * d**4) <= value <= first, (p, q)
 
 
 def test_diagram_json_round_trip():

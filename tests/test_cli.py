@@ -374,6 +374,11 @@ def test_a_flag_the_mode_does_not_read_is_a_usage_error(capsys, argv, stray):
         pytest.param(["ergodic", "--u", "0.25,0", "--block", "5"], None, id="ergodic-block"),
         pytest.param(["poisson", "--series-n", "1", "--kernel-a", "1", "--tau", "1,2,3"], None,
                      id="poisson-tau"),
+        pytest.param(["validate-diagram", "--diagram", "uhf:2,,3"], None, id="uhf-empty-factor"),
+        pytest.param(["validate-diagram", "--diagram", "effros-shen:1,,2"], None,
+                     id="effros-shen-empty-term"),
+        pytest.param(["validate-diagram", "--diagram", "effros-shen:1,0,2", "--depth", "1"], None,
+                     id="effros-shen-zero-term-cut-by-depth"),
         pytest.param(["validate-diagram", "--file"], {"levels": [[1], [2]]}, id="file-no-mults"),
         pytest.param(["validate-diagram", "--file"], {"levels": 1, "multiplicities": []},
                      id="file-int-levels"),

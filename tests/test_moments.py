@@ -15,6 +15,7 @@ from reference import (
     brute_force_counts,
     distribution_from_probs,
     fraction_weight_hciz_power_sum,
+    hook_length_dim,
     pairing_counts,
     power_sum_value,
     rho,
@@ -537,7 +538,7 @@ def _estimate_fields_ref(sig, f):
 
 def _hciz_power_sum_ref(a, b, n):
     from weylchar.combinatorics import EMPTY, partitions_of, signature_from_pair
-    from weylchar.symfunc import schur_to_power_sums, sym_group_dim, weyl_dim
+    from weylchar.symfunc import schur_to_power_sums, weyl_dim
 
     if a.d != b.d:
         raise ValueError("spectra must have equal size")
@@ -550,7 +551,7 @@ def _hciz_power_sum_ref(a, b, n):
             continue
         exp = schur_to_power_sums(lam)
         total += (
-            Fraction(sym_group_dim(lam))
+            Fraction(hook_length_dim(lam))
             * power_sum_value(exp, pa)
             * power_sum_value(exp, pb)
             / weyl_dim(signature_from_pair(lam, EMPTY, d))

@@ -11,6 +11,7 @@ from reference import (
     bialternant,
     eval_by_gt,
     fraction_power_sum_coeffs,
+    hook_length_dim,
     schur_by_power_sums,
     weyl_pair_product,
 )
@@ -18,11 +19,12 @@ from weylchar.combinatorics import EMPTY, Partition, Signature, partitions_of, s
 from weylchar.errors import BudgetExceeded
 from weylchar.exact import QQi
 from weylchar.symfunc import (
+    POWER_SUM_MAX_N,
     lr_product,
+    power_sum_weights,
     schur_to_power_sums,
     skew_expand,
     sym_group_character,
-    sym_group_dim,
     weyl_dim,
 )
 
@@ -268,20 +270,33 @@ def test_leading_coeff_closed_form():
 def test_leading_coeff_vs_dimension():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert _leading_coeff(lam) == Fraction(sym_group_dim(lam), math.factorial(n))
+            assert _leading_coeff(lam) == Fraction(hook_length_dim(lam), math.factorial(n))
 
 
-def test_sym_group_dim_examples():
-    assert sym_group_dim(P((2, 2))) == 2
-    assert sym_group_dim(P((3, 1))) == 3
-    assert sym_group_dim(P((2, 1, 1))) == 3
+def _f_lam(lam):
+    """f^lam as the package reads it: the power-sum weight at the cycle type 1^n."""
+    return power_sum_weights(P(lam))[-1]
+
+
+def test_f_lam_examples():
+    assert _f_lam((2, 2)) == 2
+    assert _f_lam((3, 1)) == 3
+    assert _f_lam((2, 1, 1)) == 3
     for n in range(1, 7):
-        assert sym_group_dim(P((n,))) == 1
+        assert _f_lam((n,)) == 1
 
 
-def test_sym_group_dim_squares_sum_to_factorial():
+def test_f_lam_squares_sum_to_factorial():
     for n in range(1, 9):
-        assert sum(sym_group_dim(lam) ** 2 for lam in partitions_of(n)) == math.factorial(n)
+        assert sum(_f_lam(lam) ** 2 for lam in partitions_of(n)) == math.factorial(n)
+
+
+def test_f_lam_matches_hook_lengths():
+    # Every partition that the power-sum row accepts, n <= POWER_SUM_MAX_N.
+    for n in range(POWER_SUM_MAX_N + 1):
+        assert partitions_of(n)[-1] == P((1,) * n)
+        for lam in partitions_of(n):
+            assert _f_lam(lam) == hook_length_dim(lam)
 
 
 def test_sym_group_character_orthogonality():
@@ -289,7 +304,7 @@ def test_sym_group_character_orthogonality():
     for n in range(1, 7):
         ident = P((1,) * n)
         for lam in partitions_of(n):
-            assert sym_group_character(lam.parts, ident.parts) == sym_group_dim(lam)
+            assert sym_group_character(lam.parts, ident.parts) == hook_length_dim(lam)
 
 
 def test_lr_coefficient_examples():
@@ -334,14 +349,14 @@ def test_lr_product_matches_coefficient():
     prod = lr_product(alpha, beta, max_length=6)
     for gamma, c in prod.items():
         assert _lr_coefficient_ref(gamma, alpha, beta) == c
-    assert sum(c * sym_group_dim(g) for g, c in prod.items()) > 0
+    assert sum(c * hook_length_dim(g) for g, c in prod.items()) > 0
 
 
 def test_skew_expand_matches_coefficient():
     nu, alpha = P((3, 2, 1)), P((2, 1))
     for beta, c in skew_expand(nu, alpha, 3).items():
         assert _lr_coefficient_ref(nu, alpha, beta) == c
-    total = sum(c * sym_group_dim(b) for b, c in skew_expand(nu, alpha, 3).items())
+    total = sum(c * hook_length_dim(b) for b, c in skew_expand(nu, alpha, 3).items())
     assert total > 0
 
 
